@@ -162,11 +162,22 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
+def _load_checkpoint_and_data(args):
+    """The checkpoint's model and codebook, and the dataset to score with it,
+    normalised as in training; labels the checkpoint has no class for are
+    rejected."""
     model, codebook, normalizer = load_checkpoint(args.checkpoint)
     dataset = _load_dataset(args.data, args.format, args.labels)
+    if dataset.labels.size and dataset.labels.max() >= codebook.class_count:
+        raise ContractError(f"dataset label {dataset.labels.max()} is outside the "
+                            f"checkpoint's {codebook.class_count} classes")
     if normalizer is not None:
         dataset = normalizer.apply(dataset)
+    return model, codebook, dataset
+
+
+def cmd_eval(args) -> int:
+    model, codebook, dataset = _load_checkpoint_and_data(args)
     result = evaluate(model, dataset, codebook)
     print(f"accuracy={result.accuracy:.9g}")
     print(f"loss={result.mean_loss:.9g}")
@@ -180,10 +191,7 @@ def _print_matrix(name, matrix):
 
 
 def cmd_divergence(args) -> int:
-    model, codebook, normalizer = load_checkpoint(args.checkpoint)
-    dataset = _load_dataset(args.data, args.format, args.labels)
-    if normalizer is not None:
-        dataset = normalizer.apply(dataset)
+    model, codebook, dataset = _load_checkpoint_and_data(args)
     outputs = np.concatenate([
         model.forward(dataset.samples[i:i + 256], mode="infer")
         for i in range(0, len(dataset), 256)])

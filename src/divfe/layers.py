@@ -9,6 +9,12 @@ parameter, so :func:`divfe.numerics.backward` reaches all of them.
 Convolution is implemented as cross-correlation (the usual CNN convention),
 stride 1. Padding is ``valid`` by default; ``same`` zero-padding is available
 for architectures whose filters would otherwise outgrow the map.
+
+Conv2D computes channels-last: it transposes its input to ``(N, H, W, C)``,
+builds im2col columns in ``(fh, fw, C)`` order in blocks of whole samples of
+at most about 4 MiB, and returns a ``(N, P, H, W)`` view of a channels-last
+result, so a following Conv2D (through BatchNorm and ReLU, which keep the
+memory order) reads its input without a copy.
 """
 
 import numpy as np
@@ -19,6 +25,9 @@ from .numerics import ContractError, GradientTape, ShapeError
 BN_EPSILON = 1e-5
 BN_MOMENTUM = 0.9
 DEFAULT_DROPOUT_RATE = 0.25
+# Conv2D streams its im2col columns in blocks of whole samples of at most this
+# many bytes, so the full column matrix is never materialised.
+_IM2COL_BLOCK_BYTES = 4 << 20
 
 
 class Layer:
@@ -176,34 +185,55 @@ class Conv2D(Layer):
 
     def forward(self, x, mode="infer", tape=None):
         n, c, h, w = x.shape
-        fh, fw = self.filter_h, self.filter_w
+        fh, fw, planes = self.filter_h, self.filter_w, self.planes
+        xt = x.transpose(0, 2, 3, 1)                               # (N, H, W, C)
         if self.padding == "same":
-            top, bottom = (fh - 1) // 2, fh // 2
-            left, right = (fw - 1) // 2, fw // 2
-            xp = np.pad(x, ((0, 0), (0, 0), (top, bottom), (left, right)))
+            top, left = (fh - 1) // 2, (fw - 1) // 2
+            xp = np.zeros((n, h + fh - 1, w + fw - 1, c))
+            xp[:, top:top + h, left:left + w] = xt
         else:
             top = left = 0
-            xp = x
-        ho = xp.shape[2] - fh + 1
-        wo = xp.shape[3] - fw + 1
-        cols = (sliding_window_view(xp, (fh, fw), axis=(2, 3))   # (N, C, Ho, Wo, fh, fw)
-                .transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, c * fh * fw))
-        w_mat = self.weights.reshape(self.planes, c * fh * fw)
-        y = (cols @ w_mat.T + self.bias).reshape(n, ho, wo, self.planes).transpose(0, 3, 1, 2)
+            xp = np.ascontiguousarray(xt)
+        ho = xp.shape[1] - fh + 1
+        wo = xp.shape[2] - fw + 1
+        k = fh * fw * c
+        # column (u, v, :) of window (i, j) is xp[:, i+u, j+v, :], so each
+        # copied run xp[:, i+u, j:j+fw, :] is fw*C contiguous doubles
+        windows = sliding_window_view(xp, (fh, fw), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
+        step = max(1, min(n, _IM2COL_BLOCK_BYTES // (8 * ho * wo * k)))
+        blocks = [(s, min(n, s + step)) for s in range(0, n, step)]
+        buf = np.empty((step, ho, wo, fh, fw, c))
+
+        def cols(s, e):
+            np.copyto(buf[:e - s], windows[s:e])
+            return buf[:e - s].reshape((e - s) * ho * wo, k)
+
+        w_mat = self.weights.transpose(0, 2, 3, 1).reshape(planes, k)
+        y_nhwc = np.empty((n, ho, wo, planes))
+        for s, e in blocks:
+            yb = y_nhwc[s:e].reshape((e - s) * ho * wo, planes)
+            np.matmul(cols(s, e), w_mat.T, out=yb)
+            yb += self.bias
+        y = y_nhwc.transpose(0, 3, 1, 2)
 
         if tape is not None:
             weights, bias = self.weights, self.bias
 
             def bwd(dy):
-                dy_m = dy.transpose(0, 2, 3, 1).reshape(n * ho * wo, self.planes)
+                dy_m = np.ascontiguousarray(dy.transpose(0, 2, 3, 1)).reshape(-1, planes)
                 db = dy_m.sum(axis=0)
-                dw = (dy_m.T @ cols).reshape(weights.shape)
-                dcols = (dy_m @ w_mat).reshape(n, ho, wo, c, fh, fw)
+                dw = np.zeros((planes, k))
+                for s, e in blocks:
+                    dw += dy_m[s * ho * wo:e * ho * wo].T @ cols(s, e)
+                dw = dw.reshape(planes, fh, fw, c).transpose(0, 3, 1, 2).copy()
+                taps = weights.transpose(2, 3, 0, 1).copy()         # (fh, fw, P, C)
                 dxp = np.zeros_like(xp)
+                dtap = np.empty((n * ho * wo, c))
                 for u in range(fh):
                     for v in range(fw):
-                        dxp[:, :, u:u + ho, v:v + wo] += dcols[:, :, :, :, u, v].transpose(0, 3, 1, 2)
-                dx = dxp[:, :, top:top + h, left:left + w] if self.padding == "same" else dxp
+                        np.matmul(dy_m, taps[u, v], out=dtap)
+                        dxp[:, u:u + ho, v:v + wo] += dtap.reshape(n, ho, wo, c)
+                dx = dxp[:, top:top + h, left:left + w].transpose(0, 3, 1, 2)
                 return dx, dw, db
 
             tape.record(y, (x, weights, bias), bwd, "conv2d")
@@ -347,16 +377,19 @@ class BatchNorm(Layer):
                 tape.record(y, (x, scale, shift), bwd, "batchnorm")
             return y
 
-        inv_std = 1.0 / np.sqrt(self.running_var.reshape(pshape) + self.epsilon)
-        xhat = (x - self.running_mean.reshape(pshape)) * inv_std
-        y = gamma * xhat + beta
+        # the running statistics fold into one per-plane affine map y = x*a + b
+        inv_std = (1.0 / np.sqrt(self.running_var + self.epsilon)).reshape(pshape)
+        a = gamma * inv_std
+        mean = self.running_mean.reshape(pshape).copy()
+        y = x * a
+        y += beta - mean * a
         if tape is not None:
-            axes_ = axes
 
             def bwd(dy):
-                dgamma = (dy * xhat).sum(axis=axes_).reshape(-1)
-                dbeta = dy.sum(axis=axes_).reshape(-1)
-                return dy * gamma * inv_std, dgamma, dbeta
+                xhat = (x - mean) * inv_std
+                dgamma = (dy * xhat).sum(axis=axes).reshape(-1)
+                dbeta = dy.sum(axis=axes).reshape(-1)
+                return dy * a, dgamma, dbeta
 
             tape.record(y, (x, self.scale, self.shift), bwd, "batchnorm")
         return y

@@ -191,6 +191,26 @@ def test_capacity_overflow_is_contract_error(tmp_path, capsys):
     assert "error=contract-error" in capsys.readouterr().err
 
 
+@pytest.fixture
+def three_class_csv(tmp_path):
+    rng = np.random.default_rng(2)
+    ds = LabeledDataset(samples=rng.normal(size=(30, 8)),
+                        labels=np.arange(30) % 3, class_count=3)
+    path = tmp_path / "three.csv"
+    save_signals_csv(path, ds)
+    return path
+
+
+@pytest.mark.parametrize("command", ["eval", "divergence"])
+def test_labels_beyond_checkpoint_classes_are_contract_error(trained, three_class_csv,
+                                                             capsys, command):
+    # the checkpoint knows 2 classes; label 2 has no codebook row
+    code = main([command, "--checkpoint", str(trained), "--data", str(three_class_csv),
+                 "--format", "csv"])
+    assert code == 7
+    assert "error=contract-error" in capsys.readouterr().err
+
+
 def test_bad_config_key_is_parse_error(tmp_path, signal_csv, capsys):
     model_path = tmp_path / "model.spec"
     model_path.write_text(MODEL_SPEC)

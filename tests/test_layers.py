@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from divfe import layers
 from divfe.layers import (BatchNorm, Conv1D, Conv2D, Dense, Dropout, FeatureExtractor,
                           Flatten, MaxPool, ReLU, mse_loss)
 from divfe.numerics import (ContractError, GradientTape, ShapeError, backward,
@@ -71,6 +74,92 @@ def test_conv2d_gradients():
         layer.init_params(rng)
         x = rng.normal(size=(int(rng.integers(1, 3)), c, h, w))
         _check_all_grads(layer, x, rng)
+
+
+def _direct_conv2d(x, weights, bias, padding):
+    """Reference: sum over taps (u, v) of shifted input slices contracted with
+    ``weights[:, :, u, v]``; no im2col."""
+    fh, fw = weights.shape[2:]
+    if padding == "same":
+        x = np.pad(x, ((0, 0), (0, 0), ((fh - 1) // 2, fh // 2), ((fw - 1) // 2, fw // 2)))
+    ho, wo = x.shape[2] - fh + 1, x.shape[3] - fw + 1
+    y = np.zeros((x.shape[0], weights.shape[0], ho, wo)) + bias[:, None, None]
+    for u in range(fh):
+        for v in range(fw):
+            y += np.einsum("nchw,pc->nphw", x[:, :, u:u + ho, v:v + wo], weights[:, :, u, v])
+    return y
+
+
+# (batch, planes in, height, width, fh, fw, planes out, padding): odd batches,
+# C > 1 and non-square filters, under both paddings
+BLOCKED_CONFIGS = [
+    (5, 3, 7, 6, 3, 2, 4, "valid"),
+    (7, 2, 6, 8, 2, 5, 3, "same"),
+    (3, 1, 5, 5, 5, 5, 2, "valid"),
+    (5, 2, 4, 7, 4, 3, 2, "same"),
+]
+
+
+def _blocked_conv2d(monkeypatch, config, samples_per_block):
+    """A wired, initialised Conv2D, its input, and the im2col budget patched
+    to ``samples_per_block`` samples (0: below one sample)."""
+    n, c, h, w, fh, fw, planes, padding = config
+    rng = np.random.default_rng(sum(config[:-1]) + samples_per_block)
+    layer = Conv2D(fh, fw, planes, padding=padding)
+    _, ho, wo = layer.wire((c, h, w))
+    layer.init_params(rng)
+    layer.bias[:] = rng.normal(size=planes)
+    sample_bytes = 8 * ho * wo * fh * fw * c
+    monkeypatch.setattr(layers, "_IM2COL_BLOCK_BYTES",
+                        max(1, samples_per_block * sample_bytes + sample_bytes // 2))
+    assert n > max(1, samples_per_block)    # several blocks; odd n leaves a partial one
+    return layer, rng.normal(size=(n, c, h, w)), rng
+
+
+@pytest.mark.parametrize("samples_per_block", [0, 2])
+@pytest.mark.parametrize("config", BLOCKED_CONFIGS)
+def test_conv2d_blocked_forward_matches_direct_sum(monkeypatch, config, samples_per_block):
+    layer, x, _ = _blocked_conv2d(monkeypatch, config, samples_per_block)
+    np.testing.assert_allclose(layer.forward(x),
+                               _direct_conv2d(x, layer.weights, layer.bias, layer.padding),
+                               rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("config", BLOCKED_CONFIGS)
+def test_conv2d_blocked_gradients(monkeypatch, config):
+    layer, x, rng = _blocked_conv2d(monkeypatch, config, 2)
+    _check_all_grads(layer, x, rng)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6),
+       fh=st.integers(1, 4), fw=st.integers(1, 4), same=st.booleans(),
+       budget=st.sampled_from([1, 2000, 1 << 22]))
+def test_batched_stack_matches_per_sample(seed, n, fh, fw, same, budget):
+    rng = np.random.default_rng(seed)
+    stack = [Conv2D(fh, fw, 3, padding="same" if same else "valid"), BatchNorm(), ReLU(),
+             Conv2D(2, 2, 2), BatchNorm(), ReLU()]
+    shape = (2, 6, 5)
+    for layer in stack:
+        shape = layer.wire(shape)
+        layer.init_params(rng)
+    for layer in stack[1::3]:
+        layer.scale[:] = rng.normal(1.0, 0.2, size=layer.planes)
+        layer.shift[:] = rng.normal(size=layer.planes)
+        layer.running_mean[:] = rng.normal(size=layer.planes)
+        layer.running_var[:] = rng.uniform(0.5, 2.0, size=layer.planes)
+
+    def run(x):
+        for layer in stack:
+            x = layer.forward(x, mode="infer")
+        return x
+
+    x = rng.normal(size=(n, 2, 6, 5))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(layers, "_IM2COL_BLOCK_BYTES", budget)
+        batched = run(x)
+        per_sample = np.concatenate([run(x[i:i + 1]) for i in range(n)])
+    np.testing.assert_allclose(batched, per_sample, rtol=1e-9, atol=1e-9)
 
 
 # ---------------------------------------------------------------- maxpool
