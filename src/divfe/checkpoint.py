@@ -3,16 +3,18 @@
 Layout::
 
     magic   b"DIVF"
-    payload version u32 | rank u32 | class_count u32 | class_rows u32[C]
-            input ndim u32 | dims u32[ndim]
-            layer_count u32 | layers...
+    payload version u32 | class_count u32
+            spec_len u32 | model spec text, UTF-8 (divfe.modelspec format)
+            every array of model.state_arrays, in order
             has_normalizer u32 (+ mean, std arrays)
     crc32   u32 of the payload
 
-Every float64 array is stored as u64 element count + raw little-endian
-bytes, so a save/load round trip is bit-exact. The codebook matrix itself
-is not stored; it is rebuilt deterministically from the rank. A corrupted
-payload is rejected by the CRC before any parsing.
+The spec text carries the architecture, input shape and Walsh rank. Every
+float64 array is stored as u64 element count + raw little-endian bytes, so a
+save/load round trip is bit-exact. The codebook matrix is not stored: it is
+rebuilt from the rank with classes on rows 1..class_count, the only
+assignment the program makes. A corrupted payload is rejected by the CRC
+before any parsing, and a payload that does not decode raises FormatError.
 """
 
 import struct
@@ -21,21 +23,13 @@ import zlib
 import numpy as np
 
 from .data_io import FormatError, Standardizer
-from .layers import (BatchNorm, Conv1D, Conv2D, Dense, Dropout, FeatureExtractor,
-                     Flatten, MaxPool, ReLU)
-from .walsh import WalshCodebook, assign_class_targets, build_modified_walsh
+from .layers import FeatureExtractor
+from .modelspec import SpecError, format_model_spec, parse_model_spec
+from .numerics import ContractError, ShapeError
+from .walsh import WalshCodebook, WalshError, make_codebook
 
 MAGIC = b"DIVF"
-VERSION = 1
-
-_TAG_CONV1D = 1
-_TAG_CONV2D = 2
-_TAG_MAXPOOL = 3
-_TAG_BATCHNORM = 4
-_TAG_DROPOUT = 5
-_TAG_RELU = 6
-_TAG_FLATTEN = 7
-_TAG_DENSE = 8
+VERSION = 2
 
 
 def _pack_array(arr: np.ndarray) -> bytes:
@@ -48,64 +42,32 @@ class _Reader:
         self.buf = buf
         self.pos = 0
 
-    def take(self, fmt: str):
-        size = struct.calcsize(fmt)
+    def raw(self, size: int) -> bytes:
         if self.pos + size > len(self.buf):
             raise FormatError("truncated checkpoint payload")
-        values = struct.unpack_from(fmt, self.buf, self.pos)
         self.pos += size
+        return self.buf[self.pos - size:self.pos]
+
+    def take(self, fmt: str):
+        values = struct.unpack(fmt, self.raw(struct.calcsize(fmt)))
         return values if len(values) > 1 else values[0]
 
     def array(self, shape) -> np.ndarray:
         count = self.take("<Q")
         expected = int(np.prod(shape))
         if count != expected:
-            raise FormatError(f"array holds {count} values, layer expects {expected}")
-        nbytes = count * 8
-        if self.pos + nbytes > len(self.buf):
-            raise FormatError("truncated checkpoint payload")
-        arr = np.frombuffer(self.buf, dtype="<f8", count=count, offset=self.pos)
-        self.pos += nbytes
-        return arr.astype(np.float64).reshape(shape)
-
-
-def _serialize_layer(layer) -> bytes:
-    if isinstance(layer, Conv1D):
-        head = struct.pack("<IIIB", _TAG_CONV1D, layer.filter_len, layer.planes,
-                           1 if layer.padding == "same" else 0)
-        return head + _pack_array(layer.weights) + _pack_array(layer.bias)
-    if isinstance(layer, Conv2D):
-        head = struct.pack("<IIIIB", _TAG_CONV2D, layer.filter_h, layer.filter_w,
-                           layer.planes, 1 if layer.padding == "same" else 0)
-        return head + _pack_array(layer.weights) + _pack_array(layer.bias)
-    if isinstance(layer, MaxPool):
-        return struct.pack("<II", _TAG_MAXPOOL, layer.window)
-    if isinstance(layer, BatchNorm):
-        head = struct.pack("<Idd", _TAG_BATCHNORM, layer.epsilon, layer.momentum)
-        return (head + _pack_array(layer.scale) + _pack_array(layer.shift)
-                + _pack_array(layer.running_mean) + _pack_array(layer.running_var))
-    if isinstance(layer, Dropout):
-        return struct.pack("<Id", _TAG_DROPOUT, layer.rate)
-    if isinstance(layer, ReLU):
-        return struct.pack("<I", _TAG_RELU)
-    if isinstance(layer, Flatten):
-        return struct.pack("<I", _TAG_FLATTEN)
-    if isinstance(layer, Dense):
-        head = struct.pack("<II", _TAG_DENSE, layer.out_dim)
-        return head + _pack_array(layer.weights) + _pack_array(layer.bias)
-    raise FormatError(f"cannot serialize layer {type(layer).__name__}")
+            raise FormatError(f"array holds {count} values, model expects {expected}")
+        data = self.raw(count * 8)
+        return np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(shape)
 
 
 def save_checkpoint(model: FeatureExtractor, codebook: WalshCodebook, path,
                     normalizer: Standardizer | None = None):
-    payload = bytearray()
-    payload += struct.pack("<III", VERSION, codebook.rank, codebook.class_count)
-    payload += struct.pack(f"<{codebook.class_count}I", *codebook.class_rows)
-    payload += struct.pack("<I", len(model.input_shape))
-    payload += struct.pack(f"<{len(model.input_shape)}I", *model.input_shape)
-    payload += struct.pack("<I", len(model.layers))
-    for layer in model.layers:
-        payload += _serialize_layer(layer)
+    spec = format_model_spec(model).encode("utf-8")
+    payload = bytearray(struct.pack("<III", VERSION, codebook.class_count, len(spec)))
+    payload += spec
+    for arr in model.state_arrays:
+        payload += _pack_array(arr)
     if normalizer is not None:
         payload += struct.pack("<I", 1)
         payload += _pack_array(normalizer.mean) + _pack_array(normalizer.std)
@@ -131,73 +93,25 @@ def load_checkpoint(path):
     version = r.take("<I")
     if version != VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    rank = r.take("<I")
-    class_count = r.take("<I")
-    class_rows = r.take(f"<{class_count}I")
-    class_rows = (class_rows,) if class_count == 1 else tuple(class_rows)
-    ndim = r.take("<I")
-    dims = r.take(f"<{ndim}I")
-    input_shape = (dims,) if ndim == 1 else tuple(dims)
-    layer_count = r.take("<I")
-
-    # rebuild layer objects, wiring as we go so parameter shapes are known
-    layers = []
-    shape = tuple(input_shape)
-    for _ in range(layer_count):
-        tag = r.take("<I")
-        if tag == _TAG_CONV1D:
-            flen, planes, same = r.take("<IIB")
-            layer = Conv1D(flen, planes, padding="same" if same else "valid")
-            shape = layer.wire(shape)
-            layer.weights = r.array((planes, layer.in_planes, flen))
-            layer.bias = r.array((planes,))
-        elif tag == _TAG_CONV2D:
-            fh_, fw, planes, same = r.take("<IIIB")
-            layer = Conv2D(fh_, fw, planes, padding="same" if same else "valid")
-            shape = layer.wire(shape)
-            layer.weights = r.array((planes, layer.in_planes, fh_, fw))
-            layer.bias = r.array((planes,))
-        elif tag == _TAG_MAXPOOL:
-            layer = MaxPool(r.take("<I"))
-            shape = layer.wire(shape)
-        elif tag == _TAG_BATCHNORM:
-            eps, momentum = r.take("<dd")
-            layer = BatchNorm(epsilon=eps, momentum=momentum)
-            shape = layer.wire(shape)
-            layer.scale = r.array((layer.planes,))
-            layer.shift = r.array((layer.planes,))
-            layer.running_mean = r.array((layer.planes,))
-            layer.running_var = r.array((layer.planes,))
-        elif tag == _TAG_DROPOUT:
-            layer = Dropout(r.take("<d"))
-            shape = layer.wire(shape)
-        elif tag == _TAG_RELU:
-            layer = ReLU()
-            shape = layer.wire(shape)
-        elif tag == _TAG_FLATTEN:
-            layer = Flatten()
-            shape = layer.wire(shape)
-        elif tag == _TAG_DENSE:
-            out_dim = r.take("<I")
-            layer = Dense(out_dim)
-            shape = layer.wire(shape)
-            layer.weights = r.array((out_dim, layer.in_dim))
-            layer.bias = r.array((out_dim,))
-        else:
-            raise FormatError(f"{path}: unknown layer tag {tag}")
-        layers.append(layer)
-
-    has_norm = r.take("<I")
-    normalizer = None
-    if has_norm:
-        feature_shape = input_shape[1:] if input_shape[0] == 1 else input_shape
-        mean = r.array(feature_shape)
-        std = r.array(feature_shape)
-        normalizer = Standardizer(mean=mean, std=std)
+    class_count, spec_len = r.take("<II")
+    try:
+        model = parse_model_spec(r.raw(spec_len).decode("utf-8"))
+        # every stored weight takes 8 bytes: refuse a spec the file cannot hold
+        # before allocating its parameters
+        if 8 * model.weight_count() > len(payload):
+            raise FormatError(f"{path}: the model spec needs more weights than the file holds")
+        model.initialize(0)
+        model.restore([r.array(a.shape) for a in model.state_arrays])
+        codebook = make_codebook(class_count, model.rank)
+        has_norm = r.take("<I")
+        if has_norm not in (0, 1):
+            raise FormatError(f"{path}: bad normalizer flag {has_norm}")
+        normalizer = None
+        if has_norm:
+            shape = model.input_shape[1:] if model.input_shape[0] == 1 else model.input_shape
+            normalizer = Standardizer(mean=r.array(shape), std=r.array(shape))
+    except (SpecError, ShapeError, ContractError, WalshError, UnicodeDecodeError) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     if r.pos != len(payload):
         raise FormatError(f"{path}: {len(payload) - r.pos} trailing bytes in payload")
-
-    model = FeatureExtractor(layers, input_shape, rank)
-    codebook = WalshCodebook(rank=rank, matrix=build_modified_walsh(rank),
-                             class_rows=class_rows)
     return model, codebook, normalizer

@@ -21,10 +21,10 @@ from .augment import AugmentConfig, expand_training_set
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data_io import (FormatError, LabeledDataset, ParseError, SplitSpec, Standardizer,
                       load_iris, load_mnist_idx, load_signals_csv, save_signals_csv, split)
-from .modelspec import SpecError, load_model_spec
+from .modelspec import SpecError, load_model_spec, parse_growth_template
 from .numerics import ContractError, ShapeError
-from .trainer import (STREAM_INIT, GrowthTemplate, TrainConfig, TrainingDivergedError,
-                      derive_rng, evaluate, fit, grow_layers)
+from .trainer import (STREAM_INIT, TrainConfig, TrainingDivergedError, derive_rng, evaluate,
+                      fit, grow_layers)
 from .walsh import WalshError, make_codebook
 
 _ERROR_CATEGORIES = [
@@ -33,7 +33,7 @@ _ERROR_CATEGORIES = [
     ((ContractError, WalshError), "contract-error", 7),
     (ShapeError, "wiring-error", 6),
     (FormatError, "format-error", 5),
-    ((ParseError, SpecError), "parse-error", 4),
+    ((ParseError, SpecError, UnicodeDecodeError), "parse-error", 4),
     (OSError, "io-error", 3),
 ]
 
@@ -206,42 +206,11 @@ def cmd_divergence(args) -> int:
     return 0
 
 
-def _parse_growth_template(path):
-    """Returns (GrowthTemplate, walsh_rank)."""
-    values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tokens = line.split()
-            values[tokens[0].lower()] = tokens[1:]
-    try:
-        dims = tuple(int(d) for d in values["input"][0].lower().split("x"))
-        input_shape = (1,) + dims if len(dims) <= 2 else dims
-        filters = []
-        for token in values.get("filters", []):
-            if "x" in token:
-                h, w = token.lower().split("x")
-                filters.append((int(h), int(w)))
-            else:
-                filters.append(int(token))
-        return GrowthTemplate(
-            input_shape=input_shape,
-            filters=tuple(filters),
-            planes=int(values["planes"][0]),
-            use_relu=values.get("relu", ["1"])[0] != "0",
-            use_batchnorm=values.get("batchnorm", ["0"])[0] == "1",
-        ), int(values["walsh_rank"][0])
-    except (KeyError, IndexError, ValueError) as exc:
-        raise ParseError(f"{path}: bad growth template: {exc}") from exc
-
-
 def cmd_grow(args) -> int:
     if not 0.0 <= args.threshold <= 1.0:
         raise ContractError(f"threshold must be in [0, 1], got {args.threshold}")
     cfg = _load_run_config(args.config)
-    template, rank = _parse_growth_template(args.template)
+    template, rank = parse_growth_template(args.template.read_text(encoding="utf-8"))
     dataset = _load_dataset(args.data, args.format, args.labels)
     codebook = make_codebook(dataset.class_count, rank)
     train_set, val_set, test_set = split(

@@ -307,9 +307,7 @@ class BatchNorm(Layer):
     an exponential moving average; inference uses the running statistics.
     """
 
-    def __init__(self, epsilon: float = BN_EPSILON, momentum: float = BN_MOMENTUM):
-        self.epsilon = epsilon
-        self.momentum = momentum
+    def __init__(self):
         self.planes = None
         self.scale = None
         self.shift = None
@@ -351,13 +349,13 @@ class BatchNorm(Layer):
                 raise ContractError("batch normalization needs batch size >= 2 in training")
             mu = x.mean(axis=axes, keepdims=True)
             var = x.var(axis=axes, keepdims=True)
-            inv_std = 1.0 / np.sqrt(var + self.epsilon)
+            inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
             xhat = (x - mu) * inv_std
             y = gamma * xhat + beta
-            self.running_mean *= self.momentum
-            self.running_mean += (1.0 - self.momentum) * mu.reshape(-1)
-            self.running_var *= self.momentum
-            self.running_var += (1.0 - self.momentum) * var.reshape(-1)
+            self.running_mean *= BN_MOMENTUM
+            self.running_mean += (1.0 - BN_MOMENTUM) * mu.reshape(-1)
+            self.running_var *= BN_MOMENTUM
+            self.running_var += (1.0 - BN_MOMENTUM) * var.reshape(-1)
 
             if tape is not None:
                 m = x.size // self.planes
@@ -378,7 +376,7 @@ class BatchNorm(Layer):
             return y
 
         # the running statistics fold into one per-plane affine map y = x*a + b
-        inv_std = (1.0 / np.sqrt(self.running_var + self.epsilon)).reshape(pshape)
+        inv_std = (1.0 / np.sqrt(self.running_var + BN_EPSILON)).reshape(pshape)
         a = gamma * inv_std
         mean = self.running_mean.reshape(pshape).copy()
         y = x * a

@@ -1,6 +1,7 @@
-"""Plain-text model architecture format.
+"""Plain-text model description, shared by spec files, checkpoints and
+growth templates.
 
-One layer per line after two header lines::
+A model spec has two header lines, then one layer per line::
 
     input 28x28          # 1D length, HxW image, or CxHxW planes
     walsh_rank 16
@@ -10,18 +11,43 @@ One layer per line after two header lines::
     conv2d 26x26 16
     flatten
 
-Blank lines and '#' comments are ignored. The parsed stack must wire to a
-flat output of length walsh_rank.
-"""
+A growth template (see :class:`divfe.trainer.GrowthTemplate`) has the same
+two header lines plus ``planes N``, an optional ``filters F...`` (lengths for
+1D input, HxW for 2D), ``relu 0|1`` (default 1) and ``batchnorm 0|1``
+(default 0).
 
-import numpy as np
+Blank lines and '#' comments are ignored. Every keyword takes exactly its
+arguments and a header or template key appears at most once. The parsed
+stack must wire to a flat output of length walsh_rank.
+"""
 
 from .layers import (BatchNorm, Conv1D, Conv2D, Dense, Dropout, FeatureExtractor,
                      Flatten, MaxPool, ReLU)
+from .trainer import GrowthTemplate
 
 
 class SpecError(ValueError):
     pass
+
+
+_PLAIN_LAYERS = {"batchnorm": BatchNorm, "relu": ReLU, "flatten": Flatten}
+_TEMPLATE_KEYS = ("input", "walsh_rank", "planes", "filters", "relu", "batchnorm")
+
+
+def _read(text, handle):
+    """Calls handle(lineno, keyword, args) for every non-blank line; any other
+    ValueError it raises becomes a SpecError naming the line."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        kind = tokens[0].lower()
+        try:
+            handle(lineno, kind, tokens[1:])
+        except SpecError:
+            raise
+        except ValueError as exc:
+            raise SpecError(f"line {lineno}: malformed {kind!r} line: {raw.strip()!r}") from exc
 
 
 def _dims(token, lineno):
@@ -34,6 +60,27 @@ def _dims(token, lineno):
     return dims
 
 
+def _input_shape(token, lineno):
+    dims = _dims(token, lineno)
+    if len(dims) > 3:
+        raise SpecError(f"line {lineno}: input takes 1 to 3 dimensions")
+    return dims if len(dims) == 3 else (1,) + dims
+
+
+def _header(values, lineno, kind, args):
+    """Reads an 'input' or 'walsh_rank' line into values."""
+    if kind in values:
+        raise SpecError(f"line {lineno}: duplicate {kind!r} line")
+    (token,) = args
+    values[kind] = _input_shape(token, lineno) if kind == "input" else int(token)
+
+
+def _required(values, keys):
+    for key in keys:
+        if key not in values:
+            raise SpecError(f"missing {key!r} line")
+
+
 def _padding(extra, lineno):
     if not extra:
         return "valid"
@@ -43,72 +90,92 @@ def _padding(extra, lineno):
 
 
 def parse_model_spec(text: str) -> FeatureExtractor:
-    input_shape = None
-    rank = None
+    header = {}
     layers = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        kind, args = tokens[0].lower(), tokens[1:]
-        try:
-            if kind == "input":
-                dims = _dims(args[0], lineno)
-                if len(dims) == 1:
-                    input_shape = (1, dims[0])
-                elif len(dims) == 2:
-                    input_shape = (1,) + dims
-                elif len(dims) == 3:
-                    input_shape = dims
-                else:
-                    raise SpecError(f"line {lineno}: input takes 1 to 3 dimensions")
-            elif kind == "walsh_rank":
-                rank = int(args[0])
-            elif kind == "conv1d":
-                layers.append(Conv1D(int(args[0]), int(args[1]),
-                                     padding=_padding(args[2:], lineno)))
-            elif kind == "conv2d":
-                fh, fw = _dims(args[0], lineno)
-                layers.append(Conv2D(fh, fw, int(args[1]),
-                                     padding=_padding(args[2:], lineno)))
-            elif kind == "maxpool":
-                layers.append(MaxPool(int(args[0])))
-            elif kind == "batchnorm":
-                layers.append(BatchNorm())
-            elif kind == "dropout":
-                layers.append(Dropout(float(args[0])))
-            elif kind == "relu":
-                layers.append(ReLU())
-            elif kind == "flatten":
-                layers.append(Flatten())
-            elif kind == "dense":
-                layers.append(Dense(int(args[0])))
-            else:
-                raise SpecError(f"line {lineno}: unknown layer {kind!r}")
-        except (IndexError, ValueError) as exc:
-            if isinstance(exc, SpecError):
-                raise
-            raise SpecError(f"line {lineno}: malformed {kind!r} line: {raw.strip()!r}") from exc
-    if input_shape is None:
-        raise SpecError("missing 'input' header line")
-    if rank is None:
-        raise SpecError("missing 'walsh_rank' header line")
-    return FeatureExtractor(layers, input_shape, rank)
+
+    def line(lineno, kind, args):
+        if kind in ("input", "walsh_rank"):
+            _header(header, lineno, kind, args)
+        elif kind == "conv1d":
+            flen, planes, *extra = args
+            layers.append(Conv1D(int(flen), int(planes), padding=_padding(extra, lineno)))
+        elif kind == "conv2d":
+            extent, planes, *extra = args
+            fh, fw = _dims(extent, lineno)
+            layers.append(Conv2D(fh, fw, int(planes), padding=_padding(extra, lineno)))
+        elif kind == "maxpool":
+            (window,) = args
+            layers.append(MaxPool(int(window)))
+        elif kind == "dropout":
+            (rate,) = args
+            layers.append(Dropout(float(rate)))
+        elif kind == "dense":
+            (out_dim,) = args
+            layers.append(Dense(int(out_dim)))
+        elif kind in _PLAIN_LAYERS:
+            if args:
+                raise ValueError(f"{kind} takes no arguments")
+            layers.append(_PLAIN_LAYERS[kind]())
+        else:
+            raise SpecError(f"line {lineno}: unknown layer {kind!r}")
+
+    _read(text, line)
+    _required(header, ("input", "walsh_rank"))
+    return FeatureExtractor(layers, header["input"], header["walsh_rank"])
 
 
 def format_model_spec(model: FeatureExtractor) -> str:
-    dims = model.input_shape
-    if len(dims) == 2 and dims[0] == 1:
-        input_line = f"input {dims[1]}"
-    elif len(dims) == 3 and dims[0] == 1:
-        input_line = f"input {dims[1]}x{dims[2]}"
+    shape = model.input_shape
+    if len(shape) == 3:
+        dims = shape[1:] if shape[0] == 1 else shape
+    elif len(shape) == 2 and shape[0] == 1:
+        dims = shape[1:]
     else:
-        input_line = "input " + "x".join(str(d) for d in dims)
-    lines = [input_line, f"walsh_rank {model.rank}"] + model.spec_lines()
+        raise SpecError(f"input shape {shape} has no spec form "
+                        "(a 1D input has a single plane)")
+    lines = ["input " + "x".join(str(d) for d in dims),
+             f"walsh_rank {model.rank}"] + model.spec_lines()
     return "\n".join(lines) + "\n"
 
 
 def load_model_spec(path) -> FeatureExtractor:
     with open(path, encoding="utf-8") as fh:
         return parse_model_spec(fh.read())
+
+
+def parse_growth_template(text: str):
+    """Returns (GrowthTemplate, walsh_rank)."""
+    values = {}
+
+    def line(lineno, kind, args):
+        if kind not in _TEMPLATE_KEYS:
+            raise SpecError(f"line {lineno}: unknown growth template key {kind!r}")
+        if kind in ("input", "walsh_rank"):
+            _header(values, lineno, kind, args)
+            return
+        if kind in values:
+            raise SpecError(f"line {lineno}: duplicate {kind!r} line")
+        if kind == "filters":
+            values[kind] = (lineno, [_dims(token, lineno) for token in args])
+            return
+        (token,) = args
+        if kind == "planes":
+            (values[kind],) = _dims(token, lineno)
+        elif token in ("0", "1"):
+            values[kind] = token == "1"
+        else:
+            raise SpecError(f"line {lineno}: {kind} takes 0 or 1, got {token!r}")
+
+    _read(text, line)
+    _required(values, ("input", "walsh_rank", "planes"))
+    input_shape = values["input"]
+    lineno, filters = values.get("filters", (0, []))
+    if any(len(f) != len(input_shape) - 1 for f in filters):
+        raise SpecError(f"line {lineno}: a {len(input_shape) - 1}D input takes "
+                        f"{len(input_shape) - 1}D filters")
+    template = GrowthTemplate(input_shape=input_shape,
+                              filters=tuple(f[0] if len(f) == 1 else f for f in filters),
+                              planes=values["planes"],
+                              use_relu=values.get("relu", True),
+                              use_batchnorm=values.get("batchnorm", False))
+    return template, values["walsh_rank"]

@@ -1,8 +1,8 @@
-"""Dense float64 tensor helpers and reverse-mode gradient bookkeeping.
+"""Reverse-mode gradient bookkeeping and finite-difference checking.
 
-Tensors are plain numpy float64 arrays. Shapes are checked explicitly and
-never broadcast implicitly: in a hand-wired network a silent broadcast is
-almost always a wiring bug.
+Tensors are plain numpy float64 arrays. Gradient shapes are checked
+explicitly and never broadcast implicitly: in a hand-wired network a silent
+broadcast is almost always a wiring bug.
 
 The :class:`GradientTape` is a Wengert list. Every differentiable operation
 executed in training mode appends one entry holding its inputs, its output
@@ -20,16 +20,6 @@ class ShapeError(ValueError):
 
 class ContractError(ValueError):
     pass
-
-
-def tensor(data, shape=None) -> np.ndarray:
-    """Materialize data as a float64 array, optionally reshaped."""
-    arr = np.asarray(data, dtype=np.float64)
-    if shape is not None:
-        if arr.size != int(np.prod(shape)):
-            raise ShapeError(f"cannot view {arr.size} values as shape {shape}")
-        arr = arr.reshape(shape)
-    return arr
 
 
 class TapeEntry:
@@ -60,54 +50,6 @@ class GradientTape:
 
     def __len__(self):
         return len(self.entries)
-
-
-def _check_same_shape(a, b):
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
-
-
-def add(a, b, tape: GradientTape | None = None) -> np.ndarray:
-    a, b = tensor(a), tensor(b)
-    _check_same_shape(a, b)
-    out = a + b
-    if tape is not None:
-        tape.record(out, (a, b), lambda g: (g, g), "add")
-    return out
-
-
-def sub(a, b, tape: GradientTape | None = None) -> np.ndarray:
-    a, b = tensor(a), tensor(b)
-    _check_same_shape(a, b)
-    out = a - b
-    if tape is not None:
-        tape.record(out, (a, b), lambda g: (g, -g), "sub")
-    return out
-
-
-def mul(a, b, tape: GradientTape | None = None) -> np.ndarray:
-    a, b = tensor(a), tensor(b)
-    _check_same_shape(a, b)
-    out = a * b
-    if tape is not None:
-        tape.record(out, (a, b), lambda g: (g * b, g * a), "mul")
-    return out
-
-
-def matvec(matrix, vector, tape: GradientTape | None = None) -> np.ndarray:
-    matrix, vector = tensor(matrix), tensor(vector)
-    if matrix.ndim != 2 or vector.ndim != 1:
-        raise ShapeError(f"matvec expects rank-2 x rank-1, got {matrix.shape} x {vector.shape}")
-    if matrix.shape[1] != vector.shape[0]:
-        raise ShapeError(f"inner extents differ: {matrix.shape} x {vector.shape}")
-    out = matrix @ vector
-
-    def bwd(g):
-        return np.outer(g, vector), matrix.T @ g
-
-    if tape is not None:
-        tape.record(out, (matrix, vector), bwd, "matvec")
-    return out
 
 
 def backward(tape: GradientTape, loss: np.ndarray) -> dict:

@@ -1,10 +1,16 @@
 """Binary checkpoint persistence: bit-exact round trips and corruption checks."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from divfe.checkpoint import MAGIC, load_checkpoint, save_checkpoint
-from divfe.data_io import FormatError, Standardizer
+from divfe.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
+from divfe.cli import main
+from divfe.data_io import FormatError, LabeledDataset, Standardizer, save_signals_csv
 from divfe.layers import (BatchNorm, Conv1D, Conv2D, Dense, Dropout, FeatureExtractor,
                           Flatten, MaxPool, ReLU)
 from divfe.walsh import make_codebook
@@ -28,6 +34,7 @@ def _model_2d():
 def _assert_models_equal(a, b):
     assert a.input_shape == b.input_shape and a.rank == b.rank
     assert [type(l) for l in a.layers] == [type(l) for l in b.layers]
+    assert a.spec_lines() == b.spec_lines()
     for pa, pb in zip(a.state_arrays, b.state_arrays):
         np.testing.assert_array_equal(pa, pb)   # bit-exact
 
@@ -106,3 +113,104 @@ def test_save_is_deterministic(tmp_path):
     save_checkpoint(model, cb, p1)
     save_checkpoint(model, cb, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_single_bit_flips_rejected(tmp_path):
+    path = tmp_path / "m.divf"
+    save_checkpoint(_model_2d(), make_codebook(5, 8), path)
+    good = path.read_bytes()
+    for pos in range(4, len(good) - 4, 97):
+        blob = bytearray(good)
+        blob[pos] ^= 1 << (pos % 8)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="CRC"):
+            load_checkpoint(path)
+
+
+# ------------------------------------------------- malformed payloads, valid CRC
+
+SPEC = "input 4\nwalsh_rank 4\nflatten\n"          # no state arrays
+
+
+def _write(path, payload):
+    path.write_bytes(MAGIC + payload + struct.pack("<I", zlib.crc32(payload)))
+
+
+def _payload(spec=SPEC.encode(), class_count=2, version=VERSION, spec_len=None,
+             arrays=b"", tail=struct.pack("<I", 0)):
+    spec_len = len(spec) if spec_len is None else spec_len
+    return struct.pack("<III", version, class_count, spec_len) + spec + arrays + tail
+
+
+def _array(values):
+    values = np.asarray(values, dtype="<f8")
+    return struct.pack("<Q", values.size) + values.tobytes()
+
+
+def test_hand_built_payload_loads(tmp_path):
+    path = tmp_path / "m.divf"
+    _write(path, _payload())
+    model, codebook, normalizer = load_checkpoint(path)
+    assert model.spec_lines() == ["flatten"] and codebook.class_rows == (1, 2)
+    assert normalizer is None
+
+
+MALFORMED = {
+    "class-count-zero": _payload(class_count=0),
+    "class-count-beyond-rank": _payload(class_count=4),            # rank 4 holds 3
+    "walsh-rank-3": _payload(spec=b"input 3\nwalsh_rank 3\nflatten\n"),
+    "invalid-utf8": _payload(spec=b"input 4\nwalsh_rank 4\n\xff\xfe\n"),
+    "spec-len-past-end": _payload(spec_len=1000),
+    "arrays-do-not-match-spec": _payload(spec=b"input 4\nwalsh_rank 4\nflatten\ndense 4\n",
+                                         arrays=_array(np.zeros(12)) + _array(np.zeros(4))),
+    "trailing-bytes": _payload(tail=struct.pack("<I", 0) + b"\0"),
+    "version-1": _payload(version=1),
+    "normalizer-flag-2": _payload(tail=struct.pack("<I", 2) + _array(np.zeros(4))
+                                  + _array(np.ones(4))),
+    "malformed-spec": _payload(spec=b"input 4\nwalsh_rank 4\nsoftmax\n"),
+    "spec-larger-than-file": _payload(spec=b"input 100000x100000\nwalsh_rank 4\n"
+                                           b"flatten\ndense 4\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_payload_is_format_error(tmp_path, case, capsys):
+    path = tmp_path / "m.divf"
+    _write(path, MALFORMED[case])
+    with pytest.raises(FormatError):
+        load_checkpoint(path)
+
+    data = tmp_path / "data.csv"
+    save_signals_csv(data, LabeledDataset(samples=np.zeros((2, 4)), labels=np.array([0, 1]),
+                                          class_count=2))
+    assert main(["eval", "--checkpoint", str(path), "--data", str(data)]) == 5
+    assert "error=format-error" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "base.divf"
+    norm = Standardizer.fit(np.random.default_rng(5).normal(size=(10, 4)))
+    save_checkpoint(_model_1d(), make_codebook(3, 8), path, normalizer=norm)
+    return path.read_bytes()[4:-4]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_payload_loads_or_is_format_error(tmp_path, fuzz_base, data):
+    payload = bytearray(fuzz_base)
+    # most of the payload is float data: bias the mutations towards the header
+    # and the spec text, where a change alters the decoded structure
+    hot = st.integers(0, min(len(payload), 200) - 1)
+    anywhere = st.integers(0, len(payload) - 1)
+    edits = data.draw(st.lists(st.tuples(st.one_of(hot, anywhere), st.integers(0, 255)),
+                               min_size=1, max_size=4))
+    for pos, value in edits:
+        payload[pos] = value
+    path = tmp_path / "fuzz.divf"
+    _write(path, bytes(payload))
+    try:
+        load_checkpoint(path)
+    except FormatError:
+        pass

@@ -123,6 +123,30 @@ def test_grow_command(tmp_path, signal_csv, capsys):
     assert out.exists()
 
 
+@pytest.mark.parametrize("template", [
+    "input 8\nwalsh_rank 4\nplanes 6\nfilters 2\nbatchnorn 1\n",   # misspelled key
+    "input 8\nwalsh_rank 4\nplanes 6\nfilters 2\nrelu yes\n",      # flag not 0/1
+    "input 8\nwalsh_rank 4\nplanes 6\nfilters 2\nfilters 3\n",     # duplicate key
+    "input 0\nwalsh_rank 4\nplanes 6\nfilters 2\n",                 # empty input
+], ids=["misspelled-key", "relu-yes", "duplicate-filters", "input-0"])
+def test_bad_growth_template_is_parse_error(tmp_path, signal_csv, capsys, template):
+    path = tmp_path / "growth.cfg"
+    path.write_text(template)
+    code = main(["grow", "--template", str(path), "--data", str(signal_csv),
+                 "--format", "csv"])
+    assert code == 4
+    assert "error=parse-error" in capsys.readouterr().err
+
+
+def test_undecodable_growth_template_is_parse_error(tmp_path, signal_csv, capsys):
+    path = tmp_path / "growth.cfg"
+    path.write_bytes(b"input 8\nwalsh_rank 4\nplanes \xff\n")
+    code = main(["grow", "--template", str(path), "--data", str(signal_csv),
+                 "--format", "csv"])
+    assert code == 4
+    assert "error=parse-error" in capsys.readouterr().err
+
+
 def test_augment_command(tmp_path, signal_csv, capsys):
     out = tmp_path / "augmented.csv"
     assert main(["augment", "--data", str(signal_csv), "--out", str(out),

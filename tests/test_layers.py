@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divfe import layers
-from divfe.layers import (BatchNorm, Conv1D, Conv2D, Dense, Dropout, FeatureExtractor,
-                          Flatten, MaxPool, ReLU, mse_loss)
+from divfe.layers import (BN_EPSILON, BatchNorm, Conv1D, Conv2D, Dense, Dropout,
+                          FeatureExtractor, Flatten, MaxPool, ReLU, mse_loss)
 from divfe.numerics import (ContractError, GradientTape, ShapeError, backward,
                             numeric_gradient, relative_error)
 
@@ -238,7 +238,7 @@ def test_batchnorm_inference_uses_running_stats():
     x = rng.normal(size=(5, 2, 3))
     y = layer.forward(x, mode="infer")
     expected = (x - np.array([1.0, 2.0]).reshape(1, 2, 1)) / np.sqrt(
-        np.array([4.0, 9.0]).reshape(1, 2, 1) + layer.epsilon)
+        np.array([4.0, 9.0]).reshape(1, 2, 1) + BN_EPSILON)
     np.testing.assert_allclose(y, expected)
 
 

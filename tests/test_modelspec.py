@@ -1,11 +1,17 @@
-"""Plain-text model architecture format."""
+"""Plain-text model description: spec files and growth templates."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from divfe.layers import Conv1D, Conv2D, Dense
-from divfe.modelspec import SpecError, format_model_spec, load_model_spec, parse_model_spec
+from divfe.layers import (BatchNorm, Conv1D, Conv2D, Dense, Dropout, FeatureExtractor,
+                          Flatten, MaxPool, ReLU)
+from divfe.modelspec import (SpecError, format_model_spec, load_model_spec,
+                             parse_growth_template, parse_model_spec)
 from divfe.numerics import ShapeError
+
+SPECS = sorted((Path(__file__).resolve().parent.parent / "specs").glob("*.spec"))
 
 SPEC_1D = """# four-feature signal classifier
 input 4
@@ -95,3 +101,84 @@ def test_load_from_file(tmp_path):
     assert model.rank == 8
     model.initialize(np.random.default_rng(0))
     assert model.forward(np.zeros((2, 1, 4))).shape == (2, 8)
+
+
+ROUND_TRIP_MODELS = {
+    **{path.name: (lambda path=path: load_model_spec(path)) for path in SPECS},
+    "spec-1d": lambda: parse_model_spec(SPEC_1D),
+    "spec-2d": lambda: parse_model_spec(SPEC_2D),
+    "multi-plane-image": lambda: FeatureExtractor(
+        [Conv2D(2, 3, 4, padding="same"), BatchNorm(), ReLU(), MaxPool(2), Dropout(0.1),
+         Flatten(), Dense(8)], (3, 4, 6), 8),
+    "plain-1d": lambda: FeatureExtractor([Conv1D(3, 2), Flatten(), Dense(4)], (1, 5), 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIP_MODELS))
+def test_format_round_trips_every_model(name):
+    model = ROUND_TRIP_MODELS[name]()
+    again = parse_model_spec(format_model_spec(model))
+    assert again.input_shape == model.input_shape
+    assert again.rank == model.rank
+    assert again.spec_lines() == model.spec_lines()
+
+
+def test_specs_are_found():
+    assert {p.name for p in SPECS} >= {"iris.spec", "mnist.spec"}
+
+
+def test_multi_plane_1d_input_has_no_spec_form():
+    model = FeatureExtractor([Conv1D(3, 2), Flatten(), Dense(4)], (2, 8), 4)
+    with pytest.raises(SpecError):
+        format_model_spec(model)
+
+
+def test_extra_tokens_and_duplicate_headers_rejected():
+    for text in ("input 4 4\nwalsh_rank 4\nflatten\n",
+                 "input 4\nwalsh_rank 4 8\nflatten\n",
+                 "input 4\nwalsh_rank 4\nrelu yes\nflatten\n",
+                 "input 4\nwalsh_rank 4\nflatten\ndense 4 4\n",
+                 "input 4\ninput 4\nwalsh_rank 4\nflatten\n"):
+        with pytest.raises(SpecError):
+            parse_model_spec(text)
+
+
+# ---------------------------------------------------------------- growth templates
+
+def test_growth_template_defaults_and_1d_filters():
+    template, rank = parse_growth_template("input 8\nwalsh_rank 4\nplanes 6\nfilters 2 3\n")
+    assert rank == 4
+    assert template.input_shape == (1, 8)
+    assert template.filters == (2, 3) and template.planes == 6
+    assert template.use_relu and not template.use_batchnorm
+
+
+def test_growth_template_2d_flags_and_comments():
+    template, rank = parse_growth_template(
+        "# digits\ninput 3x12x12\nwalsh_rank 16\nplanes 4\nfilters 3x3 5x4\n"
+        "relu 0\nbatchnorm 1   # on\n")
+    assert template.input_shape == (3, 12, 12) and rank == 16
+    assert template.filters == ((3, 3), (5, 4))
+    assert not template.use_relu and template.use_batchnorm
+
+
+def test_growth_template_without_filters_is_depth_one():
+    template, _ = parse_growth_template("input 8\nwalsh_rank 4\nplanes 6\n")
+    assert template.filters == () and template.max_depth == 1
+
+
+@pytest.mark.parametrize("text", [
+    "input 8\nwalsh_rank 4\nplanes 6\nbatchnorn 1\n",          # misspelled key
+    "input 8\nwalsh_rank 4\nplanes 6\nrelu yes\n",             # flag not 0/1
+    "input 8\nwalsh_rank 4\nplanes 6\nfilters 2\nfilters 3\n",  # duplicate key
+    "input 0\nwalsh_rank 4\nplanes 6\n",                        # empty input
+    "input 8\nwalsh_rank 4\n",                                  # no planes
+    "input 8\nwalsh_rank four\nplanes 6\n",
+    "input 8\nwalsh_rank 4\nplanes 0\n",
+    "input 8\nwalsh_rank 4\nplanes 6\nfilters 3x3\n",          # 2D filter, 1D input
+    "input 8x8\nwalsh_rank 4\nplanes 6\nfilters 3\n",          # 1D filter, 2D input
+    "input 8\nwalsh_rank 4\nplanes 6\nrelu\n",
+])
+def test_malformed_growth_template(text):
+    with pytest.raises(SpecError):
+        parse_growth_template(text)
