@@ -207,8 +207,6 @@ def cmd_divergence(args) -> int:
 
 
 def cmd_grow(args) -> int:
-    if not 0.0 <= args.threshold <= 1.0:
-        raise ContractError(f"threshold must be in [0, 1], got {args.threshold}")
     cfg = _load_run_config(args.config)
     template, rank = parse_growth_template(args.template.read_text(encoding="utf-8"))
     dataset = _load_dataset(args.data, args.format, args.labels)

@@ -95,8 +95,8 @@ def analyze(outputs: np.ndarray, labels: np.ndarray, codebook: WalshCodebook,
             mode: str = "paper", ridge: float | None = None) -> ScatterReport:
     """Full scatter report for a set of feature-extractor outputs.
 
-    ``paper`` mode takes class centers from the codebook rows; ``empirical``
-    uses the per-class output means.
+    ``paper`` mode takes class centers from the codebook rows of the classes
+    present in ``labels``; ``empirical`` uses the per-class output means.
     """
     if mode not in ("paper", "empirical"):
         raise ContractError(f"unknown mode {mode!r}")
@@ -107,7 +107,9 @@ def analyze(outputs: np.ndarray, labels: np.ndarray, codebook: WalshCodebook,
         raise InsufficientDataError("divergence needs at least 2 classes")
     s = within_class_scatter(outputs, labels)
     if mode == "paper":
-        means = codebook.targets()
+        if present[-1] >= codebook.class_count:
+            raise ContractError(f"label {present[-1]} has no codebook row")
+        means = codebook.targets()[present]
     else:
         means = np.stack([outputs[labels == cls].mean(axis=0) for cls in present])
     b = between_class_scatter(means)

@@ -10,11 +10,13 @@ Convolution is implemented as cross-correlation (the usual CNN convention),
 stride 1. Padding is ``valid`` by default; ``same`` zero-padding is available
 for architectures whose filters would otherwise outgrow the map.
 
-Conv2D computes channels-last: it transposes its input to ``(N, H, W, C)``,
-builds im2col columns in ``(fh, fw, C)`` order in blocks of whole samples of
-at most about 4 MiB, and returns a ``(N, P, H, W)`` view of a channels-last
-result, so a following Conv2D (through BatchNorm and ReLU, which keep the
-memory order) reads its input without a copy.
+Conv1D and Conv2D share one kernel, :func:`_conv2d`; a length-L signal is
+a 1×L image. The kernel computes channels-last: it transposes its input to
+``(N, H, W, C)``, builds im2col columns in ``(fh, fw, C)`` order in blocks of
+whole samples of at most about 4 MiB, and returns a ``(N, P, H, W)`` view of
+a channels-last result, so a following convolution (through BatchNorm and
+ReLU, which keep the memory order) reads its input without a copy. MaxPool
+likewise pools 1D and 2D maps through one window reshape.
 """
 
 import numpy as np
@@ -25,8 +27,8 @@ from .numerics import ContractError, GradientTape, ShapeError
 BN_EPSILON = 1e-5
 BN_MOMENTUM = 0.9
 DEFAULT_DROPOUT_RATE = 0.25
-# Conv2D streams its im2col columns in blocks of whole samples of at most this
-# many bytes, so the full column matrix is never materialised.
+# The convolution kernel streams its im2col columns in blocks of whole samples
+# of at most this many bytes, so the full column matrix is never materialised.
 _IM2COL_BLOCK_BYTES = 4 << 20
 
 
@@ -65,8 +67,72 @@ def _he_init(rng, shape, fan_in):
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
 
 
+def _conv2d(x, weights, bias, padding):
+    """Stride-1 cross-correlation of ``x (N, C, H, W)`` with ``weights
+    (P, C, fh, fw)`` plus ``bias (P,)`` under ``valid`` or ``same`` padding.
+
+    Returns ``(y, bwd)``: ``y (N, P, Ho, Wo)`` and ``bwd(dy) -> (dx, dW, db)``.
+    """
+    n, c, h, w = x.shape
+    planes, _, fh, fw = weights.shape
+    xt = x.transpose(0, 2, 3, 1)                                   # (N, H, W, C)
+    if padding == "same":
+        top, left = (fh - 1) // 2, (fw - 1) // 2
+        xp = np.zeros((n, h + fh - 1, w + fw - 1, c))
+        xp[:, top:top + h, left:left + w] = xt
+    else:
+        top = left = 0
+        xp = np.ascontiguousarray(xt)
+    ho = xp.shape[1] - fh + 1
+    wo = xp.shape[2] - fw + 1
+    k = fh * fw * c
+    # column (u, v, :) of window (i, j) is xp[:, i+u, j+v, :], so each
+    # copied run xp[:, i+u, j:j+fw, :] is fw*C contiguous doubles
+    windows = sliding_window_view(xp, (fh, fw), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
+    step = max(1, min(n, _IM2COL_BLOCK_BYTES // (8 * ho * wo * k)))
+    blocks = [(s, min(n, s + step)) for s in range(0, n, step)]
+    buf = np.empty((step, ho, wo, fh, fw, c))
+
+    def cols(s, e):
+        np.copyto(buf[:e - s], windows[s:e])
+        return buf[:e - s].reshape((e - s) * ho * wo, k)
+
+    w_mat = weights.transpose(0, 2, 3, 1).reshape(planes, k)
+    y_nhwc = np.empty((n, ho, wo, planes))
+    for s, e in blocks:
+        yb = y_nhwc[s:e].reshape((e - s) * ho * wo, planes)
+        np.matmul(cols(s, e), w_mat.T, out=yb)
+        yb += bias
+
+    def bwd(dy):
+        dy_m = np.ascontiguousarray(dy.transpose(0, 2, 3, 1)).reshape(-1, planes)
+        db = dy_m.sum(axis=0)
+        dw = np.zeros((planes, k))
+        for s, e in blocks:
+            dw += dy_m[s * ho * wo:e * ho * wo].T @ cols(s, e)
+        dw = dw.reshape(planes, fh, fw, c).transpose(0, 3, 1, 2).copy()
+        if ho * wo == 1:
+            # the filter spans the padded map: one window per sample
+            dxp = (dy_m @ w_mat).reshape(xp.shape)
+        else:
+            taps = weights.transpose(2, 3, 0, 1).copy()            # (fh, fw, P, C)
+            dxp = np.zeros_like(xp)
+            dtap = np.empty((n * ho * wo, c))
+            for u in range(fh):
+                for v in range(fw):
+                    np.matmul(dy_m, taps[u, v], out=dtap)
+                    dxp[:, u:u + ho, v:v + wo] += dtap.reshape(n, ho, wo, c)
+        dx = dxp[:, top:top + h, left:left + w].transpose(0, 3, 1, 2)
+        return dx, dw, db
+
+    return y_nhwc.transpose(0, 3, 1, 2), bwd
+
+
 class Conv1D(Layer):
-    """1D cross-correlation, stride 1, summed over input planes, plus bias."""
+    """1D cross-correlation, stride 1, summed over input planes, plus bias.
+
+    A length-L signal runs through :func:`_conv2d` as a 1×L image.
+    """
 
     def __init__(self, filter_len: int, planes: int, padding: str = "valid"):
         if filter_len < 1 or planes < 1:
@@ -107,35 +173,16 @@ class Conv1D(Layer):
         return f"conv1d {self.filter_len} {self.planes}{pad}"
 
     def forward(self, x, mode="infer", tape=None):
-        n, c, length = x.shape
-        f = self.filter_len
-        if self.padding == "same":
-            lo, hi = (f - 1) // 2, f // 2
-            xp = np.pad(x, ((0, 0), (0, 0), (lo, hi)))
-        else:
-            lo = 0
-            xp = x
-        out_len = xp.shape[2] - f + 1
-        cols = (sliding_window_view(xp, f, axis=2)          # (N, C, Lo, f)
-                .transpose(0, 2, 1, 3).reshape(n * out_len, c * f))
-        w_mat = self.weights.reshape(self.planes, c * f)
-        y = (cols @ w_mat.T + self.bias).reshape(n, out_len, self.planes).transpose(0, 2, 1)
-
+        weights, bias = self.weights, self.bias
+        y, bwd = _conv2d(x[:, :, None], weights[:, :, None], bias, self.padding)
+        y = y[:, :, 0]
         if tape is not None:
-            weights, bias = self.weights, self.bias
 
-            def bwd(dy):
-                dy_m = dy.transpose(0, 2, 1).reshape(n * out_len, self.planes)
-                db = dy_m.sum(axis=0)
-                dw = (dy_m.T @ cols).reshape(weights.shape)
-                dcols = (dy_m @ w_mat).reshape(n, out_len, c, f)
-                dxp = np.zeros_like(xp)
-                for u in range(f):
-                    dxp[:, :, u:u + out_len] += dcols[:, :, :, u].transpose(0, 2, 1)
-                dx = dxp[:, :, lo:lo + length] if self.padding == "same" else dxp
-                return dx, dw, db
+            def bwd_1d(dy):
+                dx, dw, db = bwd(dy[:, :, None])
+                return dx[:, :, 0], dw[:, :, 0], db
 
-            tape.record(y, (x, weights, bias), bwd, "conv1d")
+            tape.record(y, (x, weights, bias), bwd_1d, "conv1d")
         return y
 
 
@@ -184,59 +231,9 @@ class Conv2D(Layer):
         return f"conv2d {self.filter_h}x{self.filter_w} {self.planes}{pad}"
 
     def forward(self, x, mode="infer", tape=None):
-        n, c, h, w = x.shape
-        fh, fw, planes = self.filter_h, self.filter_w, self.planes
-        xt = x.transpose(0, 2, 3, 1)                               # (N, H, W, C)
-        if self.padding == "same":
-            top, left = (fh - 1) // 2, (fw - 1) // 2
-            xp = np.zeros((n, h + fh - 1, w + fw - 1, c))
-            xp[:, top:top + h, left:left + w] = xt
-        else:
-            top = left = 0
-            xp = np.ascontiguousarray(xt)
-        ho = xp.shape[1] - fh + 1
-        wo = xp.shape[2] - fw + 1
-        k = fh * fw * c
-        # column (u, v, :) of window (i, j) is xp[:, i+u, j+v, :], so each
-        # copied run xp[:, i+u, j:j+fw, :] is fw*C contiguous doubles
-        windows = sliding_window_view(xp, (fh, fw), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
-        step = max(1, min(n, _IM2COL_BLOCK_BYTES // (8 * ho * wo * k)))
-        blocks = [(s, min(n, s + step)) for s in range(0, n, step)]
-        buf = np.empty((step, ho, wo, fh, fw, c))
-
-        def cols(s, e):
-            np.copyto(buf[:e - s], windows[s:e])
-            return buf[:e - s].reshape((e - s) * ho * wo, k)
-
-        w_mat = self.weights.transpose(0, 2, 3, 1).reshape(planes, k)
-        y_nhwc = np.empty((n, ho, wo, planes))
-        for s, e in blocks:
-            yb = y_nhwc[s:e].reshape((e - s) * ho * wo, planes)
-            np.matmul(cols(s, e), w_mat.T, out=yb)
-            yb += self.bias
-        y = y_nhwc.transpose(0, 3, 1, 2)
-
+        y, bwd = _conv2d(x, self.weights, self.bias, self.padding)
         if tape is not None:
-            weights, bias = self.weights, self.bias
-
-            def bwd(dy):
-                dy_m = np.ascontiguousarray(dy.transpose(0, 2, 3, 1)).reshape(-1, planes)
-                db = dy_m.sum(axis=0)
-                dw = np.zeros((planes, k))
-                for s, e in blocks:
-                    dw += dy_m[s * ho * wo:e * ho * wo].T @ cols(s, e)
-                dw = dw.reshape(planes, fh, fw, c).transpose(0, 3, 1, 2).copy()
-                taps = weights.transpose(2, 3, 0, 1).copy()         # (fh, fw, P, C)
-                dxp = np.zeros_like(xp)
-                dtap = np.empty((n * ho * wo, c))
-                for u in range(fh):
-                    for v in range(fw):
-                        np.matmul(dy_m, taps[u, v], out=dtap)
-                        dxp[:, u:u + ho, v:v + wo] += dtap.reshape(n, ho, wo, c)
-                dx = dxp[:, top:top + h, left:left + w].transpose(0, 3, 1, 2)
-                return dx, dw, db
-
-            tape.record(y, (x, weights, bias), bwd, "conv2d")
+            tape.record(y, (x, self.weights, self.bias), bwd, "conv2d")
         return y
 
 
@@ -266,36 +263,24 @@ class MaxPool(Layer):
 
     def forward(self, x, mode="infer", tape=None):
         k = self.window
-        if x.ndim == 3:
-            n, c, length = x.shape
-            lo = length // k
-            win = x.reshape(n, c, lo, k)
-            idx = win.argmax(axis=-1)
-            y = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
-
-            def bwd(dy):
-                dwin = np.zeros_like(win)
-                np.put_along_axis(dwin, idx[..., None], dy[..., None], axis=-1)
-                return (dwin.reshape(x.shape),)
-        elif x.ndim == 4:
-            n, c, h, w = x.shape
-            ho, wo = h // k, w // k
-            # windows in row-major (u, v) order so argmax ties resolve row-major
-            win = (x.reshape(n, c, ho, k, wo, k)
-                   .transpose(0, 1, 2, 4, 3, 5).reshape(n, c, ho, wo, k * k))
-            idx = win.argmax(axis=-1)
-            y = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
-
-            def bwd(dy):
-                dwin = np.zeros_like(win)
-                np.put_along_axis(dwin, idx[..., None], dy[..., None], axis=-1)
-                dx = (dwin.reshape(n, c, ho, wo, k, k)
-                      .transpose(0, 1, 2, 4, 3, 5).reshape(x.shape))
-                return (dx,)
-        else:
-            raise ShapeError(f"MaxPool expects rank-3 or rank-4 input, got {x.shape}")
-
+        outer = x.shape[:2] + tuple(ext // k for ext in x.shape[2:])
+        d = x.ndim - 2
+        # split every spatial axis into (blocks, k) and move the window axes
+        # last in row-major order, so argmax ties resolve row-major
+        split = x.reshape(outer[:2] + tuple(v for o in outer[2:] for v in (o, k)))
+        order = (0, 1) + tuple(range(2, 2 + 2 * d, 2)) + tuple(range(3, 3 + 2 * d, 2))
+        moved = split.transpose(order)
+        win = moved.reshape(outer + (k ** d,))
+        idx = win.argmax(axis=-1)
+        y = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
         if tape is not None:
+
+            def bwd(dy):
+                dwin = np.zeros_like(win)
+                np.put_along_axis(dwin, idx[..., None], dy[..., None], axis=-1)
+                dx = dwin.reshape(moved.shape).transpose(np.argsort(order)).reshape(x.shape)
+                return (dx,)
+
             tape.record(y, (x,), bwd, "maxpool")
         return y
 

@@ -118,6 +118,10 @@ def fit(model: FeatureExtractor, train_set: LabeledDataset,
 
     if config.augment is not None and config.augment.factor > 1:
         train_set = expand_training_set(train_set, config.augment)
+    needs_batch2 = _has_batchnorm(model)
+    if needs_batch2 and min(config.batch_size, len(train_set)) < 2:
+        raise ContractError("batch normalization needs training batches of at least "
+                            "2 samples")
 
     shuffle_rng = derive_rng(config.seed, trial, STREAM_SHUFFLE)
     model.reseed_dropout(int(derive_rng(config.seed, trial, STREAM_DROPOUT).integers(2 ** 31)))
@@ -125,7 +129,6 @@ def fit(model: FeatureExtractor, train_set: LabeledDataset,
     targets = codebook.targets()[train_set.labels]
     params = model.trainable_params
     velocity = [np.zeros_like(p) for p in params]
-    needs_batch2 = _has_batchnorm(model)
 
     report = TrainReport()
     best_val = np.inf
@@ -160,7 +163,7 @@ def fit(model: FeatureExtractor, train_set: LabeledDataset,
             batch_losses.append(float(loss))
 
         val = evaluate(model, validation_set, codebook)
-        report.train_loss.append(float(np.mean(batch_losses)) if batch_losses else 0.0)
+        report.train_loss.append(float(np.mean(batch_losses)))
         report.val_loss.append(val.mean_loss)
         report.val_accuracy.append(val.accuracy)
         report.epochs_run = epoch
@@ -251,29 +254,19 @@ class GrowthTemplate:
     def build_model(self, depth: int, rank: int) -> FeatureExtractor:
         if depth < 1 or depth > self.max_depth:
             raise ContractError(f"depth {depth} outside 1..{self.max_depth}")
-        is_1d = len(self.input_shape) == 2
-        spatial = list(self.input_shape[1:])
+        conv = Conv1D if len(self.input_shape) == 2 else Conv2D
+        shape = self.input_shape
         layers = []
-        for i in range(depth - 1):
-            f = self.filters[i]
-            if is_1d:
-                layers.append(Conv1D(f, self.planes))
-                spatial[0] -= f - 1
-            else:
-                fh, fw = f
-                layers.append(Conv2D(fh, fw, self.planes))
-                spatial[0] -= fh - 1
-                spatial[1] -= fw - 1
-            if min(spatial) < 1:
-                raise ShapeError(f"filter schedule exhausts the map at depth {depth}")
+        for f in self.filters[:depth - 1]:
+            block = [conv(*(f if isinstance(f, tuple) else (f,)), self.planes)]
             if self.use_batchnorm:
-                layers.append(BatchNorm())
+                block.append(BatchNorm())
             if self.use_relu:
-                layers.append(ReLU())
-        if is_1d:
-            layers.append(Conv1D(spatial[0], rank))
-        else:
-            layers.append(Conv2D(spatial[0], spatial[1], rank))
+                block.append(ReLU())
+            for layer in block:
+                shape = layer.wire(shape)   # ShapeError once the schedule outgrows the map
+            layers += block
+        layers.append(conv(*shape[1:], rank))
         layers.append(Flatten())
         return FeatureExtractor(layers, self.input_shape, rank)
 
@@ -290,6 +283,8 @@ def grow_layers(template: GrowthTemplate, train_set: LabeledDataset,
     """
     if not 0.0 <= threshold <= 1.0:
         raise ContractError(f"threshold must be in [0, 1], got {threshold}")
+    if max_depth < 1:
+        raise ContractError(f"max_depth must be >= 1, got {max_depth}")
     max_depth = min(max_depth, template.max_depth)
     best = None   # (accuracy, model, report)
     history = []

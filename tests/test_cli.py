@@ -123,6 +123,17 @@ def test_grow_command(tmp_path, signal_csv, capsys):
     assert out.exists()
 
 
+def test_grow_max_depth_zero_is_contract_error(tmp_path, signal_csv, capsys):
+    template = tmp_path / "growth.cfg"
+    template.write_text("input 8\nwalsh_rank 4\nplanes 6\nfilters 2 2\n")
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text(CONFIG)
+    code = main(["grow", "--template", str(template), "--data", str(signal_csv),
+                 "--format", "csv", "--config", str(config_path), "--max-depth", "0"])
+    assert code == 7
+    assert "error=contract-error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("template", [
     "input 8\nwalsh_rank 4\nplanes 6\nfilters 2\nbatchnorn 1\n",   # misspelled key
     "input 8\nwalsh_rank 4\nplanes 6\nfilters 2\nrelu yes\n",      # flag not 0/1
@@ -245,3 +256,17 @@ def test_bad_config_key_is_parse_error(tmp_path, signal_csv, capsys):
                  "--out", str(tmp_path / "o.divf")])
     assert code == 4
     assert "error=parse-error" in capsys.readouterr().err
+
+
+def test_single_sample_batches_with_batchnorm_are_contract_error(tmp_path, signal_csv,
+                                                                 capsys):
+    model_path = tmp_path / "model.spec"
+    model_path.write_text(MODEL_SPEC.replace("relu\n", "batchnorm\nrelu\n"))
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text(CONFIG.replace("batch = 16", "batch = 1"))
+    out = tmp_path / "o.divf"
+    code = main(["train", "--model", str(model_path), "--data", str(signal_csv),
+                 "--format", "csv", "--config", str(config_path), "--out", str(out)])
+    assert code == 7
+    assert "error=contract-error" in capsys.readouterr().err
+    assert not out.exists()

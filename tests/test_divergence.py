@@ -94,6 +94,17 @@ def test_analyze_paper_mode_uses_codebook_rows():
     assert report.divergence > 0
 
 
+def test_analyze_paper_mode_counts_present_classes_only():
+    rng = np.random.default_rng(5)
+    cb = make_codebook(4, 8)
+    labels = np.repeat([1, 3], 10)
+    outputs = cb.targets()[labels] + 0.1 * rng.normal(size=(20, 8))
+    report = analyze(outputs, labels, cb, mode="paper")
+    np.testing.assert_allclose(report.between, between_class_scatter(cb.targets()[[1, 3]]))
+    with pytest.raises(ContractError):
+        analyze(outputs, np.repeat([1, 4], 10), cb, mode="paper")   # no row for class 4
+
+
 def test_analyze_empirical_mode():
     rng = np.random.default_rng(4)
     cb = make_codebook(2, 8)

@@ -11,7 +11,8 @@ from divfe.layers import (BN_EPSILON, BatchNorm, Conv1D, Conv2D, Dense, Dropout,
 from divfe.numerics import (ContractError, GradientTape, ShapeError, backward,
                             numeric_gradient, relative_error)
 
-from _gradcheck import N_CONFIGS, STEP, TOL, check_all_grads as _check_all_grads
+from _gradcheck import (N_CONFIGS, STEP, TOL, analytic_grads,
+                        check_all_grads as _check_all_grads)
 
 
 # ---------------------------------------------------------------- conv1d
@@ -91,44 +92,90 @@ def _direct_conv2d(x, weights, bias, padding):
 
 
 # (batch, planes in, height, width, fh, fw, planes out, padding): odd batches,
-# C > 1 and non-square filters, under both paddings
+# C > 1 and non-square filters, under both paddings; height-1 cases with
+# 1-high filters run through Conv1D as length-``width`` signals; spanning
+# cases (one output position per sample) take the single-GEMM input gradient
 BLOCKED_CONFIGS = [
     (5, 3, 7, 6, 3, 2, 4, "valid"),
     (7, 2, 6, 8, 2, 5, 3, "same"),
     (3, 1, 5, 5, 5, 5, 2, "valid"),
     (5, 2, 4, 7, 4, 3, 2, "same"),
+    (5, 3, 1, 9, 1, 4, 2, "valid"),
+    (7, 2, 1, 8, 1, 3, 3, "same"),
+    (5, 2, 4, 3, 4, 3, 3, "valid"),     # 2D spanning
+    (5, 2, 1, 1, 3, 2, 2, "same"),      # 2D spanning, 1x1 map
+    (5, 3, 1, 6, 1, 6, 2, "valid"),     # 1D spanning
+    (5, 2, 1, 1, 1, 3, 2, "same"),      # 1D spanning, length-1 signal
 ]
 
 
-def _blocked_conv2d(monkeypatch, config, samples_per_block):
-    """A wired, initialised Conv2D, its input, and the im2col budget patched
-    to ``samples_per_block`` samples (0: below one sample)."""
+def _blocked_conv(monkeypatch, config, samples_per_block):
+    """A wired, initialised convolution, its input, and the im2col budget
+    patched to ``samples_per_block`` samples (0: below one sample)."""
     n, c, h, w, fh, fw, planes, padding = config
     rng = np.random.default_rng(sum(config[:-1]) + samples_per_block)
-    layer = Conv2D(fh, fw, planes, padding=padding)
-    _, ho, wo = layer.wire((c, h, w))
+    if h == fh == 1:
+        layer = Conv1D(fw, planes, padding=padding)
+        _, wo = layer.wire((c, w))
+        ho, x_shape = 1, (n, c, w)
+    else:
+        layer = Conv2D(fh, fw, planes, padding=padding)
+        _, ho, wo = layer.wire((c, h, w))
+        x_shape = (n, c, h, w)
     layer.init_params(rng)
     layer.bias[:] = rng.normal(size=planes)
     sample_bytes = 8 * ho * wo * fh * fw * c
     monkeypatch.setattr(layers, "_IM2COL_BLOCK_BYTES",
                         max(1, samples_per_block * sample_bytes + sample_bytes // 2))
     assert n > max(1, samples_per_block)    # several blocks; odd n leaves a partial one
-    return layer, rng.normal(size=(n, c, h, w)), rng
+    return layer, rng.normal(size=x_shape), rng
 
 
 @pytest.mark.parametrize("samples_per_block", [0, 2])
 @pytest.mark.parametrize("config", BLOCKED_CONFIGS)
 def test_conv2d_blocked_forward_matches_direct_sum(monkeypatch, config, samples_per_block):
-    layer, x, _ = _blocked_conv2d(monkeypatch, config, samples_per_block)
-    np.testing.assert_allclose(layer.forward(x),
-                               _direct_conv2d(x, layer.weights, layer.bias, layer.padding),
-                               rtol=1e-12, atol=1e-12)
+    layer, x, _ = _blocked_conv(monkeypatch, config, samples_per_block)
+    if isinstance(layer, Conv1D):
+        expected = _direct_conv2d(x[:, :, None], layer.weights[:, :, None], layer.bias,
+                                  layer.padding)[:, :, 0]
+    else:
+        expected = _direct_conv2d(x, layer.weights, layer.bias, layer.padding)
+    np.testing.assert_allclose(layer.forward(x), expected, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("config", BLOCKED_CONFIGS)
 def test_conv2d_blocked_gradients(monkeypatch, config):
-    layer, x, rng = _blocked_conv2d(monkeypatch, config, 2)
+    layer, x, rng = _blocked_conv(monkeypatch, config, 2)
     _check_all_grads(layer, x, rng)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), c=st.integers(1, 3),
+       length=st.integers(1, 9), f=st.integers(1, 9), planes=st.integers(1, 3),
+       same=st.booleans())
+def test_conv1d_equals_conv2d_with_height_one(seed, n, c, length, f, planes, same):
+    padding = "same" if same else "valid"
+    if not same:
+        f = min(f, length)
+    rng = np.random.default_rng(seed)
+    conv1 = Conv1D(f, planes, padding=padding)
+    conv1.wire((c, length))
+    conv1.init_params(rng)
+    conv1.bias[:] = rng.normal(size=planes)
+    conv2 = Conv2D(1, f, planes, padding=padding)
+    conv2.wire((c, 1, length))
+    conv2.weights = conv1.weights[:, :, None].copy()
+    conv2.bias = conv1.bias.copy()
+    x1 = rng.normal(size=(n, c, length))
+    x2 = x1[:, :, None].copy()
+    y1, y2 = conv1.forward(x1), conv2.forward(x2)
+    np.testing.assert_allclose(y1, y2[:, :, 0], rtol=1e-12, atol=1e-12)
+    proj = rng.normal(size=y1.shape)
+    g1 = analytic_grads(conv1, x1, proj)
+    g2 = analytic_grads(conv2, x2, proj[:, :, None])
+    for a, b in ((x1, x2), (conv1.weights, conv2.weights), (conv1.bias, conv2.bias)):
+        np.testing.assert_allclose(g1[id(a)], g2[id(b)].reshape(a.shape),
+                                   rtol=1e-12, atol=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -169,14 +216,16 @@ def test_maxpool_forward_and_tie_rule():
     layer.wire((1, 4))
     y = layer.forward(np.array([[[1.0, 4.0, 2.0, 2.0]]]))
     np.testing.assert_array_equal(y, [[[4.0, 2.0]]])
-    # on a tie the gradient goes to the first (row-major) position
-    tape = GradientTape()
-    x = np.array([[[3.0, 3.0, 1.0, 0.0]]])
-    out = layer.forward(x, mode="train", tape=tape)
-    loss = np.asarray(out.sum())
-    tape.record(loss, (out,), lambda g: (g * np.ones_like(out),), "proj")
-    grads = backward(tape, loss)
-    np.testing.assert_array_equal(grads[id(x)], [[[1.0, 0.0, 1.0, 0.0]]])
+    # on a tie the gradient goes to the first position in row-major order,
+    # in 1D and in 2D, where (0, 1) comes before (1, 0)
+    ties = [(np.array([[[3.0, 3.0, 1.0, 0.0]]]), [[[1.0, 0.0, 1.0, 0.0]]]),
+            (np.array([[[[0.0, 3.0], [3.0, 1.0]]]]), [[[[0.0, 1.0], [0.0, 0.0]]]])]
+    for x, expected in ties:
+        tape = GradientTape()
+        out = layer.forward(x, mode="train", tape=tape)
+        loss = np.asarray(out.sum())
+        tape.record(loss, (out,), lambda g: (g * np.ones_like(out),), "proj")
+        np.testing.assert_array_equal(backward(tape, loss)[id(x)], expected)
 
 
 def test_maxpool_window_must_divide():

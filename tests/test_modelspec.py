@@ -5,11 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from divfe import modelspec
 from divfe.layers import (BatchNorm, Conv1D, Conv2D, Dense, Dropout, FeatureExtractor,
-                          Flatten, MaxPool, ReLU)
+                          Flatten, Layer, MaxPool, ReLU)
 from divfe.modelspec import (SpecError, format_model_spec, load_model_spec,
                              parse_growth_template, parse_model_spec)
-from divfe.numerics import ShapeError
+from divfe.numerics import GradientTape, ShapeError
 
 SPECS = sorted((Path(__file__).resolve().parent.parent / "specs").glob("*.spec"))
 
@@ -125,6 +126,26 @@ def test_format_round_trips_every_model(name):
 
 def test_specs_are_found():
     assert {p.name for p in SPECS} >= {"iris.spec", "mnist.spec"}
+
+
+def test_every_layer_kind_is_traceable_by_its_spec_keyword():
+    # profilers wrap Layer.__subclasses__() and name backward spans by tape
+    # entry, so every layer a spec can build must be a direct Layer subclass
+    # whose single tape entry carries its spec keyword
+    specs = (SPEC_2D, "input 8\nwalsh_rank 4\nconv1d 3 2 same\nmaxpool 2\nflatten\ndense 4\n")
+    seen = set()
+    for text in specs:
+        model = parse_model_spec(text).initialize(np.random.default_rng(0))
+        x = np.random.default_rng(1).normal(size=(3,) + model.input_shape)
+        tape = GradientTape()
+        model.forward(x, mode="train", tape=tape)
+        assert [e.name for e in tape.entries] == [line.split()[0]
+                                                  for line in model.spec_lines()]
+        seen |= {type(layer) for layer in model.layers}
+    buildable = {obj for obj in vars(modelspec).values()
+                 if isinstance(obj, type) and issubclass(obj, Layer)}
+    assert seen == buildable
+    assert all(cls.__bases__ == (Layer,) for cls in buildable)
 
 
 def test_multi_plane_1d_input_has_no_spec_form():

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from divfe.augment import AugmentConfig
 from divfe.data_io import LabeledDataset, SplitSpec
 from divfe.divergence import analyze
-from divfe.layers import Dense, FeatureExtractor, Flatten
-from divfe.numerics import ContractError
+from divfe.layers import BatchNorm, Dense, FeatureExtractor, Flatten
+from divfe.numerics import ContractError, ShapeError
 from divfe.trainer import (GrowthTemplate, TrainConfig, TrainingDivergedError,
                            derive_rng, evaluate, fit, grow_layers, run_trials)
 from divfe.walsh import make_codebook
@@ -212,3 +213,52 @@ def test_growth_template_depth_bounds():
     with pytest.raises(ContractError):
         grow_layers(template, _blobs(), _blobs(), make_codebook(2, 4),
                     TrainConfig(), threshold=1.5)
+    with pytest.raises(ContractError):
+        grow_layers(template, _blobs(), _blobs(), make_codebook(2, 4),
+                    TrainConfig(), max_depth=0)
+
+
+def test_growth_template_2d_builds_every_depth():
+    template = GrowthTemplate(input_shape=(1, 6, 5), filters=((3, 2), (2, 2)), planes=4,
+                              use_batchnorm=True)
+    block = ["batchnorm", "relu"]
+    expected = {
+        1: ["conv2d 6x5 8"],
+        2: ["conv2d 3x2 4"] + block + ["conv2d 4x4 8"],
+        3: ["conv2d 3x2 4"] + block + ["conv2d 2x2 4"] + block + ["conv2d 3x3 8"],
+    }
+    for depth in range(1, template.max_depth + 1):
+        model = template.build_model(depth, 8)
+        assert model.spec_lines() == expected[depth] + ["flatten"]
+        assert model.input_shape == (1, 6, 5) and model.output_shape == (8,)
+
+
+def test_growth_template_2d_schedule_outgrowing_the_map():
+    template = GrowthTemplate(input_shape=(1, 4, 4), filters=((3, 3), (3, 3)), planes=2)
+    assert template.build_model(2, 4).spec_lines() == [
+        "conv2d 3x3 2", "relu", "conv2d 2x2 4", "flatten"]
+    with pytest.raises(ShapeError):
+        template.build_model(3, 4)
+
+
+def _batchnorm_model(dim=6, rank=4):
+    return FeatureExtractor([Flatten(), Dense(rank), BatchNorm()], (1, dim), rank)
+
+
+@pytest.mark.parametrize("batch_size, train_size", [(1, 60), (16, 1)])
+def test_fit_rejects_single_sample_batches_with_batchnorm(batch_size, train_size):
+    train, val = _split_even(_blobs())
+    train = train.subset(np.arange(train_size))
+    model = _batchnorm_model().initialize(np.random.default_rng(0))
+    cfg = TrainConfig(batch_size=batch_size, max_epochs=2, patience=2)
+    with pytest.raises(ContractError):
+        fit(model, train, val, make_codebook(2, 4), cfg)
+
+
+def test_fit_checks_batchnorm_batches_after_augmentation():
+    train, val = _split_even(_blobs())
+    model = _batchnorm_model().initialize(np.random.default_rng(0))
+    cfg = TrainConfig(batch_size=16, max_epochs=2, patience=2,
+                      augment=AugmentConfig(factor=3))
+    report = fit(model, train.subset([0]), val, make_codebook(2, 4), cfg)
+    assert report.epochs_run == 2
