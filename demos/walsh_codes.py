@@ -7,7 +7,7 @@ does (row 0, the all-ones row, is reserved).
 
 import numpy as np
 
-from divfe import build_modified_walsh, hamming_distance, make_codebook
+from divfe import build_modified_walsh, make_codebook
 
 
 def main():
@@ -19,16 +19,16 @@ def main():
     print("\nPairwise Hamming distances are always rank/2:")
     for rank in (4, 8, 16):
         w = build_modified_walsh(rank)
-        dists = {hamming_distance(w[i], w[j])
+        dists = {int(np.count_nonzero(w[i] != w[j]))
                  for i in range(rank) for j in range(i + 1, rank)}
         print(f"    rank {rank:2d}: distinct pairwise distances = {sorted(dists)}")
 
     print("\nA 3-class codebook at rank 8 (row 0 skipped):")
     cb = make_codebook(3, 8)
-    for label in range(cb.class_count):
-        print(f"    class {label} -> row {cb.class_rows[label]}: {cb.target(label)}")
-
     t = cb.targets()
+    for label in range(cb.class_count):
+        print(f"    class {label} -> row {cb.class_rows[label]}: {t[label]}")
+
     print("\nSquared distances between class targets "
           "(equal spacing is what the classifier relies on):")
     for i in range(3):

@@ -7,10 +7,9 @@ from .data_io import LabeledDataset, SplitSpec, split
 from .divergence import ScatterReport, analyze, divergence_value
 from .layers import (BatchNorm, Conv1D, Conv2D, Dense, Dropout, FeatureExtractor,
                      Flatten, MaxPool, ReLU, mse_loss)
-from .mdn import classify, classify_batch, distances
+from .mdn import classify_batch
 from .trainer import (EvalResult, GrowthTemplate, TrainConfig, TrainReport,
                       evaluate, fit, grow_layers, run_trials)
-from .walsh import (WalshCodebook, assign_class_targets, build_hadamard,
-                    build_modified_walsh, hamming_distance, make_codebook)
+from .walsh import WalshCodebook, build_modified_walsh, make_codebook
 
 __version__ = "0.1.0"

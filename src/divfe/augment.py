@@ -13,6 +13,9 @@ import numpy as np
 
 from .numerics import ContractError
 
+# Each augmentation operation is applied independently with this probability.
+OP_PROBABILITY = 0.5
+
 
 @dataclass(frozen=True)
 class AugmentConfig:
@@ -22,7 +25,6 @@ class AugmentConfig:
     max_rotation: float = 1.0   # fraction of the signal length
     factor: int = 3
     seed: int = 0
-    op_probability: float = 0.5
 
     def __post_init__(self):
         if not 0 < self.gain_low <= self.gain_high:
@@ -49,11 +51,13 @@ def rotate_time(signal: np.ndarray, shift: int) -> np.ndarray:
 
 
 def add_noise(signal: np.ndarray, snr_db: float, rng: np.random.Generator) -> np.ndarray:
-    """Add zero-mean Gaussian noise at the given signal-to-noise ratio."""
+    """Add zero-mean Gaussian noise at the given signal-to-noise ratio.
+
+    The noise power is the signal power over the SNR, so a zero-power signal
+    gets no noise.
+    """
     signal = np.asarray(signal, dtype=np.float64)
     power = float(np.mean(signal ** 2))
-    if power == 0.0:
-        raise ContractError("cannot set an SNR for a zero-power signal")
     noise_std = np.sqrt(power / 10.0 ** (snr_db / 10.0))
     return signal + rng.normal(0.0, noise_std, size=signal.shape)
 
@@ -61,9 +65,9 @@ def add_noise(signal: np.ndarray, snr_db: float, rng: np.random.Generator) -> np
 def augment_signal(signal: np.ndarray, config: AugmentConfig,
                    rng: np.random.Generator) -> np.ndarray:
     """One random variant: each operation applied independently with
-    probability ``config.op_probability``."""
+    probability :data:`OP_PROBABILITY`."""
     out = np.asarray(signal, dtype=np.float64)
-    p = config.op_probability
+    p = OP_PROBABILITY
     if rng.random() < p:
         out = amplify(out, rng.uniform(config.gain_low, config.gain_high))
     if rng.random() < p:

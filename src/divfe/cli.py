@@ -23,8 +23,8 @@ from .data_io import (FormatError, LabeledDataset, ParseError, SplitSpec, Standa
                       load_iris, load_mnist_idx, load_signals_csv, save_signals_csv, split)
 from .modelspec import SpecError, load_model_spec, parse_growth_template
 from .numerics import ContractError, ShapeError
-from .trainer import (STREAM_INIT, TrainConfig, TrainingDivergedError, derive_rng, evaluate,
-                      fit, grow_layers)
+from .trainer import (EVAL_BATCH_SIZE, STREAM_INIT, TrainConfig, TrainingDivergedError,
+                      derive_rng, evaluate, fit, grow_layers)
 from .walsh import WalshError, make_codebook
 
 _ERROR_CATEGORIES = [
@@ -193,8 +193,8 @@ def _print_matrix(name, matrix):
 def cmd_divergence(args) -> int:
     model, codebook, dataset = _load_checkpoint_and_data(args)
     outputs = np.concatenate([
-        model.forward(dataset.samples[i:i + 256], mode="infer")
-        for i in range(0, len(dataset), 256)])
+        model.forward(dataset.samples[i:i + EVAL_BATCH_SIZE], mode="infer")
+        for i in range(0, len(dataset), EVAL_BATCH_SIZE)])
     modes = ["paper", "empirical"] if args.mode == "both" else [args.mode]
     for mode in modes:
         report = div.analyze(outputs, dataset.labels, codebook, mode=mode)

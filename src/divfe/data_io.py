@@ -66,7 +66,7 @@ class SplitSpec:
                 raise ContractError(f"{name} must be in (0, 1), got {frac}")
 
 
-def load_iris(path, skip_header: bool = False) -> LabeledDataset:
+def load_iris(path) -> LabeledDataset:
     """CSV of 4 numeric features plus a class-name string per row.
 
     Class indices follow the sorted order of the distinct names.
@@ -76,8 +76,6 @@ def load_iris(path, skip_header: bool = False) -> LabeledDataset:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
-            if skip_header and lineno == 1:
-                continue
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != 5:
@@ -135,7 +133,7 @@ def load_mnist_idx(images_path, labels_path) -> LabeledDataset:
     )
 
 
-def load_signals_csv(path, skip_header: bool = False) -> LabeledDataset:
+def load_signals_csv(path) -> LabeledDataset:
     """CSV rows of an integer label followed by fixed-length signal samples."""
     signals = []
     labels = []
@@ -143,8 +141,6 @@ def load_signals_csv(path, skip_header: bool = False) -> LabeledDataset:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
-            if skip_header and lineno == 1:
-                continue
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if width is None:

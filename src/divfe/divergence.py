@@ -28,9 +28,7 @@ class ScatterReport:
     within: np.ndarray
     between: np.ndarray
     divergence: float
-    class_counts: np.ndarray
     ridge: float
-    mode: str
 
 
 def within_class_scatter(outputs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -102,7 +100,7 @@ def analyze(outputs: np.ndarray, labels: np.ndarray, codebook: WalshCodebook,
         raise ContractError(f"unknown mode {mode!r}")
     outputs = np.asarray(outputs, dtype=np.float64)
     labels = np.asarray(labels)
-    present, counts = np.unique(labels, return_counts=True)
+    present = np.unique(labels)
     if present.size < 2:
         raise InsufficientDataError("divergence needs at least 2 classes")
     s = within_class_scatter(outputs, labels)
@@ -116,5 +114,4 @@ def analyze(outputs: np.ndarray, labels: np.ndarray, codebook: WalshCodebook,
     if ridge is None:
         ridge = default_ridge(s)
     value = divergence_value(s, b, ridge)
-    return ScatterReport(within=s, between=b, divergence=value,
-                         class_counts=counts, ridge=ridge, mode=mode)
+    return ScatterReport(within=s, between=b, divergence=value, ridge=ridge)

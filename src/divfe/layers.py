@@ -26,7 +26,6 @@ from .numerics import ContractError, GradientTape, ShapeError
 
 BN_EPSILON = 1e-5
 BN_MOMENTUM = 0.9
-DEFAULT_DROPOUT_RATE = 0.25
 # The convolution kernel streams its im2col columns in blocks of whole samples
 # of at most this many bytes, so the full column matrix is never materialised.
 _IM2COL_BLOCK_BYTES = 4 << 20
@@ -380,13 +379,14 @@ class BatchNorm(Layer):
 
 class Dropout(Layer):
     """Inverted dropout: zero with probability ``rate`` in training, scale
-    survivors by 1/(1-rate); identity at inference."""
+    survivors by 1/(1-rate); identity at inference. Masks come from seed 0
+    until :meth:`reseed`; ``fit`` reseeds every Dropout from the run seed."""
 
-    def __init__(self, rate: float = DEFAULT_DROPOUT_RATE, seed: int | None = None):
+    def __init__(self, rate: float):
         if not 0.0 <= rate < 1.0:
             raise ContractError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = rate
-        self.rng = np.random.default_rng(seed)
+        self.rng = np.random.default_rng(0)
 
     def reseed(self, seed):
         self.rng = np.random.default_rng(seed)

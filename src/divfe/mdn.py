@@ -5,42 +5,15 @@ labeled with the class whose prototype is nearest in squared Euclidean
 distance. Ties break toward the lowest class index. No trainable state.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .numerics import ShapeError
 from .walsh import WalshCodebook
 
 
-@dataclass(frozen=True)
-class DistanceVector:
-    """Per-class squared distances plus the winning class index."""
-
-    distances: np.ndarray
-    argmin: int
-    tie: bool
-
-
-def distances(output: np.ndarray, codebook: WalshCodebook) -> DistanceVector:
-    """Squared Euclidean distance from the output to every class prototype."""
-    output = np.asarray(output, dtype=np.float64)
-    if output.shape != (codebook.rank,):
-        raise ShapeError(f"output shape {output.shape} does not match rank {codebook.rank}")
-    diff = output[None, :] - codebook.targets()
-    d = np.einsum("kj,kj->k", diff, diff)
-    winner = int(np.argmin(d))
-    tie = bool(np.count_nonzero(d == d[winner]) > 1)
-    return DistanceVector(distances=d, argmin=winner, tie=tie)
-
-
-def classify(output: np.ndarray, codebook: WalshCodebook) -> int:
-    """Class index of the nearest prototype (lowest index on ties)."""
-    return distances(output, codebook).argmin
-
-
 def classify_batch(outputs: np.ndarray, codebook: WalshCodebook) -> np.ndarray:
-    """Vectorized :func:`classify` over a (N, rank) batch of outputs."""
+    """Class index of the nearest prototype for each row of a (N, rank)
+    batch of outputs (lowest index on ties)."""
     outputs = np.asarray(outputs, dtype=np.float64)
     if outputs.ndim != 2 or outputs.shape[1] != codebook.rank:
         raise ShapeError(f"outputs shape {outputs.shape} does not match rank {codebook.rank}")

@@ -1,4 +1,4 @@
-"""Reverse-mode gradient bookkeeping and finite-difference checking.
+"""Reverse-mode gradient bookkeeping.
 
 Tensors are plain numpy float64 arrays. Gradient shapes are checked
 explicitly and never broadcast implicitly: in a hand-wired network a silent
@@ -83,28 +83,3 @@ def backward(tape: GradientTape, loss: np.ndarray) -> dict:
             else:
                 grads[key] = g
     return grads
-
-
-def numeric_gradient(fn, x, step=1e-5) -> np.ndarray:
-    """Central finite differences of a scalar function w.r.t. array x."""
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    flat = x.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        f_plus = float(fn(x))
-        flat[i] = orig - step
-        f_minus = float(fn(x))
-        flat[i] = orig
-        grad.reshape(-1)[i] = (f_plus - f_minus) / (2.0 * step)
-    return grad
-
-
-def relative_error(analytic, numeric) -> float:
-    """Elementwise |analytic - numeric| / max(1, |numeric|), reduced by max."""
-    analytic = np.asarray(analytic, dtype=np.float64)
-    numeric = np.asarray(numeric, dtype=np.float64)
-    if numeric.size == 0:
-        return 0.0
-    return float(np.max(np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric))))

@@ -7,7 +7,6 @@ minimum-distance classifier; early stopping watches the validation loss and
 the best-validation weights are restored at exit.
 """
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +24,9 @@ STREAM_SPLIT = 0
 STREAM_INIT = 1
 STREAM_SHUFFLE = 2
 STREAM_DROPOUT = 3
+
+# Samples per forward pass when scoring a dataset (evaluate, divergence).
+EVAL_BATCH_SIZE = 256
 
 
 def derive_rng(master_seed: int, trial: int, stream: int) -> np.random.Generator:
@@ -60,8 +62,6 @@ class TrainReport:
     epochs_run: int = 0
     best_epoch: int = 0
     test_accuracy: float | None = None
-    test_divergence: float | None = None
-    wall_clock: float = 0.0
     growth_history: list = field(default_factory=list)   # (depth, train_accuracy)
     cap_reached: bool = False
 
@@ -74,7 +74,7 @@ class EvalResult:
 
 
 def evaluate(model: FeatureExtractor, dataset: LabeledDataset,
-             codebook: WalshCodebook, batch_size: int = 256) -> EvalResult:
+             codebook: WalshCodebook) -> EvalResult:
     """Minimum-distance classification accuracy, mean loss and confusion matrix."""
     if len(dataset) == 0:
         raise ContractError("cannot evaluate on an empty dataset")
@@ -83,9 +83,9 @@ def evaluate(model: FeatureExtractor, dataset: LabeledDataset,
     total_loss = 0.0
     correct = 0
     targets = codebook.targets()
-    for start in range(0, len(dataset), batch_size):
-        xb = dataset.samples[start:start + batch_size]
-        yb = dataset.labels[start:start + batch_size]
+    for start in range(0, len(dataset), EVAL_BATCH_SIZE):
+        xb = dataset.samples[start:start + EVAL_BATCH_SIZE]
+        yb = dataset.labels[start:start + EVAL_BATCH_SIZE]
         out = model.forward(xb, mode="infer")
         pred = mdn.classify_batch(out, codebook)
         correct += int(np.sum(pred == yb))
@@ -134,7 +134,6 @@ def fit(model: FeatureExtractor, train_set: LabeledDataset,
     best_val = np.inf
     best_snapshot = model.snapshot()
     since_best = 0
-    start_time = time.perf_counter()
     n = len(train_set)
 
     for epoch in range(1, config.max_epochs + 1):
@@ -181,7 +180,6 @@ def fit(model: FeatureExtractor, train_set: LabeledDataset,
                 break
 
     model.restore(best_snapshot)
-    report.wall_clock = time.perf_counter() - start_time
     return report
 
 
@@ -286,6 +284,8 @@ def grow_layers(template: GrowthTemplate, train_set: LabeledDataset,
     if max_depth < 1:
         raise ContractError(f"max_depth must be >= 1, got {max_depth}")
     max_depth = min(max_depth, template.max_depth)
+    # the deepest model first: a schedule that outgrows the map fails before any fit
+    template.build_model(max_depth, codebook.rank)
     best = None   # (accuracy, model, report)
     history = []
     for depth in range(1, max_depth + 1):

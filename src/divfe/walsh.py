@@ -6,97 +6,60 @@ target; any two distinct rows differ in exactly rank/2 positions, so class
 centers sit at equal, maximal Hamming distances from each other.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-DEFAULT_RANK = 16
 
 
 class WalshError(ValueError):
     pass
 
 
-class InvalidRankError(WalshError):
-    pass
+def build_modified_walsh(rank: int) -> np.ndarray:
+    """0/1 Walsh matrix of the Sylvester-ordered Hadamard matrix.
 
-
-class CapacityError(WalshError):
-    pass
-
-
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
-def build_hadamard(rank: int) -> np.ndarray:
-    """Sylvester-ordered Hadamard matrix with entries in {+1, -1}.
-
-    H(2n) = [[H(n), H(n)], [H(n), -H(n)]], base H(2) = [[1, 1], [1, -1]].
+    H(2n) = [[H(n), H(n)], [H(n), -H(n)]] from H(2) = [[1, 1], [1, -1]],
+    with +1 -> 1 and -1 -> 0.
     """
-    if not isinstance(rank, (int, np.integer)) or not _is_power_of_two(int(rank)) or rank < 2:
-        raise InvalidRankError(f"rank must be a power of 2 and >= 2, got {rank!r}")
+    if (not isinstance(rank, (int, np.integer)) or rank < 2
+            or (int(rank) & (int(rank) - 1)) != 0):
+        raise WalshError(f"rank must be a power of 2 and >= 2, got {rank!r}")
     h = np.array([[1, 1], [1, -1]], dtype=np.int64)
     while h.shape[0] < rank:
         h = np.block([[h, h], [h, -h]])
-    return h
-
-
-def build_modified_walsh(rank: int) -> np.ndarray:
-    """0/1 Walsh matrix: build_hadamard(rank) with +1 -> 1 and -1 -> 0."""
-    return (build_hadamard(rank) > 0).astype(np.int64)
-
-
-def hamming_distance(row_a: np.ndarray, row_b: np.ndarray) -> int:
-    """Number of positions where the two rows differ."""
-    a = np.asarray(row_a)
-    b = np.asarray(row_b)
-    if a.shape != b.shape:
-        raise WalshError(f"length mismatch: {a.shape} vs {b.shape}")
-    return int(np.count_nonzero(a != b))
+    return (h > 0).astype(np.int64)
 
 
 @dataclass(frozen=True)
 class WalshCodebook:
-    """A 0/1 Walsh matrix plus the row assigned to each class.
+    """A 0/1 Walsh matrix whose rows 1..class_count are the class targets.
 
-    Class k (0-based) maps to matrix row ``class_rows[k]``. The all-ones
-    row 0 is reserved and never assigned.
+    Class k (0-based) maps to matrix row k+1; the all-ones row 0 is reserved
+    and never assigned.
     """
 
     rank: int
     matrix: np.ndarray
-    class_rows: tuple = field(default_factory=tuple)
+    class_count: int
 
     @property
-    def class_count(self) -> int:
-        return len(self.class_rows)
-
-    def target(self, label: int) -> np.ndarray:
-        """Target output vector (float64) for a class label."""
-        return self.matrix[self.class_rows[label]].astype(np.float64)
+    def class_rows(self) -> tuple:
+        return tuple(range(1, self.class_count + 1))
 
     def targets(self) -> np.ndarray:
         """(class_count, rank) float64 matrix of all class targets."""
-        return self.matrix[list(self.class_rows)].astype(np.float64)
+        return self.matrix[1:self.class_count + 1].astype(np.float64)
 
 
-def assign_class_targets(matrix: np.ndarray, class_count: int) -> WalshCodebook:
-    """Assign consecutive rows 1..class_count as class targets.
-
-    Row 0 (all ones) is skipped, so a rank-M matrix holds at most M-1 classes.
-    """
-    matrix = np.asarray(matrix)
-    rank = matrix.shape[0]
+def make_codebook(class_count: int, rank: int) -> WalshCodebook:
+    """Build the rank-``rank`` modified Walsh matrix and assign rows
+    1..class_count as class targets, so a codebook holds at most rank-1
+    classes."""
+    matrix = build_modified_walsh(rank)
     if class_count > rank - 1:
-        raise CapacityError(
+        raise WalshError(
             f"{class_count} classes exceed capacity {rank - 1} of a rank-{rank} codebook"
         )
     if class_count < 1:
         raise WalshError("class_count must be >= 1")
-    return WalshCodebook(rank=rank, matrix=matrix, class_rows=tuple(range(1, class_count + 1)))
-
-
-def make_codebook(class_count: int, rank: int = DEFAULT_RANK) -> WalshCodebook:
-    """Build the modified Walsh matrix and assign class targets in one step."""
-    return assign_class_targets(build_modified_walsh(rank), class_count)
+    return WalshCodebook(rank=matrix.shape[0], matrix=matrix, class_count=class_count)

@@ -2,11 +2,36 @@
 
 import numpy as np
 
-from divfe.numerics import GradientTape, backward, numeric_gradient, relative_error
+from divfe.numerics import GradientTape, backward
 
 TOL = 1e-4
 STEP = 1e-5
 N_CONFIGS = 10
+
+
+def numeric_gradient(fn, x, step=1e-5) -> np.ndarray:
+    """Central finite differences of a scalar function w.r.t. array x."""
+    x = np.asarray(x, dtype=np.float64)
+    grad = np.zeros_like(x)
+    flat = x.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + step
+        f_plus = float(fn(x))
+        flat[i] = orig - step
+        f_minus = float(fn(x))
+        flat[i] = orig
+        grad.reshape(-1)[i] = (f_plus - f_minus) / (2.0 * step)
+    return grad
+
+
+def relative_error(analytic, numeric) -> float:
+    """Elementwise |analytic - numeric| / max(1, |numeric|), reduced by max."""
+    analytic = np.asarray(analytic, dtype=np.float64)
+    numeric = np.asarray(numeric, dtype=np.float64)
+    if numeric.size == 0:
+        return 0.0
+    return float(np.max(np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric))))
 
 
 def analytic_grads(layer, x, proj, mode="train"):

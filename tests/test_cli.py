@@ -167,6 +167,17 @@ def test_augment_command(tmp_path, signal_csv, capsys):
     assert out.exists()
 
 
+def test_augment_keeps_zero_power_signal(tmp_path, capsys):
+    # an all-zero row gets no noise instead of aborting the expansion
+    data = tmp_path / "signals.csv"
+    data.write_text("0,0,0,0,0\n0,1,2,3,4\n1,4,3,2,1\n")
+    out = tmp_path / "augmented.csv"
+    assert main(["augment", "--data", str(data), "--out", str(out), "--factor", "4"]) == 0
+    assert _stdout_keys(capsys)["output_samples"] == "12"
+    rows = [line.split(",") for line in out.read_text().splitlines()]
+    assert all(float(v) == 0.0 for row in rows[::3] for v in row[1:])
+
+
 # ---------------------------------------------------------------- error codes
 
 def test_missing_data_file_is_io_error(tmp_path, capsys):

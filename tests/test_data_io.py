@@ -30,10 +30,11 @@ def test_load_iris_parses_features_and_sorted_classes(tmp_path):
     assert ds.samples.dtype == np.float64
 
 
-def test_load_iris_skip_header(tmp_path):
+def test_load_iris_rejects_header_row(tmp_path):
     path = tmp_path / "iris.csv"
     path.write_text("a,b,c,d,label\n" + IRIS_CSV)
-    assert len(load_iris(path, skip_header=True)) == 4
+    with pytest.raises(ParseError):
+        load_iris(path)
 
 
 def test_load_iris_rejects_bad_rows(tmp_path):

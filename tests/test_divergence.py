@@ -90,7 +90,6 @@ def test_analyze_paper_mode_uses_codebook_rows():
     labels = np.argmin(((outputs[:, None, :] - cb.targets()) ** 2).sum(-1), axis=1)
     report = analyze(outputs, labels, cb, mode="paper")
     np.testing.assert_allclose(report.between, between_class_scatter(cb.targets()))
-    assert report.mode == "paper"
     assert report.divergence > 0
 
 

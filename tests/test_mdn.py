@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from divfe.mdn import classify, classify_batch, distances
+from divfe.mdn import classify_batch
 from divfe.numerics import ShapeError
 from divfe.walsh import make_codebook
 
@@ -22,12 +24,11 @@ def brute_force_classify(output, targets):
 
 def test_distances_values():
     cb = make_codebook(3, 8)
-    out = cb.target(1) + 0.0
-    dv = distances(out, cb)
-    assert dv.distances[1] == 0.0
-    assert dv.argmin == 1 and not dv.tie
-    # any other prototype is exactly rank/2 away in squared distance
-    assert dv.distances[0] == 4.0 and dv.distances[2] == 4.0
+    t = cb.targets()
+    # every prototype is its own class, exactly rank/2 from the others
+    np.testing.assert_array_equal(classify_batch(t, cb), [0, 1, 2])
+    d = ((t[:, None, :] - t[None, :, :]) ** 2).sum(axis=2)
+    np.testing.assert_array_equal(d, 4.0 * (1 - np.eye(3)))
 
 
 def test_classify_matches_oracle_on_random_vectors():
@@ -36,8 +37,10 @@ def test_classify_matches_oracle_on_random_vectors():
         cb = make_codebook(c, 16)
         targets = cb.targets()
         outs = rng.normal(0.5, 1.0, size=(500, 16))
-        for out in outs:
-            assert classify(out, cb) == brute_force_classify(out, targets)
+        pred = classify_batch(outs, cb)
+        assert pred.shape == (500,)
+        for out, got in zip(outs, pred):
+            assert got == brute_force_classify(out, targets)
 
 
 def test_exact_tie_breaks_to_lowest_index():
@@ -47,26 +50,37 @@ def test_exact_tie_breaks_to_lowest_index():
     for i in range(4):
         for j in range(i + 1, 4):
             mid = (t[i] + t[j]) / 2.0
-            dv = distances(mid, cb)
-            assert dv.distances[i] == dv.distances[j]
-            assert classify(mid, cb) <= i
-    assert distances((t[0] + t[1]) / 2.0, cb).tie
+            assert np.sum((mid - t[i]) ** 2) == np.sum((mid - t[j]) ** 2)
+            assert classify_batch(mid[None, :], cb)[0] <= i
+    assert classify_batch(((t[0] + t[1]) / 2.0)[None, :], cb)[0] == 0
 
 
-def test_classify_batch_matches_scalar_path():
-    rng = np.random.default_rng(3)
-    cb = make_codebook(5, 16)
-    outs = rng.normal(size=(200, 16))
-    batch = classify_batch(outs, cb)
-    assert batch.shape == (200,)
-    for out, pred in zip(outs, batch):
-        assert classify(out, cb) == pred
+@st.composite
+def _tie_cases(draw):
+    """A codebook and one output: a random vector, or a midpoint of two
+    prototypes whose coordinates where the two rows agree are random, so
+    both prototypes are at bit-identical distances."""
+    rank = draw(st.sampled_from((4, 8, 16, 32)))
+    cb = make_codebook(draw(st.integers(2, rank - 1)), rank)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    out = rng.normal(0.5, 1.0, size=rank)
+    if draw(st.booleans()):
+        i, j = sorted(draw(st.lists(st.integers(0, cb.class_count - 1), min_size=2,
+                                    max_size=2, unique=True)))
+        t = cb.targets()
+        out = np.where(t[i] == t[j], out, (t[i] + t[j]) / 2.0)
+    return cb, out
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tie_cases())
+def test_classify_matches_oracle_under_ties(case):
+    cb, out = case
+    assert classify_batch(out[None, :], cb)[0] == brute_force_classify(out, cb.targets())
 
 
 def test_shape_mismatch_rejected():
     cb = make_codebook(2, 8)
-    with pytest.raises(ShapeError):
-        classify(np.zeros(4), cb)
     with pytest.raises(ShapeError):
         classify_batch(np.zeros((3, 4)), cb)
     with pytest.raises(ShapeError):

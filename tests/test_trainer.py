@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from divfe import trainer
 from divfe.augment import AugmentConfig
 from divfe.data_io import LabeledDataset, SplitSpec
 from divfe.divergence import analyze
@@ -239,6 +240,17 @@ def test_growth_template_2d_schedule_outgrowing_the_map():
         "conv2d 3x3 2", "relu", "conv2d 2x2 4", "flatten"]
     with pytest.raises(ShapeError):
         template.build_model(3, 4)
+
+
+def test_growth_schedule_outgrowing_the_map_fails_before_any_fit(monkeypatch):
+    # filters 4 4 4 on length-8 signals leave a map of length 2 for the third
+    fits = []
+    monkeypatch.setattr(trainer, "fit", lambda *args, **kwargs: fits.append(args))
+    template = GrowthTemplate(input_shape=(1, 8), filters=(4, 4, 4), planes=4)
+    train, val = _split_even(_blobs(dim=8))
+    with pytest.raises(ShapeError):
+        grow_layers(template, train, val, make_codebook(2, 4), TrainConfig(), threshold=1.0)
+    assert fits == []
 
 
 def _batchnorm_model(dim=6, rank=4):

@@ -3,9 +3,7 @@
 import numpy as np
 import pytest
 
-from divfe.walsh import (CapacityError, InvalidRankError, WalshCodebook, WalshError,
-                         assign_class_targets, build_hadamard, build_modified_walsh,
-                         hamming_distance, make_codebook)
+from divfe.walsh import WalshCodebook, WalshError, build_modified_walsh, make_codebook
 
 # Known-good 8x8 modified (0/1) Walsh matrix under the Sylvester ordering.
 WALSH_8 = np.array([
@@ -21,12 +19,13 @@ WALSH_8 = np.array([
 
 
 def test_hadamard_base_case():
-    np.testing.assert_array_equal(build_hadamard(2), [[1, 1], [1, -1]])
+    np.testing.assert_array_equal(build_modified_walsh(2), [[1, 1], [1, 0]])
 
 
 def test_hadamard_orthogonality():
+    # mapping 1 -> +1 and 0 -> -1 recovers the Hadamard matrix: H H^T = rank I
     for rank in (2, 4, 8, 16, 32):
-        h = build_hadamard(rank)
+        h = 2 * build_modified_walsh(rank) - 1
         np.testing.assert_array_equal(h @ h.T, rank * np.eye(rank, dtype=np.int64))
 
 
@@ -46,18 +45,15 @@ def test_pairwise_hamming_distance_is_half_rank():
         w = build_modified_walsh(rank)
         for i in range(rank):
             for j in range(i + 1, rank):
-                assert hamming_distance(w[i], w[j]) == rank // 2
+                assert np.count_nonzero(w[i] != w[j]) == rank // 2
 
 
 def test_invalid_ranks_rejected():
     for bad in (0, 1, 3, 6, 12, -4, 2.5, "8"):
-        with pytest.raises(InvalidRankError):
-            build_hadamard(bad)
-
-
-def test_hamming_distance_length_mismatch():
-    with pytest.raises(WalshError):
-        hamming_distance(np.ones(4), np.ones(8))
+        with pytest.raises(WalshError):
+            build_modified_walsh(bad)
+        with pytest.raises(WalshError):
+            make_codebook(1, bad)
 
 
 def test_assignment_skips_all_ones_row():
@@ -66,7 +62,7 @@ def test_assignment_skips_all_ones_row():
     assert cb.class_count == 3
     # row 0 is never a target
     for label in range(3):
-        assert not np.all(cb.target(label) == 1.0)
+        assert not np.all(cb.targets()[label] == 1.0)
 
 
 def test_targets_are_float64_matrix_rows():
@@ -74,15 +70,15 @@ def test_targets_are_float64_matrix_rows():
     t = cb.targets()
     assert t.shape == (4, 16) and t.dtype == np.float64
     np.testing.assert_array_equal(t, cb.matrix[1:5].astype(np.float64))
-    np.testing.assert_array_equal(cb.target(2), t[2])
+    np.testing.assert_array_equal(t, cb.matrix[list(cb.class_rows)])
 
 
 def test_capacity_limit_is_rank_minus_one():
     assert make_codebook(15, 16).class_count == 15
-    with pytest.raises(CapacityError):
+    with pytest.raises(WalshError):
         make_codebook(16, 16)
-    with pytest.raises(CapacityError):
-        assign_class_targets(build_modified_walsh(8), 8)
+    with pytest.raises(WalshError):
+        make_codebook(8, 8)
 
 
 def test_class_count_must_be_positive():
@@ -94,10 +90,6 @@ def test_codebook_is_immutable():
     cb = make_codebook(2, 8)
     with pytest.raises(AttributeError):
         cb.rank = 4
-
-
-def test_default_rank_is_16():
-    assert make_codebook(5).rank == 16
 
 
 def test_targets_pairwise_squared_distance_is_half_rank():
