@@ -84,6 +84,11 @@ def _load_run_config(path) -> RunConfig:
                 setattr(cfg, key, casts[key](value))
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
+    for key in ("augment_snr_db", "augment_gain_low", "augment_gain_high", "augment_rotation"):
+        if not np.isfinite(getattr(cfg, key)):
+            raise ContractError(f"{path}: {key} must be finite, got {getattr(cfg, key)}")
+    if cfg.standardize not in (-1, 0, 1):
+        raise ContractError(f"{path}: standardize must be -1, 0 or 1, got {cfg.standardize}")
     return cfg
 
 
@@ -123,6 +128,7 @@ def _print_confusion(confusion):
 
 def cmd_train(args) -> int:
     cfg = _load_run_config(args.config)
+    train_config = _train_config(cfg)
     model = load_model_spec(args.model)
     dataset = _load_dataset(args.data, args.format, args.labels)
     codebook = make_codebook(dataset.class_count, model.rank)
@@ -148,7 +154,7 @@ def cmd_train(args) -> int:
             metrics.write(line + "\n")
             print(line)
 
-        report = fit(model, train_set, val_set, codebook, _train_config(cfg), log=log)
+        report = fit(model, train_set, val_set, codebook, train_config, log=log)
 
     result = evaluate(model, test_set, codebook)
     save_checkpoint(model, codebook, args.out, normalizer=normalizer)
@@ -164,10 +170,11 @@ def cmd_train(args) -> int:
 
 def _load_checkpoint_and_data(args):
     """The checkpoint's model and codebook, and the dataset to score with it,
-    normalised as in training; labels the checkpoint has no class for are
-    rejected."""
+    normalised as in training; samples the model does not take and labels the
+    checkpoint has no class for are rejected."""
     model, codebook, normalizer = load_checkpoint(args.checkpoint)
     dataset = _load_dataset(args.data, args.format, args.labels)
+    model.check_sample_shape(dataset.samples.shape[1:])
     if dataset.labels.size and dataset.labels.max() >= codebook.class_count:
         raise ContractError(f"dataset label {dataset.labels.max()} is outside the "
                             f"checkpoint's {codebook.class_count} classes")
@@ -208,13 +215,14 @@ def cmd_divergence(args) -> int:
 
 def cmd_grow(args) -> int:
     cfg = _load_run_config(args.config)
+    train_config = _train_config(cfg)
     template, rank = parse_growth_template(args.template.read_text(encoding="utf-8"))
     dataset = _load_dataset(args.data, args.format, args.labels)
     codebook = make_codebook(dataset.class_count, rank)
     train_set, val_set, test_set = split(
         dataset, SplitSpec(cfg.train_fraction, cfg.val_fraction, cfg.seed))
     model, report = grow_layers(template, train_set, val_set, codebook,
-                                _train_config(cfg), threshold=args.threshold,
+                                train_config, threshold=args.threshold,
                                 max_depth=args.max_depth)
     for depth, acc in report.growth_history:
         print(f"depth={depth} train_accuracy={acc:.9g}")

@@ -7,6 +7,7 @@ training pool only.
 """
 
 import csv
+import math
 import struct
 from dataclasses import dataclass, replace
 
@@ -66,6 +67,15 @@ class SplitSpec:
                 raise ContractError(f"{name} must be in (0, 1), got {frac}")
 
 
+def _finite_floats(fields):
+    """The fields as floats; ``ValueError`` for a field that is not a finite number."""
+    values = [float(v) for v in fields]
+    for field, value in zip(fields, values):
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite value {field.strip()!r}")
+    return values
+
+
 def load_iris(path) -> LabeledDataset:
     """CSV of 4 numeric features plus a class-name string per row.
 
@@ -82,9 +92,9 @@ def load_iris(path) -> LabeledDataset:
                 raise ParseError(f"{path}:{lineno}: expected 4 features + class name, "
                                  f"got {len(row)} fields")
             try:
-                rows.append([float(v) for v in row[:4]])
+                rows.append(_finite_floats(row[:4]))
             except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: non-numeric feature: {exc}") from exc
+                raise ParseError(f"{path}:{lineno}: bad feature: {exc}") from exc
             names.append(row[4].strip())
     if not rows:
         raise ParseError(f"{path}: no data rows")
@@ -124,6 +134,8 @@ def load_mnist_idx(images_path, labels_path) -> LabeledDataset:
     if images.shape[0] != labels.shape[0]:
         raise FormatError(f"count mismatch: {images.shape[0]} images vs "
                           f"{labels.shape[0]} labels")
+    if images.shape[0] == 0:
+        raise FormatError(f"{images_path}: the IDX pair holds no images")
     return LabeledDataset(
         samples=images.astype(np.float64) / 255.0,
         labels=labels.astype(np.int64),
@@ -152,7 +164,7 @@ def load_signals_csv(path) -> LabeledDataset:
                                  f"expected {width})")
             try:
                 labels.append(int(row[0]))
-                signals.append([float(v) for v in row[1:]])
+                signals.append(_finite_floats(row[1:]))
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
     if not signals:

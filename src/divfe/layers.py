@@ -15,12 +15,20 @@ a 1×L image. The kernel computes channels-last: it transposes its input to
 ``(N, H, W, C)``, builds im2col columns in ``(fh, fw, C)`` order in blocks of
 whole samples of at most about 4 MiB, and returns a ``(N, P, H, W)`` view of
 a channels-last result, so a following convolution (through BatchNorm and
-ReLU, which keep the memory order) reads its input without a copy. MaxPool
-likewise pools 1D and 2D maps through one window reshape.
+ReLU, which keep the memory order) reads its input without a copy. The
+windows are one strided view of the padded input, built directly from its
+strides. When a batch fits in one block, backward computes the weight
+gradient from the forward's columns, which are still in the buffer; with
+more blocks it rebuilds each block's columns. MaxPool likewise pools 1D and
+2D maps through one window reshape.
+
+Each layer names its trainable arrays in ``param_names``. After
+initialisation :class:`FeatureExtractor` holds them all in one flat vector,
+``params``, and every layer attribute is a reshaped view of its slice, so an
+SGD step is three whole-vector operations.
 """
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .numerics import ContractError, GradientTape, ShapeError
 
@@ -33,6 +41,8 @@ _IM2COL_BLOCK_BYTES = 4 << 20
 
 class Layer:
     """Base layer: configuration at construction, parameters at wiring."""
+
+    param_names = ()   # attributes holding the trainable arrays, in order
 
     def wire(self, in_shape: tuple) -> tuple:
         """Validate and return the per-sample output shape."""
@@ -47,7 +57,7 @@ class Layer:
 
     @property
     def trainable_params(self) -> list:
-        return []
+        return [getattr(self, name) for name in self.param_names]
 
     @property
     def state_arrays(self) -> list:
@@ -64,6 +74,19 @@ class Layer:
 
 def _he_init(rng, shape, fan_in):
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
+
+
+def _windows(xp, fh, fw):
+    """The ``(N, Ho, Wo, fh, fw, C)`` view of every fh×fw window of a
+    C-contiguous ``xp (N, H, W, C)``, built on its buffer.
+
+    Column (u, v, :) of window (i, j) is xp[:, i+u, j+v, :], so each copied
+    run xp[:, i+u, j:j+fw, :] is fw*C contiguous doubles.
+    """
+    n, h, w, c = xp.shape
+    s0, s1, s2, s3 = xp.strides
+    return np.ndarray((n, h - fh + 1, w - fw + 1, fh, fw, c), xp.dtype, buffer=xp,
+                      strides=(s0, s1, s2, s1, s2, s3))
 
 
 def _conv2d(x, weights, bias, padding):
@@ -85,9 +108,7 @@ def _conv2d(x, weights, bias, padding):
     ho = xp.shape[1] - fh + 1
     wo = xp.shape[2] - fw + 1
     k = fh * fw * c
-    # column (u, v, :) of window (i, j) is xp[:, i+u, j+v, :], so each
-    # copied run xp[:, i+u, j:j+fw, :] is fw*C contiguous doubles
-    windows = sliding_window_view(xp, (fh, fw), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
+    windows = _windows(xp, fh, fw)
     step = max(1, min(n, _IM2COL_BLOCK_BYTES // (8 * ho * wo * k)))
     blocks = [(s, min(n, s + step)) for s in range(0, n, step)]
     buf = np.empty((step, ho, wo, fh, fw, c))
@@ -106,16 +127,20 @@ def _conv2d(x, weights, bias, padding):
     def bwd(dy):
         dy_m = np.ascontiguousarray(dy.transpose(0, 2, 3, 1)).reshape(-1, planes)
         db = dy_m.sum(axis=0)
-        dw = np.zeros((planes, k))
-        for s, e in blocks:
-            dw += dy_m[s * ho * wo:e * ho * wo].T @ cols(s, e)
+        if len(blocks) == 1:
+            # buf still holds the forward's columns
+            dw = dy_m.T @ buf.reshape(n * ho * wo, k)
+        else:
+            dw = np.zeros((planes, k))
+            for s, e in blocks:
+                dw += dy_m[s * ho * wo:e * ho * wo].T @ cols(s, e)
         dw = dw.reshape(planes, fh, fw, c).transpose(0, 3, 1, 2).copy()
         if ho * wo == 1:
             # the filter spans the padded map: one window per sample
             dxp = (dy_m @ w_mat).reshape(xp.shape)
         else:
             taps = weights.transpose(2, 3, 0, 1).copy()            # (fh, fw, P, C)
-            dxp = np.zeros_like(xp)
+            dxp = np.zeros(xp.shape)
             dtap = np.empty((n * ho * wo, c))
             for u in range(fh):
                 for v in range(fw):
@@ -132,6 +157,8 @@ class Conv1D(Layer):
 
     A length-L signal runs through :func:`_conv2d` as a 1×L image.
     """
+
+    param_names = ("weights", "bias")
 
     def __init__(self, filter_len: int, planes: int, padding: str = "valid"):
         if filter_len < 1 or planes < 1:
@@ -160,10 +187,6 @@ class Conv1D(Layer):
         self.weights = _he_init(rng, (self.planes, self.in_planes, self.filter_len), fan_in)
         self.bias = np.zeros(self.planes)
 
-    @property
-    def trainable_params(self):
-        return [self.weights, self.bias]
-
     def weight_count(self):
         return self.planes * self.in_planes * self.filter_len
 
@@ -187,6 +210,8 @@ class Conv1D(Layer):
 
 class Conv2D(Layer):
     """2D cross-correlation, stride 1, summed over input planes, plus bias."""
+
+    param_names = ("weights", "bias")
 
     def __init__(self, filter_h: int, filter_w: int, planes: int, padding: str = "valid"):
         if filter_h < 1 or filter_w < 1 or planes < 1:
@@ -217,10 +242,6 @@ class Conv2D(Layer):
         shape = (self.planes, self.in_planes, self.filter_h, self.filter_w)
         self.weights = _he_init(rng, shape, fan_in)
         self.bias = np.zeros(self.planes)
-
-    @property
-    def trainable_params(self):
-        return [self.weights, self.bias]
 
     def weight_count(self):
         return self.planes * self.in_planes * self.filter_h * self.filter_w
@@ -291,6 +312,8 @@ class BatchNorm(Layer):
     an exponential moving average; inference uses the running statistics.
     """
 
+    param_names = ("scale", "shift")
+
     def __init__(self):
         self.planes = None
         self.scale = None
@@ -309,12 +332,8 @@ class BatchNorm(Layer):
         self.running_var = np.ones(self.planes)
 
     @property
-    def trainable_params(self):
-        return [self.scale, self.shift]
-
-    @property
     def state_arrays(self):
-        return [self.scale, self.shift, self.running_mean, self.running_var]
+        return self.trainable_params + [self.running_mean, self.running_var]
 
     def spec_line(self):
         return "batchnorm"
@@ -446,6 +465,8 @@ class Flatten(Layer):
 class Dense(Layer):
     """Fully connected layer: weights @ input + bias."""
 
+    param_names = ("weights", "bias")
+
     def __init__(self, out_dim: int):
         if out_dim < 1:
             raise ContractError("out_dim must be >= 1")
@@ -463,10 +484,6 @@ class Dense(Layer):
     def init_params(self, rng):
         self.weights = _he_init(rng, (self.out_dim, self.in_dim), self.in_dim)
         self.bias = np.zeros(self.out_dim)
-
-    @property
-    def trainable_params(self):
-        return [self.weights, self.bias]
 
     def weight_count(self):
         return self.out_dim * self.in_dim
@@ -512,6 +529,8 @@ class FeatureExtractor:
 
     Wiring validates every shape at build time; the final per-sample output
     must be a flat vector of length ``rank`` (the Walsh codebook rank).
+    :meth:`initialize` gathers every trainable array into the flat vector
+    ``params`` (``None`` until then) and rebinds each as a view of its slice.
     """
 
     def __init__(self, layers: list, input_shape: tuple, rank: int):
@@ -519,6 +538,7 @@ class FeatureExtractor:
         self.input_shape = tuple(int(d) for d in input_shape)
         self.rank = int(rank)
         self.output_shape = self._wire()
+        self.params = None
 
     def _wire(self):
         shape = self.input_shape
@@ -534,7 +554,22 @@ class FeatureExtractor:
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
         for layer in self.layers:
             layer.init_params(rng)
+        arrays = self.trainable_params
+        self.params = np.concatenate([p.ravel() for p in arrays]) if arrays else np.zeros(0)
+        views = iter(self.flat_views(self.params))
+        for layer in self.layers:
+            for name in layer.param_names:
+                setattr(layer, name, next(views))
         return self
+
+    def flat_views(self, flat):
+        """Views of the flat vector ``flat`` shaped like the trainable arrays,
+        in parameter order: the layout of ``params``."""
+        views, offset = [], 0
+        for p in self.trainable_params:
+            views.append(flat[offset:offset + p.size].reshape(p.shape))
+            offset += p.size
+        return views
 
     @property
     def trainable_params(self):
@@ -560,14 +595,20 @@ class FeatureExtractor:
             if isinstance(layer, Dropout):
                 layer.reseed((seed, i))
 
+    def check_sample_shape(self, shape):
+        """Raise ``ShapeError`` unless ``shape`` is the model's input shape or,
+        for a single-plane input, that shape without its plane axis."""
+        if shape != self.input_shape and not (self.input_shape[0] == 1
+                                              and shape == self.input_shape[1:]):
+            raise ShapeError(f"input batch shape {shape} does not match model "
+                             f"input {self.input_shape}")
+
     def _with_channel(self, x):
         x = np.asarray(x, dtype=np.float64)
         if x.shape[1:] == self.input_shape:
             return x
-        if self.input_shape[0] == 1 and x.shape[1:] == self.input_shape[1:]:
-            return x.reshape((x.shape[0],) + self.input_shape)
-        raise ShapeError(f"input batch shape {x.shape[1:]} does not match model "
-                         f"input {self.input_shape}")
+        self.check_sample_shape(x.shape[1:])
+        return x.reshape((x.shape[0],) + self.input_shape)
 
     def forward(self, x, mode: str = "infer", tape: GradientTape | None = None):
         out = self._with_channel(x)

@@ -2,9 +2,10 @@
 
 Training minimizes the summed squared error between the feature extractor's
 output and the Walsh row assigned to each sample's class, with SGD plus
-momentum. After every epoch the validation set is scored through the
-minimum-distance classifier; early stopping watches the validation loss and
-the best-validation weights are restored at exit.
+momentum applied as three operations on the model's flat parameter vector.
+After every epoch the validation set is scored through the minimum-distance
+classifier; early stopping watches the validation loss and the
+best-validation weights are restored at exit.
 """
 
 from dataclasses import dataclass, field
@@ -48,6 +49,8 @@ class TrainConfig:
     augment: AugmentConfig | None = None
 
     def __post_init__(self):
+        if not (np.isfinite(self.learning_rate) and np.isfinite(self.momentum)):
+            raise ContractError("learning rate and momentum must be finite")
         if self.learning_rate < 0:
             raise ContractError("learning rate must be >= 0")
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
@@ -128,7 +131,15 @@ def fit(model: FeatureExtractor, train_set: LabeledDataset,
 
     targets = codebook.targets()[train_set.labels]
     params = model.trainable_params
-    velocity = [np.zeros_like(p) for p in params]
+    flat = model.params
+    if (flat is None or sum(p.size for p in params) != flat.size
+            or not all(np.shares_memory(p, flat) for p in params)):
+        raise ContractError("the trainable arrays are not views of model.params; "
+                            "call model.initialize() after replacing one")
+    keys = [id(p) for p in params]
+    grad = np.empty_like(flat)
+    grad_views = model.flat_views(grad)
+    velocity = np.zeros_like(flat)
 
     report = TrainReport()
     best_val = np.inf
@@ -152,13 +163,14 @@ def fit(model: FeatureExtractor, train_set: LabeledDataset,
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}")
             grads = backward(tape, loss)
-            for p, v in zip(params, velocity):
-                g = grads.get(id(p))
-                if g is None:
-                    continue
-                v *= config.momentum
-                v += g
-                p -= config.learning_rate * v
+            try:
+                for key, view in zip(keys, grad_views):
+                    view[...] = grads[key]
+            except KeyError:
+                raise ContractError("a trainable array received no gradient") from None
+            velocity *= config.momentum
+            velocity += grad
+            flat -= config.learning_rate * velocity
             batch_losses.append(float(loss))
 
         val = evaluate(model, validation_set, codebook)

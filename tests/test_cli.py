@@ -1,11 +1,13 @@
 """Command-line interface: subcommands, outputs and error exit codes."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from divfe.cli import main
 from divfe.checkpoint import load_checkpoint, save_checkpoint
-from divfe.data_io import LabeledDataset, save_signals_csv
+from divfe.data_io import LabeledDataset, Standardizer, save_signals_csv
 from divfe.layers import Conv1D, Dense, FeatureExtractor, Flatten, ReLU
 from divfe.walsh import make_codebook
 
@@ -281,3 +283,75 @@ def test_single_sample_batches_with_batchnorm_are_contract_error(tmp_path, signa
     assert code == 7
     assert "error=contract-error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _write_idx_pair(tmp_path, n, h=28, w=28):
+    images, labels = tmp_path / "images-idx3-ubyte", tmp_path / "labels-idx1-ubyte"
+    images.write_bytes(struct.pack(">IIII", 0x00000803, n, h, w) + bytes(n * h * w))
+    labels.write_bytes(struct.pack(">II", 0x00000801, n) + bytes(n))
+    return images, labels
+
+
+@pytest.fixture
+def four_feature_checkpoint(tmp_path):
+    """An iris-shaped checkpoint (4 features, stored standardiser)."""
+    path = tmp_path / "iris.divf"
+    model = FeatureExtractor([Conv1D(2, 3), ReLU(), Flatten(), Dense(4)],
+                             (1, 4), 4).initialize(np.random.default_rng(0))
+    save_checkpoint(model, make_codebook(2, 4), path,
+                    normalizer=Standardizer(mean=np.zeros(4), std=np.ones(4)))
+    return path
+
+
+@pytest.mark.parametrize("fmt", ["csv", "mnist"])
+@pytest.mark.parametrize("command", ["eval", "divergence"])
+def test_samples_of_the_wrong_shape_are_wiring_error(tmp_path, signal_csv,
+                                                      four_feature_checkpoint, capsys,
+                                                      command, fmt):
+    # 8-sample signals or 28x28 images against a 4-feature model
+    data = signal_csv if fmt == "csv" else _write_idx_pair(tmp_path, 3)[0]
+    code = main([command, "--checkpoint", str(four_feature_checkpoint), "--data", str(data),
+                 "--format", fmt])
+    assert code == 6
+    assert "error=wiring-error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, value", [("eval", "nan"), ("divergence", "inf")])
+def test_non_finite_csv_values_are_parse_error(tmp_path, signal_csv, trained, capsys,
+                                               command, value):
+    rows = signal_csv.read_text().splitlines()
+    rows[5] = ",".join(rows[5].split(",")[:3] + [value] + rows[5].split(",")[4:])
+    data = tmp_path / "bad.csv"
+    data.write_text("\n".join(rows) + "\n")
+    code = main([command, "--checkpoint", str(trained), "--data", str(data),
+                 "--format", "csv"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "error=parse-error" in err and "bad.csv:6: non-finite" in err
+
+
+def test_idx_pair_without_images_is_format_error(tmp_path, capsys):
+    model_path = tmp_path / "model.spec"
+    model_path.write_text("input 28x28\nwalsh_rank 16\nflatten\ndense 16\n")
+    images, labels = _write_idx_pair(tmp_path, 0)
+    code = main(["train", "--model", str(model_path), "--data", str(images),
+                 "--format", "mnist", "--labels", str(labels), "--out", str(tmp_path / "o.divf")])
+    assert code == 5
+    assert "error=format-error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["lr = nan", "lr = inf", "momentum = nan",
+                                  "augment_snr_db = nan", "augment_gain_low = -inf",
+                                  "augment_gain_high = nan", "augment_rotation = inf",
+                                  "standardize = 5"])
+def test_bad_config_values_are_contract_error_before_data_loads(tmp_path, capsys, line):
+    model_path = tmp_path / "model.spec"
+    model_path.write_text(MODEL_SPEC)
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text(line + "\n")
+    # the data file does not exist: the config must be rejected first
+    code = main(["train", "--model", str(model_path), "--data", str(tmp_path / "nope.csv"),
+                 "--format", "csv", "--config", str(config_path),
+                 "--out", str(tmp_path / "o.divf")])
+    assert code == 7
+    assert "error=contract-error" in capsys.readouterr().err

@@ -50,6 +50,14 @@ def test_load_iris_rejects_bad_rows(tmp_path):
         load_iris(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_iris_rejects_non_finite_features(tmp_path, value):
+    path = tmp_path / "iris.csv"
+    path.write_text(IRIS_CSV + f"5.0,{value},1.0,0.2,setosa\n")
+    with pytest.raises(ParseError, match=r"iris.csv:5: .*non-finite"):
+        load_iris(path)
+
+
 # ---------------------------------------------------------------- IDX
 
 def _idx_images(images):
@@ -99,6 +107,14 @@ def test_idx_truncated_payload(tmp_path):
         load_mnist_idx(p, l)
 
 
+def test_idx_without_images_is_format_error(tmp_path):
+    ipath, lpath = tmp_path / "img", tmp_path / "lab"
+    ipath.write_bytes(_idx_images(np.zeros((0, 28, 28), dtype=np.uint8)))
+    lpath.write_bytes(_idx_labels([]))
+    with pytest.raises(FormatError, match="no images"):
+        load_mnist_idx(ipath, lpath)
+
+
 def test_idx_count_mismatch(tmp_path):
     ipath, lpath = tmp_path / "img", tmp_path / "lab"
     ipath.write_bytes(_idx_images(np.zeros((3, 2, 2), dtype=np.uint8)))
@@ -128,6 +144,14 @@ def test_signals_csv_rejects_ragged_and_negative(tmp_path):
         load_signals_csv(path)
     path.write_text("-1,1.0,2.0\n")
     with pytest.raises(ParseError, match="negative"):
+        load_signals_csv(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+def test_signals_csv_rejects_non_finite_samples(tmp_path, value):
+    path = tmp_path / "sig.csv"
+    path.write_text(f"0,1.0,2.0\n\n1,{value},3.0\n")
+    with pytest.raises(ParseError, match=r"sig.csv:3: non-finite"):
         load_signals_csv(path)
 
 

@@ -1,14 +1,20 @@
 """Layer forward passes and gradient checks against finite differences."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from divfe import layers
+from divfe.checkpoint import load_checkpoint, save_checkpoint
 from divfe.layers import (BN_EPSILON, BatchNorm, Conv1D, Conv2D, Dense, Dropout,
                           FeatureExtractor, Flatten, MaxPool, ReLU, mse_loss)
+from divfe.modelspec import load_model_spec, parse_model_spec
 from divfe.numerics import ContractError, GradientTape, ShapeError, backward
+from divfe.walsh import make_codebook
 
 from _gradcheck import (N_CONFIGS, STEP, TOL, analytic_grads,
                         check_all_grads as _check_all_grads, numeric_gradient,
@@ -147,6 +153,28 @@ def test_conv2d_blocked_forward_matches_direct_sum(monkeypatch, config, samples_
 def test_conv2d_blocked_gradients(monkeypatch, config):
     layer, x, rng = _blocked_conv(monkeypatch, config, 2)
     _check_all_grads(layer, x, rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), c=st.integers(1, 3),
+       h=st.integers(1, 6), w=st.integers(1, 6), fh=st.integers(1, 4),
+       fw=st.integers(1, 4), same=st.booleans(), one_row=st.booleans())
+def test_window_view_equals_sliding_window_view(seed, n, c, h, w, fh, fw, same, one_row):
+    if one_row:
+        h = 1
+    rng = np.random.default_rng(seed)
+    xt = rng.normal(size=(n, h, w, c))
+    if same:   # the padded input, as the kernel builds it
+        xp = np.zeros((n, h + fh - 1, w + fw - 1, c))
+        xp[:, (fh - 1) // 2:(fh - 1) // 2 + h, (fw - 1) // 2:(fw - 1) // 2 + w] = xt
+    else:
+        fh, fw = min(fh, h), min(fw, w)
+        xp = np.ascontiguousarray(xt)
+    expected = sliding_window_view(xp, (fh, fw), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
+    view = layers._windows(xp, fh, fw)
+    assert view.shape == expected.shape
+    assert np.shares_memory(view, xp)
+    np.testing.assert_array_equal(view, expected)
 
 
 @settings(max_examples=25, deadline=None)
@@ -505,3 +533,71 @@ def test_he_initialization_statistics():
     layer.init_params(rng)
     assert abs(layer.weights.std() - np.sqrt(2.0 / 200)) < 0.005
     np.testing.assert_array_equal(layer.bias, 0.0)
+
+
+# ---------------------------------------------------------------- flat parameter vector
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
+
+
+def _assert_params_are_views(model):
+    params = model.trainable_params
+    assert sum(p.size for p in params) == model.params.size
+    for p in params:
+        assert np.shares_memory(p, model.params)
+    np.testing.assert_array_equal(np.concatenate([p.ravel() for p in params]), model.params)
+
+
+@pytest.mark.parametrize("make", [_small_model, lambda: load_model_spec(SPECS / "iris.spec"),
+                                  lambda: load_model_spec(SPECS / "mnist.spec")],
+                         ids=["small", "iris", "mnist"])
+def test_trainable_arrays_are_views_of_the_flat_vector(tmp_path, make):
+    model = make()
+    assert model.params is None
+    model.initialize(np.random.default_rng(30))
+    _assert_params_are_views(model)
+    # a write through the flat vector is a write to the layers, and back
+    model.params[:] = np.arange(model.params.size)
+    assert model.trainable_params[0].ravel()[1] == 1.0
+    model.trainable_params[-1][...] = -1.0
+    assert model.params[-1] == -1.0
+
+    snap = model.snapshot()
+    model.params += 1.0
+    model.restore(snap)
+    _assert_params_are_views(model)
+    for a, b in zip(model.state_arrays, snap):
+        np.testing.assert_array_equal(a, b)
+
+    path = tmp_path / "model.divf"
+    save_checkpoint(model, make_codebook(2, model.rank), path)
+    loaded, _, _ = load_checkpoint(path)
+    _assert_params_are_views(loaded)
+    for a, b in zip(loaded.state_arrays, model.state_arrays):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_model_without_parameters_gets_an_empty_vector():
+    model = parse_model_spec("input 8\nwalsh_rank 8\nflatten\n").initialize(0)
+    assert model.params.shape == (0,)
+    assert model.trainable_params == []
+
+
+def _randomize_running_stats(model, rng):
+    for layer in model.layers:
+        if isinstance(layer, BatchNorm):
+            layer.running_mean[:] = rng.normal(size=layer.planes)
+            layer.running_var[:] = rng.uniform(0.5, 2.0, size=layer.planes)
+
+
+@pytest.mark.parametrize("name", ["iris", "mnist"])
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6))
+def test_model_batched_inference_matches_per_sample(name, seed, n):
+    rng = np.random.default_rng(seed)
+    model = load_model_spec(SPECS / f"{name}.spec").initialize(rng)
+    _randomize_running_stats(model, rng)
+    x = rng.normal(size=(n,) + model.input_shape)
+    batched = model.forward(x, mode="infer")
+    per_sample = np.concatenate([model.forward(x[i:i + 1], mode="infer") for i in range(n)])
+    np.testing.assert_allclose(batched, per_sample, rtol=1e-9, atol=1e-9)

@@ -7,8 +7,8 @@ from divfe import trainer
 from divfe.augment import AugmentConfig
 from divfe.data_io import LabeledDataset, SplitSpec
 from divfe.divergence import analyze
-from divfe.layers import BatchNorm, Dense, FeatureExtractor, Flatten
-from divfe.numerics import ContractError, ShapeError
+from divfe.layers import BatchNorm, Conv1D, Dense, FeatureExtractor, Flatten, Layer, ReLU, mse_loss
+from divfe.numerics import ContractError, GradientTape, ShapeError, backward
 from divfe.trainer import (GrowthTemplate, TrainConfig, TrainingDivergedError,
                            derive_rng, evaluate, fit, grow_layers, run_trials)
 from divfe.walsh import make_codebook
@@ -274,3 +274,86 @@ def test_fit_checks_batchnorm_batches_after_augmentation():
                       augment=AugmentConfig(factor=3))
     report = fit(model, train.subset([0]), val, make_codebook(2, 4), cfg)
     assert report.epochs_run == 2
+
+
+# ---------------------------------------------------------------- flat SGD step
+
+def _conv_model(dim=6, rank=4):
+    return FeatureExtractor([Conv1D(3, 4, padding="same"), BatchNorm(), ReLU(), Flatten(),
+                             Dense(rank)], (1, dim), rank)
+
+
+def _reference_sgd_epoch(model, train, codebook, cfg):
+    """fit's first epoch with the update written per array: v *= m; v += g; p -= lr*v."""
+    targets = codebook.targets()[train.labels]
+    order = derive_rng(cfg.seed, 0, trainer.STREAM_SHUFFLE).permutation(len(train))
+    params = model.trainable_params
+    velocity = [np.zeros_like(p) for p in params]
+    for start in range(0, len(train), cfg.batch_size):
+        idx = order[start:start + cfg.batch_size]
+        tape = GradientTape()
+        out = model.forward(train.samples[idx], mode="train", tape=tape)
+        grads = backward(tape, mse_loss(out, targets[idx], tape=tape))
+        for p, v in zip(params, velocity):
+            v *= cfg.momentum
+            v += grads[id(p)]
+            p -= cfg.learning_rate * v
+
+
+def test_flat_sgd_step_equals_per_array_reference():
+    train, val = _split_even(_blobs())
+    cb = make_codebook(2, 4)
+    cfg = TrainConfig(learning_rate=0.02, momentum=0.9, batch_size=16, max_epochs=1,
+                      patience=1, seed=3)
+    model = _conv_model().initialize(np.random.default_rng(40))
+    reference = _conv_model().initialize(np.random.default_rng(40))
+    fit(model, train, val, cb, cfg)
+    _reference_sgd_epoch(reference, train, cb, cfg)
+    moved = False
+    for a, b, start in zip(model.state_arrays, reference.state_arrays,
+                           _conv_model().initialize(np.random.default_rng(40)).state_arrays):
+        np.testing.assert_array_equal(a, b)   # bit for bit
+        moved = moved or not np.array_equal(a, start)
+    assert moved
+
+
+def test_fit_rejects_a_parameter_rebound_after_initialize():
+    train, val = _split_even(_blobs())
+    cfg = TrainConfig(batch_size=16, max_epochs=1, patience=1)
+    model = _conv_model().initialize(np.random.default_rng(41))
+    model.layers[0].weights = model.layers[0].weights.copy()
+    with pytest.raises(ContractError, match="initialize"):
+        fit(model, train, val, make_codebook(2, 4), cfg)
+    with pytest.raises(ContractError, match="initialize"):
+        fit(_conv_model(), train, val, make_codebook(2, 4), cfg)   # never initialised
+
+
+class _Detached(Layer):
+    """Identity with a parameter that no tape entry reaches."""
+
+    param_names = ("weights",)
+
+    def wire(self, in_shape):
+        return tuple(in_shape)
+
+    def init_params(self, rng):
+        self.weights = np.ones(2)
+
+    def forward(self, x, mode="infer", tape=None):
+        return x
+
+
+def test_fit_rejects_a_parameter_without_gradient():
+    train, val = _split_even(_blobs())
+    model = FeatureExtractor([_Detached(), Flatten(), Dense(4)], (1, 6), 4)
+    model.initialize(np.random.default_rng(42))
+    cfg = TrainConfig(batch_size=16, max_epochs=1, patience=1)
+    with pytest.raises(ContractError, match="no gradient"):
+        fit(model, train, val, make_codebook(2, 4), cfg)
+
+
+@pytest.mark.parametrize("field", ["learning_rate", "momentum"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_train_config_rejects_non_finite_rates(field, value):
+    with pytest.raises(ContractError):
+        TrainConfig(**{field: value})
