@@ -27,12 +27,17 @@ class AugmentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("gain_low", "gain_high", "snr_db", "max_rotation"):
+            if not np.isfinite(getattr(self, name)):
+                raise ContractError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0 < self.gain_low <= self.gain_high:
             raise ContractError("need 0 < gain_low <= gain_high")
         if self.factor < 1:
             raise ContractError("expansion factor must be >= 1")
         if not 0.0 <= self.max_rotation <= 1.0:
             raise ContractError("max_rotation must be in [0, 1]")
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
 
 
 def amplify(signal: np.ndarray, gain: float) -> np.ndarray:

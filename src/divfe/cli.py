@@ -84,23 +84,15 @@ def _load_run_config(path) -> RunConfig:
                 setattr(cfg, key, casts[key](value))
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
-    for key in ("augment_snr_db", "augment_gain_low", "augment_gain_high", "augment_rotation"):
-        if not np.isfinite(getattr(cfg, key)):
-            raise ContractError(f"{path}: {key} must be finite, got {getattr(cfg, key)}")
     if cfg.standardize not in (-1, 0, 1):
         raise ContractError(f"{path}: standardize must be -1, 0 or 1, got {cfg.standardize}")
     return cfg
 
 
 def _train_config(cfg: RunConfig) -> TrainConfig:
-    augment = None
-    if cfg.augment_factor > 1:
-        augment = AugmentConfig(gain_low=cfg.augment_gain_low,
-                                gain_high=cfg.augment_gain_high,
-                                snr_db=cfg.augment_snr_db,
-                                max_rotation=cfg.augment_rotation,
-                                factor=cfg.augment_factor,
-                                seed=cfg.seed)
+    augment = AugmentConfig(gain_low=cfg.augment_gain_low, gain_high=cfg.augment_gain_high,
+                            snr_db=cfg.augment_snr_db, max_rotation=cfg.augment_rotation,
+                            factor=cfg.augment_factor, seed=cfg.seed)
     return TrainConfig(learning_rate=cfg.lr, momentum=cfg.momentum,
                        batch_size=cfg.batch, max_epochs=cfg.epochs,
                        patience=cfg.patience, seed=cfg.seed, augment=augment)
@@ -241,10 +233,10 @@ def cmd_grow(args) -> int:
 
 
 def cmd_augment(args) -> int:
-    dataset = load_signals_csv(args.data)
     config = AugmentConfig(factor=args.factor, seed=args.seed, snr_db=args.snr_db,
                            gain_low=args.gain_low, gain_high=args.gain_high,
                            max_rotation=args.rotation)
+    dataset = load_signals_csv(args.data)
     expanded = expand_training_set(dataset, config)
     save_signals_csv(args.out, expanded)
     print(f"input_samples={len(dataset)}")

@@ -65,6 +65,8 @@ class SplitSpec:
             frac = getattr(self, name)
             if not 0.0 < frac < 1.0:
                 raise ContractError(f"{name} must be in (0, 1), got {frac}")
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
 
 
 def _finite_floats(fields):
@@ -120,7 +122,7 @@ def _read_idx(path, expected_magic, expected_ndim):
                               f"expected 0x{expected_magic:08x}")
         dims = struct.unpack(f">{expected_ndim}I", header[4:])
         payload = fh.read()
-    expected_bytes = int(np.prod(dims))
+    expected_bytes = math.prod(dims)   # exact: int64 would wrap for huge headers
     if len(payload) < expected_bytes:
         raise FormatError(f"{path}: payload holds {len(payload)} bytes, "
                           f"dimensions require {expected_bytes}")

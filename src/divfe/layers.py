@@ -1,10 +1,12 @@
 """Feature-extractor building blocks with forward passes and gradients.
 
 All layers operate on batched channels-first arrays: ``(N, C, L)`` for 1D
-signals, ``(N, C, H, W)`` for images, ``(N, D)`` after flattening. Forward
-passes record a single entry on a :class:`~divfe.numerics.GradientTape`;
-the backward closure returns gradients for the input and every trainable
-parameter, so :func:`divfe.numerics.backward` reaches all of them.
+signals, ``(N, C, H, W)`` for images, ``(N, D)`` after flattening. In
+training, a layer that computes something records one entry on a
+:class:`~divfe.numerics.GradientTape`, named by its spec keyword, whose
+inputs are the layer's input followed by its trainable arrays in
+``param_names`` order; :func:`divfe.numerics.backward` walks these entries
+as one chain.
 
 Convolution is implemented as cross-correlation (the usual CNN convention),
 stride 1. Padding is ``valid`` by default; ``same`` zero-padding is available
@@ -418,8 +420,8 @@ class Dropout(Layer):
 
     def forward(self, x, mode="infer", tape=None):
         if mode != "train" or self.rate == 0.0:
-            # identity: pass the array through; gradients flow via the
-            # surrounding entries without a tape record
+            # identity: the next entry is called on x itself, so the chain
+            # needs no record here
             return x
         keep = 1.0 - self.rate
         mask = (self.rng.random(x.shape) >= self.rate) / keep
@@ -519,8 +521,7 @@ def mse_loss(output: np.ndarray, target: np.ndarray,
     diff = output - target
     loss = np.asarray(np.sum(diff * diff) / n)
     if tape is not None:
-        tape.record(loss, (output, target),
-                    lambda g: (g * 2.0 * diff / n, None), "mse")
+        tape.record(loss, (output,), lambda g: (g * 2.0 * diff / n,), "mse")
     return loss
 
 

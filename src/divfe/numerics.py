@@ -1,14 +1,14 @@
-"""Reverse-mode gradient bookkeeping.
+"""Reverse-mode gradients down a chain of layers.
 
 Tensors are plain numpy float64 arrays. Gradient shapes are checked
 explicitly and never broadcast implicitly: in a hand-wired network a silent
 broadcast is almost always a wiring bug.
 
-The :class:`GradientTape` is a Wengert list. Every differentiable operation
-executed in training mode appends one entry holding its inputs, its output
-and a backward closure. :func:`backward` replays the entries in reverse,
-accumulating dLoss/dx for every array that participated (parameters
-included), keyed by array identity.
+The model is a plain chain: in training mode every layer that computes
+something records one entry on a :class:`GradientTape`, called on the
+previous entry's output, and the loss records the last one. :func:`backward`
+walks the chain once in reverse, passing each entry's input gradient on as
+the upstream gradient of the entry before it.
 """
 
 import numpy as np
@@ -22,64 +22,49 @@ class ContractError(ValueError):
     pass
 
 
-class TapeEntry:
-    """One executed operation: output, inputs and the backward closure.
+class GradientTape:
+    """The executed chain of one step: ``(output, inputs, backward_fn, name)``
+    tuples in execution order.
 
-    ``backward_fn(upstream)`` returns one gradient per input, aligned with
-    ``inputs``. A ``None`` gradient marks a non-differentiable input.
+    ``inputs[0]`` is the array the operation was called on; the others are
+    its trainable arrays. ``backward_fn(upstream)`` returns one gradient per
+    input, aligned with ``inputs``.
     """
 
-    __slots__ = ("output", "inputs", "backward_fn", "name")
-
-    def __init__(self, output, inputs, backward_fn, name=""):
-        self.output = output
-        self.inputs = tuple(inputs)
-        self.backward_fn = backward_fn
-        self.name = name
-
-
-class GradientTape:
-    """Ordered record of executed differentiable operations."""
-
     def __init__(self):
-        self.entries: list[TapeEntry] = []
+        self.entries = []
 
     def record(self, output, inputs, backward_fn, name=""):
-        self.entries.append(TapeEntry(output, inputs, backward_fn, name))
+        self.entries.append((output, tuple(inputs), backward_fn, name))
         return output
 
-    def __len__(self):
-        return len(self.entries)
 
+def backward(tape: GradientTape, loss: np.ndarray):
+    """Gradients of a scalar loss, walking the tape's chain in reverse.
 
-def backward(tape: GradientTape, loss: np.ndarray) -> dict:
-    """Reverse-accumulate gradients of a scalar loss over a tape.
-
-    Returns a dict keyed by ``id(array)`` mapping to dLoss/d(array) for every
-    input touched by a recorded operation. Entry arrays stay referenced by
-    the tape, so the id keys remain valid while the tape is alive.
+    Returns ``(dx, [(array, grad), ...])``: the gradient of the first entry's
+    first input, then every other recorded input with its gradient, in
+    recording order. Raises :class:`ContractError` unless the loss is the last
+    entry's output and every entry was called on the previous entry's output.
     """
     loss = np.asarray(loss)
     if loss.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.shape}")
+    if not tape.entries:
+        raise ContractError("the tape is empty")
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss, dtype=np.float64)}
-    for entry in reversed(tape.entries):
-        upstream = grads.get(id(entry.output))
-        if upstream is None:
-            continue
-        input_grads = entry.backward_fn(upstream)
-        if len(input_grads) != len(entry.inputs):
-            raise ContractError(f"{entry.name}: backward returned {len(input_grads)} grads "
-                                f"for {len(entry.inputs)} inputs")
-        for inp, g in zip(entry.inputs, input_grads):
-            if g is None:
-                continue
+    upstream, consumed, per_entry = np.ones_like(loss, dtype=np.float64), loss, []
+    for output, inputs, backward_fn, name in reversed(tape.entries):
+        if output is not consumed:
+            raise ContractError(f"the tape is not a chain: {name}'s output is neither the "
+                                "loss nor the input of the next entry")
+        grads = backward_fn(upstream)
+        if len(grads) != len(inputs):
+            raise ContractError(f"{name}: backward returned {len(grads)} grads "
+                                f"for {len(inputs)} inputs")
+        for inp, g in zip(inputs, grads):
             if g.shape != inp.shape:
-                raise ShapeError(f"{entry.name}: gradient shape {g.shape} != input {inp.shape}")
-            key = id(inp)
-            if key in grads:
-                grads[key] = grads[key] + g
-            else:
-                grads[key] = g
-    return grads
+                raise ShapeError(f"{name}: gradient shape {g.shape} != input {inp.shape}")
+        per_entry.append(zip(inputs[1:], grads[1:]))
+        upstream, consumed = grads[0], inputs[0]
+    return upstream, [pair for pairs in reversed(per_entry) for pair in pairs]

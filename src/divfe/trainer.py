@@ -55,6 +55,8 @@ class TrainConfig:
             raise ContractError("learning rate must be >= 0")
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
             raise ContractError("batch_size, max_epochs and patience must be >= 1")
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -136,7 +138,6 @@ def fit(model: FeatureExtractor, train_set: LabeledDataset,
             or not all(np.shares_memory(p, flat) for p in params)):
         raise ContractError("the trainable arrays are not views of model.params; "
                             "call model.initialize() after replacing one")
-    keys = [id(p) for p in params]
     grad = np.empty_like(flat)
     grad_views = model.flat_views(grad)
     velocity = np.zeros_like(flat)
@@ -162,12 +163,11 @@ def fit(model: FeatureExtractor, train_set: LabeledDataset,
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}")
-            grads = backward(tape, loss)
-            try:
-                for key, view in zip(keys, grad_views):
-                    view[...] = grads[key]
-            except KeyError:
-                raise ContractError("a trainable array received no gradient") from None
+            _, grads = backward(tape, loss)
+            if len(grads) != len(params) or any(a is not p for (a, _), p in zip(grads, params)):
+                raise ContractError("a trainable array received no gradient")
+            for view, (_, g) in zip(grad_views, grads):
+                view[...] = g
             velocity *= config.momentum
             velocity += grad
             flat -= config.learning_rate * velocity

@@ -35,7 +35,7 @@ def relative_error(analytic, numeric) -> float:
 
 
 def analytic_grads(layer, x, proj, mode="train"):
-    """Gradients of sum(forward(x) * proj) w.r.t. x and all parameters."""
+    """Gradients of sum(forward(x) * proj): ``(dx, [(param, grad), ...])``."""
     tape = GradientTape()
     y = layer.forward(x, mode=mode, tape=tape)
     loss = np.asarray(np.sum(y * proj))
@@ -52,10 +52,13 @@ def numeric_wrt(layer, x, proj, target, mode="train"):
 
 def check_all_grads(layer, x, rng, mode="train", tol=TOL):
     proj = rng.normal(size=layer.forward(x, mode=mode).shape)
-    grads = analytic_grads(layer, x, proj, mode=mode)
-    assert relative_error(grads[id(x)], numeric_wrt(layer, x, proj, x, mode)) < tol
-    for p in layer.trainable_params:
-        assert relative_error(grads[id(p)], numeric_wrt(layer, x, proj, p, mode)) < tol
+    dx, grads = analytic_grads(layer, x, proj, mode=mode)
+    assert relative_error(dx, numeric_wrt(layer, x, proj, x, mode)) < tol
+    params = layer.trainable_params
+    assert len(grads) == len(params)
+    for (p, g), expected in zip(grads, params):
+        assert p is expected
+        assert relative_error(g, numeric_wrt(layer, x, proj, p, mode)) < tol
 
 
 def run_layer_gradient_sweep(n_configs=N_CONFIGS, master_seed=100):
@@ -141,9 +144,9 @@ def run_layer_gradient_sweep(n_configs=N_CONFIGS, master_seed=100):
         target = rng.normal(size=(n, m))
         tape = GradientTape()
         loss = mse_loss(out, target, tape=tape)
-        grads = backward(tape, loss)
+        dout, _ = backward(tape, loss)
         num = numeric_gradient(lambda a: float(mse_loss(a, target)), out, step=STEP)
-        assert relative_error(grads[id(out)], num) < TOL
+        assert relative_error(dout, num) < TOL
         checked += 1
 
     return checked

@@ -126,3 +126,12 @@ def test_config_validation():
         AugmentConfig(factor=0)
     with pytest.raises(ContractError):
         AugmentConfig(max_rotation=1.5)
+    with pytest.raises(ContractError):
+        AugmentConfig(seed=-1)
+
+
+@pytest.mark.parametrize("field", ["gain_low", "gain_high", "snr_db", "max_rotation"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_config_rejects_non_finite_values(field, value):
+    with pytest.raises(ContractError, match=f"{field} must be finite"):
+        AugmentConfig(**{field: value})

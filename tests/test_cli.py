@@ -330,6 +330,31 @@ def test_non_finite_csv_values_are_parse_error(tmp_path, signal_csv, trained, ca
     assert "error=parse-error" in err and "bad.csv:6: non-finite" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--factor", "0"),
+                                         ("--snr-db", "nan"), ("--gain-high", "inf"),
+                                         ("--gain-low", "-inf"), ("--rotation", "nan")])
+def test_bad_augment_flags_are_contract_error_before_data_loads(tmp_path, capsys, flag, value):
+    # the data file does not exist: the flags must be rejected first
+    out = tmp_path / "augmented.csv"
+    code = main(["augment", "--data", str(tmp_path / "nope.csv"), "--out", str(out),
+                 f"{flag}={value}"])
+    assert code == 7
+    assert "error=contract-error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_idx_dimensions_overflowing_int64_are_format_error(tmp_path, capsys):
+    # 2**31 * 2**31 * 4 images wrap to 0 bytes in int64 arithmetic
+    model_path = tmp_path / "model.spec"
+    model_path.write_text("input 28x28\nwalsh_rank 16\nflatten\ndense 16\n")
+    images, labels = _write_idx_pair(tmp_path, 1)
+    images.write_bytes(struct.pack(">IIII", 0x00000803, 2 ** 31, 2 ** 31, 4))
+    code = main(["train", "--model", str(model_path), "--data", str(images),
+                 "--format", "mnist", "--labels", str(labels), "--out", str(tmp_path / "o.divf")])
+    assert code == 5
+    assert "error=format-error" in capsys.readouterr().err
+
+
 def test_idx_pair_without_images_is_format_error(tmp_path, capsys):
     model_path = tmp_path / "model.spec"
     model_path.write_text("input 28x28\nwalsh_rank 16\nflatten\ndense 16\n")
@@ -343,7 +368,7 @@ def test_idx_pair_without_images_is_format_error(tmp_path, capsys):
 @pytest.mark.parametrize("line", ["lr = nan", "lr = inf", "momentum = nan",
                                   "augment_snr_db = nan", "augment_gain_low = -inf",
                                   "augment_gain_high = nan", "augment_rotation = inf",
-                                  "standardize = 5"])
+                                  "standardize = 5", "seed = -1", "augment_factor = 0"])
 def test_bad_config_values_are_contract_error_before_data_loads(tmp_path, capsys, line):
     model_path = tmp_path / "model.spec"
     model_path.write_text(MODEL_SPEC)

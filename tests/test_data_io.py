@@ -211,6 +211,11 @@ def test_split_spec_fraction_bounds():
         SplitSpec(0.8, 1.0)
 
 
+def test_split_spec_rejects_negative_seed():
+    with pytest.raises(ContractError, match="seed"):
+        SplitSpec(0.8, 0.1, seed=-1)
+
+
 # ---------------------------------------------------------------- normalization
 
 def test_standardizer_zero_mean_unit_variance():

@@ -199,11 +199,10 @@ def test_conv1d_equals_conv2d_with_height_one(seed, n, c, length, f, planes, sam
     y1, y2 = conv1.forward(x1), conv2.forward(x2)
     np.testing.assert_allclose(y1, y2[:, :, 0], rtol=1e-12, atol=1e-12)
     proj = rng.normal(size=y1.shape)
-    g1 = analytic_grads(conv1, x1, proj)
-    g2 = analytic_grads(conv2, x2, proj[:, :, None])
-    for a, b in ((x1, x2), (conv1.weights, conv2.weights), (conv1.bias, conv2.bias)):
-        np.testing.assert_allclose(g1[id(a)], g2[id(b)].reshape(a.shape),
-                                   rtol=1e-12, atol=1e-12)
+    dx1, g1 = analytic_grads(conv1, x1, proj)
+    dx2, g2 = analytic_grads(conv2, x2, proj[:, :, None])
+    for (a, ga), (_, gb) in zip([(x1, dx1)] + g1, [(x2, dx2)] + g2, strict=True):
+        np.testing.assert_allclose(ga, gb.reshape(a.shape), rtol=1e-12, atol=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -253,7 +252,7 @@ def test_maxpool_forward_and_tie_rule():
         out = layer.forward(x, mode="train", tape=tape)
         loss = np.asarray(out.sum())
         tape.record(loss, (out,), lambda g: (g * np.ones_like(out),), "proj")
-        np.testing.assert_array_equal(backward(tape, loss)[id(x)], expected)
+        np.testing.assert_array_equal(backward(tape, loss)[0], expected)
 
 
 def test_maxpool_window_must_divide():
@@ -389,8 +388,8 @@ def test_dropout_gradient_matches_mask():
     proj = rng.normal(size=y.shape)
     loss = np.asarray(np.sum(y * proj))
     tape.record(loss, (y,), lambda g: (g * proj,), "proj")
-    grads = backward(tape, loss)
-    np.testing.assert_allclose(grads[id(x)], proj * mask)
+    dx, _ = backward(tape, loss)
+    np.testing.assert_allclose(dx, proj * mask)
 
 
 def test_dropout_rate_validation():
@@ -460,9 +459,9 @@ def test_mse_loss_gradient():
         target = rng.normal(size=(n, m))
         tape = GradientTape()
         loss = mse_loss(out, target, tape=tape)
-        grads = backward(tape, loss)
+        dout, _ = backward(tape, loss)
         num = numeric_gradient(lambda a: float(mse_loss(a, target)), out, step=STEP)
-        assert relative_error(grads[id(out)], num) < TOL
+        assert relative_error(dout, num) < TOL
 
 
 def test_mse_loss_shape_mismatch():
@@ -491,11 +490,12 @@ def test_model_end_to_end_gradient():
     tape = GradientTape()
     out = model.forward(x, mode="train", tape=tape)
     loss = mse_loss(out, target, tape=tape)
-    grads = backward(tape, loss)
-    for p in model.trainable_params:
+    _, grads = backward(tape, loss)
+    assert [id(p) for p, _ in grads] == [id(p) for p in model.trainable_params]
+    for p, g in grads:
         def fn(_):
             return float(mse_loss(model.forward(x, mode="train"), target))
-        assert relative_error(grads[id(p)], numeric_gradient(fn, p, step=STEP)) < TOL
+        assert relative_error(g, numeric_gradient(fn, p, step=STEP)) < TOL
 
 
 def test_model_snapshot_restore_roundtrip():

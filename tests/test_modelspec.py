@@ -139,8 +139,11 @@ def test_every_layer_kind_is_traceable_by_its_spec_keyword():
         x = np.random.default_rng(1).normal(size=(3,) + model.input_shape)
         tape = GradientTape()
         model.forward(x, mode="train", tape=tape)
-        assert [e.name for e in tape.entries] == [line.split()[0]
-                                                  for line in model.spec_lines()]
+        assert [name for *_, name in tape.entries] == [line.split()[0]
+                                                       for line in model.spec_lines()]
+        # a chain: every entry was called on the previous entry's output
+        assert all(inputs[0] is before[0]
+                   for before, (_, inputs, _, _) in zip(tape.entries, tape.entries[1:]))
         seen |= {type(layer) for layer in model.layers}
     buildable = {obj for obj in vars(modelspec).values()
                  if isinstance(obj, type) and issubclass(obj, Layer)}

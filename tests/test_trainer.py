@@ -293,10 +293,10 @@ def _reference_sgd_epoch(model, train, codebook, cfg):
         idx = order[start:start + cfg.batch_size]
         tape = GradientTape()
         out = model.forward(train.samples[idx], mode="train", tape=tape)
-        grads = backward(tape, mse_loss(out, targets[idx], tape=tape))
-        for p, v in zip(params, velocity):
+        _, grads = backward(tape, mse_loss(out, targets[idx], tape=tape))
+        for (p, g), v in zip(grads, velocity, strict=True):
             v *= cfg.momentum
-            v += grads[id(p)]
+            v += g
             p -= cfg.learning_rate * v
 
 
@@ -352,8 +352,36 @@ def test_fit_rejects_a_parameter_without_gradient():
         fit(model, train, val, make_codebook(2, 4), cfg)
 
 
+class _SwappedDense(Dense):
+    """Dense whose tape entry lists its bias before its weights."""
+
+    def forward(self, x, mode="infer", tape=None):
+        weights, bias = self.weights, self.bias
+        y = x @ weights.T + bias
+        if tape is not None:
+            tape.record(y, (x, bias, weights),
+                        lambda dy: (dy @ weights, dy.sum(axis=0), dy.T @ x), "dense")
+        return y
+
+
+def test_fit_rejects_gradients_out_of_parameter_order():
+    # each gradient is copied into its parameter's slice by position, so an
+    # entry that records its arrays out of param_names order is refused
+    train, val = _split_even(_blobs())
+    model = FeatureExtractor([Flatten(), _SwappedDense(4)], (1, 6), 4)
+    model.initialize(np.random.default_rng(43))
+    cfg = TrainConfig(batch_size=16, max_epochs=1, patience=1)
+    with pytest.raises(ContractError, match="no gradient"):
+        fit(model, train, val, make_codebook(2, 4), cfg)
+
+
 @pytest.mark.parametrize("field", ["learning_rate", "momentum"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_train_config_rejects_non_finite_rates(field, value):
     with pytest.raises(ContractError):
         TrainConfig(**{field: value})
+
+
+def test_train_config_rejects_negative_seed():
+    with pytest.raises(ContractError, match="seed"):
+        TrainConfig(seed=-1)
