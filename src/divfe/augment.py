@@ -7,7 +7,7 @@ inversion, circular rotation along time, and additive noise at a fixed SNR.
 every original sample and appending independently composed variants.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -93,8 +93,6 @@ def expand_training_set(dataset, config: AugmentConfig):
     sample with the label copied. Deterministic for a fixed seed: each
     variant draws from its own spawned RNG stream.
     """
-    from .data_io import LabeledDataset  # local import to avoid a cycle
-
     samples = np.asarray(dataset.samples, dtype=np.float64)
     if samples.ndim != 2:
         raise ContractError("augmentation is defined for 1D signals only")
@@ -104,18 +102,11 @@ def expand_training_set(dataset, config: AugmentConfig):
     n = samples.shape[0]
     streams = np.random.SeedSequence(config.seed).spawn(n * (config.factor - 1))
     out_samples = [samples]
-    out_labels = [np.asarray(dataset.labels)]
     for v in range(config.factor - 1):
         variants = np.empty_like(samples)
         for i in range(n):
             rng = np.random.default_rng(streams[v * n + i])
             variants[i] = augment_signal(samples[i], config, rng)
         out_samples.append(variants)
-        out_labels.append(np.asarray(dataset.labels))
-    return LabeledDataset(
-        samples=np.concatenate(out_samples, axis=0),
-        labels=np.concatenate(out_labels, axis=0),
-        class_count=dataset.class_count,
-        class_names=dataset.class_names,
-        provenance=f"{dataset.provenance}+augmented_x{config.factor}",
-    )
+    return replace(dataset, samples=np.concatenate(out_samples, axis=0),
+                   labels=np.tile(dataset.labels, config.factor))

@@ -114,6 +114,17 @@ def _load_dataset(path, fmt, labels_path=None) -> LabeledDataset:
     raise ParseError(f"unknown data format {fmt!r}")
 
 
+def _split_and_standardize(dataset, cfg: RunConfig, fmt):
+    """The seeded ``(train, validation, test)`` split and the standardiser fitted
+    on its training pool and applied to all three (``None`` when off: with
+    ``standardize = -1`` it is on for iris only)."""
+    parts = split(dataset, SplitSpec(cfg.train_fraction, cfg.val_fraction, cfg.seed))
+    if cfg.standardize == 0 or (cfg.standardize == -1 and fmt != "iris"):
+        return parts, None
+    normalizer = Standardizer.fit(np.concatenate([parts[0].samples, parts[1].samples]))
+    return tuple(normalizer.apply(part) for part in parts), normalizer
+
+
 def _print_confusion(confusion):
     print("confusion=" + ";".join(",".join(str(v) for v in row) for row in confusion))
 
@@ -124,18 +135,8 @@ def cmd_train(args) -> int:
     model = load_model_spec(args.model)
     dataset = _load_dataset(args.data, args.format, args.labels)
     codebook = make_codebook(dataset.class_count, model.rank)
-
-    train_set, val_set, test_set = split(
-        dataset, SplitSpec(cfg.train_fraction, cfg.val_fraction, cfg.seed))
-    use_norm = cfg.standardize == 1 or (cfg.standardize == -1 and args.format == "iris")
-    normalizer = None
-    if use_norm:
-        pool = np.concatenate([train_set.samples, val_set.samples])
-        normalizer = Standardizer.fit(pool)
-        train_set, val_set, test_set = (normalizer.apply(train_set),
-                                        normalizer.apply(val_set),
-                                        normalizer.apply(test_set))
-
+    (train_set, val_set, test_set), normalizer = _split_and_standardize(dataset, cfg,
+                                                                        args.format)
     model.initialize(derive_rng(cfg.seed, 0, STREAM_INIT))
     metrics_path = args.metrics or (str(args.out) + ".metrics.csv")
     with open(metrics_path, "w", encoding="utf-8") as metrics:
@@ -211,8 +212,8 @@ def cmd_grow(args) -> int:
     template, rank = parse_growth_template(args.template.read_text(encoding="utf-8"))
     dataset = _load_dataset(args.data, args.format, args.labels)
     codebook = make_codebook(dataset.class_count, rank)
-    train_set, val_set, test_set = split(
-        dataset, SplitSpec(cfg.train_fraction, cfg.val_fraction, cfg.seed))
+    (train_set, val_set, test_set), normalizer = _split_and_standardize(dataset, cfg,
+                                                                        args.format)
     model, report = grow_layers(template, train_set, val_set, codebook,
                                 train_config, threshold=args.threshold,
                                 max_depth=args.max_depth)
@@ -227,7 +228,7 @@ def cmd_grow(args) -> int:
     result = evaluate(model, test_set, codebook)
     print(f"test_accuracy={result.accuracy:.9g}")
     if args.out:
-        save_checkpoint(model, codebook, args.out)
+        save_checkpoint(model, codebook, args.out, normalizer=normalizer)
         print(f"checkpoint={args.out}")
     return 0
 
@@ -301,7 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # divergence is caught from the loss, so numpy's overflow warnings
+        # would only print ahead of the one error line
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except Exception as exc:   # noqa: BLE001 - single exit point maps categories
         return _fail(exc)
 

@@ -35,7 +35,6 @@ class LabeledDataset:
     labels: np.ndarray           # (N,) int64 in [0, class_count)
     class_count: int
     class_names: tuple = ()
-    provenance: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
@@ -107,7 +106,6 @@ def load_iris(path) -> LabeledDataset:
         labels=np.asarray([index[n] for n in names]),
         class_count=len(class_names),
         class_names=class_names,
-        provenance=str(path),
     )
 
 
@@ -143,7 +141,6 @@ def load_mnist_idx(images_path, labels_path) -> LabeledDataset:
         labels=labels.astype(np.int64),
         class_count=10,
         class_names=tuple(str(d) for d in range(10)),
-        provenance=str(images_path),
     )
 
 
@@ -178,7 +175,6 @@ def load_signals_csv(path) -> LabeledDataset:
         samples=np.asarray(signals),
         labels=labels,
         class_count=int(labels.max()) + 1,
-        provenance=str(path),
     )
 
 

@@ -1,12 +1,14 @@
 """Feature-extractor building blocks with forward passes and gradients.
 
 All layers operate on batched channels-first arrays: ``(N, C, L)`` for 1D
-signals, ``(N, C, H, W)`` for images, ``(N, D)`` after flattening. In
-training, a layer that computes something records one entry on a
-:class:`~divfe.numerics.GradientTape`, named by its spec keyword, whose
-inputs are the layer's input followed by its trainable arrays in
-``param_names`` order; :func:`divfe.numerics.backward` walks these entries
-as one chain.
+signals, ``(N, C, H, W)`` for images, ``(N, D)`` after flattening. Each
+layer computes ``(y, bwd)`` in :meth:`Layer._apply`, where ``bwd(dy)``
+returns ``(dx, *parameter gradients)`` and is ``None`` for a pass-through.
+:meth:`Layer.forward` is the one place that records on a
+:class:`~divfe.numerics.GradientTape`: one entry per layer, named by its spec
+keyword (the lowercased class name), whose inputs are the layer's input
+followed by its trainable arrays in ``param_names`` order;
+:func:`divfe.numerics.backward` walks these entries as one chain.
 
 Convolution is implemented as cross-correlation (the usual CNN convention),
 stride 1. Padding is ``valid`` by default; ``same`` zero-padding is available
@@ -46,6 +48,10 @@ class Layer:
 
     param_names = ()   # attributes holding the trainable arrays, in order
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.kind = cls.__name__.lower()   # the spec keyword that names its tape entry
+
     def wire(self, in_shape: tuple) -> tuple:
         """Validate and return the per-sample output shape."""
         raise NotImplementedError
@@ -55,6 +61,14 @@ class Layer:
 
     def forward(self, x: np.ndarray, mode: str = "infer",
                 tape: GradientTape | None = None) -> np.ndarray:
+        y, bwd = self._apply(x, mode)
+        if tape is not None and bwd is not None:
+            tape.record(y, (x, *self.trainable_params), bwd, self.kind)
+        return y
+
+    def _apply(self, x, mode):
+        """``(y, bwd)``: the output and ``bwd(dy) -> (dx, *parameter grads)``,
+        or ``None`` in place of ``bwd`` when ``y`` is ``x`` itself."""
         raise NotImplementedError
 
     @property
@@ -71,7 +85,7 @@ class Layer:
         return 0
 
     def spec_line(self) -> str:
-        raise NotImplementedError
+        return self.kind
 
 
 def _he_init(rng, shape, fan_in):
@@ -196,18 +210,14 @@ class Conv1D(Layer):
         pad = " same" if self.padding == "same" else ""
         return f"conv1d {self.filter_len} {self.planes}{pad}"
 
-    def forward(self, x, mode="infer", tape=None):
-        weights, bias = self.weights, self.bias
-        y, bwd = _conv2d(x[:, :, None], weights[:, :, None], bias, self.padding)
-        y = y[:, :, 0]
-        if tape is not None:
+    def _apply(self, x, mode):
+        y, bwd = _conv2d(x[:, :, None], self.weights[:, :, None], self.bias, self.padding)
 
-            def bwd_1d(dy):
-                dx, dw, db = bwd(dy[:, :, None])
-                return dx[:, :, 0], dw[:, :, 0], db
+        def bwd_1d(dy):
+            dx, dw, db = bwd(dy[:, :, None])
+            return dx[:, :, 0], dw[:, :, 0], db
 
-            tape.record(y, (x, weights, bias), bwd_1d, "conv1d")
-        return y
+        return y[:, :, 0], bwd_1d
 
 
 class Conv2D(Layer):
@@ -252,11 +262,8 @@ class Conv2D(Layer):
         pad = " same" if self.padding == "same" else ""
         return f"conv2d {self.filter_h}x{self.filter_w} {self.planes}{pad}"
 
-    def forward(self, x, mode="infer", tape=None):
-        y, bwd = _conv2d(x, self.weights, self.bias, self.padding)
-        if tape is not None:
-            tape.record(y, (x, self.weights, self.bias), bwd, "conv2d")
-        return y
+    def _apply(self, x, mode):
+        return _conv2d(x, self.weights, self.bias, self.padding)
 
 
 class MaxPool(Layer):
@@ -283,7 +290,7 @@ class MaxPool(Layer):
     def spec_line(self):
         return f"maxpool {self.window}"
 
-    def forward(self, x, mode="infer", tape=None):
+    def _apply(self, x, mode):
         k = self.window
         outer = x.shape[:2] + tuple(ext // k for ext in x.shape[2:])
         d = x.ndim - 2
@@ -295,16 +302,14 @@ class MaxPool(Layer):
         win = moved.reshape(outer + (k ** d,))
         idx = win.argmax(axis=-1)
         y = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
-        if tape is not None:
 
-            def bwd(dy):
-                dwin = np.zeros_like(win)
-                np.put_along_axis(dwin, idx[..., None], dy[..., None], axis=-1)
-                dx = dwin.reshape(moved.shape).transpose(np.argsort(order)).reshape(x.shape)
-                return (dx,)
+        def bwd(dy):
+            dwin = np.zeros_like(win)
+            np.put_along_axis(dwin, idx[..., None], dy[..., None], axis=-1)
+            dx = dwin.reshape(moved.shape).transpose(np.argsort(order)).reshape(x.shape)
+            return (dx,)
 
-            tape.record(y, (x,), bwd, "maxpool")
-        return y
+        return y, bwd
 
 
 class BatchNorm(Layer):
@@ -337,15 +342,9 @@ class BatchNorm(Layer):
     def state_arrays(self):
         return self.trainable_params + [self.running_mean, self.running_var]
 
-    def spec_line(self):
-        return "batchnorm"
-
-    def _param_shape(self, ndim):
-        return (1, self.planes) + (1,) * (ndim - 2)
-
-    def forward(self, x, mode="infer", tape=None):
+    def _apply(self, x, mode):
         axes = (0,) + tuple(range(2, x.ndim))
-        pshape = self._param_shape(x.ndim)
+        pshape = (1, self.planes) + (1,) * (x.ndim - 2)
         gamma = self.scale.reshape(pshape)
         beta = self.shift.reshape(pshape)
 
@@ -361,24 +360,20 @@ class BatchNorm(Layer):
             self.running_mean += (1.0 - BN_MOMENTUM) * mu.reshape(-1)
             self.running_var *= BN_MOMENTUM
             self.running_var += (1.0 - BN_MOMENTUM) * var.reshape(-1)
+            m = x.size // self.planes
 
-            if tape is not None:
-                m = x.size // self.planes
-                scale, shift = self.scale, self.shift
+            def bwd(dy):
+                dgamma = (dy * xhat).sum(axis=axes).reshape(-1)
+                dbeta = dy.sum(axis=axes).reshape(-1)
+                dxhat = dy * gamma
+                dx = (inv_std / m) * (
+                    m * dxhat
+                    - dxhat.sum(axis=axes, keepdims=True)
+                    - xhat * (dxhat * xhat).sum(axis=axes, keepdims=True)
+                )
+                return dx, dgamma, dbeta
 
-                def bwd(dy):
-                    dgamma = (dy * xhat).sum(axis=axes).reshape(-1)
-                    dbeta = dy.sum(axis=axes).reshape(-1)
-                    dxhat = dy * gamma
-                    dx = (inv_std / m) * (
-                        m * dxhat
-                        - dxhat.sum(axis=axes, keepdims=True)
-                        - xhat * (dxhat * xhat).sum(axis=axes, keepdims=True)
-                    )
-                    return dx, dgamma, dbeta
-
-                tape.record(y, (x, scale, shift), bwd, "batchnorm")
-            return y
+            return y, bwd
 
         # the running statistics fold into one per-plane affine map y = x*a + b
         inv_std = (1.0 / np.sqrt(self.running_var + BN_EPSILON)).reshape(pshape)
@@ -386,16 +381,14 @@ class BatchNorm(Layer):
         mean = self.running_mean.reshape(pshape).copy()
         y = x * a
         y += beta - mean * a
-        if tape is not None:
 
-            def bwd(dy):
-                xhat = (x - mean) * inv_std
-                dgamma = (dy * xhat).sum(axis=axes).reshape(-1)
-                dbeta = dy.sum(axis=axes).reshape(-1)
-                return dy * a, dgamma, dbeta
+        def bwd(dy):
+            xhat = (x - mean) * inv_std
+            dgamma = (dy * xhat).sum(axis=axes).reshape(-1)
+            dbeta = dy.sum(axis=axes).reshape(-1)
+            return dy * a, dgamma, dbeta
 
-            tape.record(y, (x, self.scale, self.shift), bwd, "batchnorm")
-        return y
+        return y, bwd
 
 
 class Dropout(Layer):
@@ -418,17 +411,13 @@ class Dropout(Layer):
     def spec_line(self):
         return f"dropout {self.rate}"
 
-    def forward(self, x, mode="infer", tape=None):
+    def _apply(self, x, mode):
         if mode != "train" or self.rate == 0.0:
             # identity: the next entry is called on x itself, so the chain
             # needs no record here
-            return x
-        keep = 1.0 - self.rate
-        mask = (self.rng.random(x.shape) >= self.rate) / keep
-        y = x * mask
-        if tape is not None:
-            tape.record(y, (x,), lambda g: (g * mask,), "dropout")
-        return y
+            return x, None
+        mask = (self.rng.random(x.shape) >= self.rate) / (1.0 - self.rate)
+        return x * mask, lambda g: (g * mask,)
 
 
 class ReLU(Layer):
@@ -437,15 +426,9 @@ class ReLU(Layer):
     def wire(self, in_shape):
         return tuple(in_shape)
 
-    def spec_line(self):
-        return "relu"
-
-    def forward(self, x, mode="infer", tape=None):
-        y = np.maximum(x, 0.0)
-        if tape is not None:
-            gate = (x > 0).astype(np.float64)
-            tape.record(y, (x,), lambda g: (g * gate,), "relu")
-        return y
+    def _apply(self, x, mode):
+        # a float gate: a bool*float multiply costs about 4x as much
+        return np.maximum(x, 0.0), lambda g: (g * (x > 0).astype(np.float64),)
 
 
 class Flatten(Layer):
@@ -454,14 +437,8 @@ class Flatten(Layer):
     def wire(self, in_shape):
         return (int(np.prod(in_shape)),)
 
-    def spec_line(self):
-        return "flatten"
-
-    def forward(self, x, mode="infer", tape=None):
-        y = x.reshape(x.shape[0], -1)
-        if tape is not None:
-            tape.record(y, (x,), lambda g: (g.reshape(x.shape),), "flatten")
-        return y
+    def _apply(self, x, mode):
+        return x.reshape(x.shape[0], -1), lambda g: (g.reshape(x.shape),)
 
 
 class Dense(Layer):
@@ -493,17 +470,11 @@ class Dense(Layer):
     def spec_line(self):
         return f"dense {self.out_dim}"
 
-    def forward(self, x, mode="infer", tape=None):
+    def _apply(self, x, mode):
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ShapeError(f"Dense expects (N, {self.in_dim}), got {x.shape}")
-        weights, bias = self.weights, self.bias
-        y = x @ weights.T + bias
-        if tape is not None:
-            def bwd(dy):
-                return dy @ weights, dy.T @ x, dy.sum(axis=0)
-
-            tape.record(y, (x, weights, bias), bwd, "dense")
-        return y
+        weights = self.weights
+        return x @ weights.T + self.bias, lambda dy: (dy @ weights, dy.T @ x, dy.sum(axis=0))
 
 
 def mse_loss(output: np.ndarray, target: np.ndarray,

@@ -49,10 +49,10 @@ class TrainConfig:
     augment: AugmentConfig | None = None
 
     def __post_init__(self):
-        if not (np.isfinite(self.learning_rate) and np.isfinite(self.momentum)):
-            raise ContractError("learning rate and momentum must be finite")
-        if self.learning_rate < 0:
-            raise ContractError("learning rate must be >= 0")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ContractError(f"learning rate must be finite and >= 0, got {self.learning_rate}")
+        if not 0.0 <= self.momentum < 1.0:   # also rejects nan
+            raise ContractError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
             raise ContractError("batch_size, max_epochs and patience must be >= 1")
         if self.seed < 0:
@@ -66,7 +66,6 @@ class TrainReport:
     val_accuracy: list = field(default_factory=list)
     epochs_run: int = 0
     best_epoch: int = 0
-    test_accuracy: float | None = None
     growth_history: list = field(default_factory=list)   # (depth, train_accuracy)
     cap_reached: bool = False
 
@@ -174,6 +173,8 @@ def fit(model: FeatureExtractor, train_set: LabeledDataset,
             batch_losses.append(float(loss))
 
         val = evaluate(model, validation_set, codebook)
+        if not np.isfinite(val.mean_loss):
+            raise TrainingDivergedError(f"non-finite validation loss at epoch {epoch}")
         report.train_loss.append(float(np.mean(batch_losses)))
         report.val_loss.append(val.mean_loss)
         report.val_accuracy.append(val.accuracy)
@@ -229,9 +230,7 @@ def run_trials(model_factory, dataset: LabeledDataset, split_spec: SplitSpec,
         model = model_factory()
         model.initialize(derive_rng(config.seed, trial, STREAM_INIT))
         report = fit(model, train_set, val_set, codebook, config, trial=trial)
-        result = evaluate(model, test_set, codebook)
-        report.test_accuracy = result.accuracy
-        accuracies.append(result.accuracy)
+        accuracies.append(evaluate(model, test_set, codebook).accuracy)
         reports.append(report)
     acc = np.asarray(accuracies)
     return TrialResult(accuracies=tuple(accuracies),

@@ -73,8 +73,7 @@ def _dataset(n_per_class=5, length=32):
     rng = np.random.default_rng(1)
     samples = rng.normal(size=(2 * n_per_class, length)) + 1.0
     labels = np.repeat([0, 1], n_per_class)
-    return LabeledDataset(samples=samples, labels=labels, class_count=2,
-                          provenance="synthetic")
+    return LabeledDataset(samples=samples, labels=labels, class_count=2)
 
 
 def test_expansion_triples_each_class_and_keeps_originals():

@@ -125,6 +125,29 @@ def test_grow_command(tmp_path, signal_csv, capsys):
     assert out.exists()
 
 
+@pytest.mark.parametrize("standardize", [0, 1])
+def test_grow_standardizes_like_train(tmp_path, signal_csv, standardize):
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text(CONFIG + f"standardize = {standardize}\n")
+    template = tmp_path / "growth.cfg"
+    template.write_text("input 8\nwalsh_rank 4\nplanes 6\nfilters 2\n")
+    model_path = tmp_path / "model.spec"
+    model_path.write_text(MODEL_SPEC)
+    grown, trained = tmp_path / "grown.divf", tmp_path / "trained.divf"
+    assert main(["grow", "--template", str(template), "--data", str(signal_csv),
+                 "--format", "csv", "--config", str(config_path), "--threshold", "0",
+                 "--out", str(grown)]) == 0
+    assert main(["train", "--model", str(model_path), "--data", str(signal_csv),
+                 "--format", "csv", "--config", str(config_path), "--out", str(trained)]) == 0
+    grown_norm, trained_norm = load_checkpoint(grown)[2], load_checkpoint(trained)[2]
+    if standardize:
+        # the same split, so the same training pool and the same statistics
+        np.testing.assert_array_equal(grown_norm.mean, trained_norm.mean)
+        np.testing.assert_array_equal(grown_norm.std, trained_norm.std)
+    else:
+        assert grown_norm is None and trained_norm is None
+
+
 def test_grow_max_depth_zero_is_contract_error(tmp_path, signal_csv, capsys):
     template = tmp_path / "growth.cfg"
     template.write_text("input 8\nwalsh_rank 4\nplanes 6\nfilters 2 2\n")
@@ -285,6 +308,24 @@ def test_single_sample_batches_with_batchnorm_are_contract_error(tmp_path, signa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config", [
+    "lr = 1e308\nepochs = 2\n",               # caught at the second training batch
+    "lr = 1e308\nepochs = 1\nbatch = 200\n",  # one batch: caught by the validation loss
+], ids=["training-loss", "validation-loss"])
+def test_diverging_run_prints_only_the_error_line(tmp_path, signal_csv, capsys, config):
+    model_path = tmp_path / "model.spec"
+    model_path.write_text(MODEL_SPEC)
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text(config)
+    out = tmp_path / "o.divf"
+    code = main(["train", "--model", str(model_path), "--data", str(signal_csv),
+                 "--format", "csv", "--config", str(config_path), "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 8
+    assert len(err) == 1 and err[0].startswith("error=training-diverged: ")
+    assert not out.exists()
+
+
 def _write_idx_pair(tmp_path, n, h=28, w=28):
     images, labels = tmp_path / "images-idx3-ubyte", tmp_path / "labels-idx1-ubyte"
     images.write_bytes(struct.pack(">IIII", 0x00000803, n, h, w) + bytes(n * h * w))
@@ -368,7 +409,8 @@ def test_idx_pair_without_images_is_format_error(tmp_path, capsys):
 @pytest.mark.parametrize("line", ["lr = nan", "lr = inf", "momentum = nan",
                                   "augment_snr_db = nan", "augment_gain_low = -inf",
                                   "augment_gain_high = nan", "augment_rotation = inf",
-                                  "standardize = 5", "seed = -1", "augment_factor = 0"])
+                                  "standardize = 5", "seed = -1", "augment_factor = 0",
+                                  "momentum = -5", "momentum = 1"])
 def test_bad_config_values_are_contract_error_before_data_loads(tmp_path, capsys, line):
     model_path = tmp_path / "model.spec"
     model_path.write_text(MODEL_SPEC)

@@ -1,5 +1,6 @@
 """Layer forward passes and gradient checks against finite differences."""
 
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -475,6 +476,17 @@ def _small_model():
     layers = [Conv1D(3, 4), BatchNorm(), ReLU(), MaxPool(2),
               Flatten(), Dense(8)]
     return FeatureExtractor(layers, (1, 10), 8)
+
+
+def test_layer_forward_is_the_only_record_site():
+    # each layer computes (y, bwd) in _apply; Layer.forward records its entry
+    kinds = [obj for obj in vars(layers).values()
+             if isinstance(obj, type) and issubclass(obj, layers.Layer) and obj is not layers.Layer]
+    assert len(kinds) == 8
+    for cls in kinds:
+        assert cls.forward is layers.Layer.forward, cls
+        assert "_apply" in vars(cls) and ".record(" not in inspect.getsource(cls), cls
+        assert cls.kind == cls.__name__.lower()
 
 
 def test_model_wiring_validates_output_rank():

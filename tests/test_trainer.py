@@ -101,6 +101,19 @@ def test_fit_raises_on_divergence():
         fit(model, train, val, cb, cfg)
 
 
+def test_non_finite_validation_loss_is_divergence():
+    # one batch per epoch and one epoch: no later training batch would see
+    # the blown-up weights, only the validation pass does
+    train, val = _split_even(_blobs())
+    cb = make_codebook(2, 4)
+    model = _linear_model().initialize(np.random.default_rng(6))
+    cfg = TrainConfig(learning_rate=1e308, batch_size=len(train), max_epochs=1,
+                      patience=1, seed=0)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(TrainingDivergedError, match="validation"):
+        fit(model, train, val, cb, cfg)
+
+
 def test_fit_validates_rank_and_labels():
     train, val = _split_even(_blobs())
     model = _linear_model(rank=4).initialize(np.random.default_rng(7))
