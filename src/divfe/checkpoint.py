@@ -14,7 +14,9 @@ float64 array is stored as u64 element count + raw little-endian bytes, so a
 save/load round trip is bit-exact. The codebook matrix is not stored: it is
 rebuilt from the rank with classes on rows 1..class_count, the only
 assignment the program makes. A corrupted payload is rejected by the CRC
-before any parsing, and a payload that does not decode raises FormatError.
+before any parsing, and a payload that does not decode, or holds a non-finite
+value, a negative running variance or a standardizer std <= 0, raises
+FormatError.
 """
 
 import struct
@@ -23,7 +25,7 @@ import zlib
 import numpy as np
 
 from .data_io import FormatError, Standardizer
-from .layers import FeatureExtractor
+from .layers import BatchNorm, FeatureExtractor
 from .modelspec import SpecError, format_model_spec, parse_model_spec
 from .numerics import ContractError, ShapeError
 from .walsh import WalshCodebook, WalshError, make_codebook
@@ -57,8 +59,10 @@ class _Reader:
         expected = int(np.prod(shape))
         if count != expected:
             raise FormatError(f"array holds {count} values, model expects {expected}")
-        data = self.raw(count * 8)
-        return np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(shape)
+        arr = np.frombuffer(self.raw(count * 8), dtype="<f8").astype(np.float64)
+        if not np.isfinite(arr).all():
+            raise FormatError("checkpoint array holds a non-finite value")
+        return arr.reshape(shape)
 
 
 def save_checkpoint(model: FeatureExtractor, codebook: WalshCodebook, path,
@@ -102,6 +106,9 @@ def load_checkpoint(path):
             raise FormatError(f"{path}: the model spec needs more weights than the file holds")
         model.initialize(0)
         model.restore([r.array(a.shape) for a in model.state_arrays])
+        if any((layer.running_var < 0).any() for layer in model.layers
+               if isinstance(layer, BatchNorm)):
+            raise FormatError(f"{path}: negative batch-normalization running variance")
         codebook = make_codebook(class_count, model.rank)
         has_norm = r.take("<I")
         if has_norm not in (0, 1):
@@ -110,6 +117,8 @@ def load_checkpoint(path):
         if has_norm:
             shape = model.input_shape[1:] if model.input_shape[0] == 1 else model.input_shape
             normalizer = Standardizer(mean=r.array(shape), std=r.array(shape))
+            if not (normalizer.std > 0).all():
+                raise FormatError(f"{path}: standardizer std must be positive")
     except (SpecError, ShapeError, ContractError, WalshError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
     if r.pos != len(payload):

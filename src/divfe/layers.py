@@ -18,13 +18,13 @@ Conv1D and Conv2D share one kernel, :func:`_conv2d`; a length-L signal is
 a 1×L image. The kernel computes channels-last: it transposes its input to
 ``(N, H, W, C)``, builds im2col columns in ``(fh, fw, C)`` order in blocks of
 whole samples of at most about 4 MiB, and returns a ``(N, P, H, W)`` view of
-a channels-last result, so a following convolution (through BatchNorm and
-ReLU, which keep the memory order) reads its input without a copy. The
-windows are one strided view of the padded input, built directly from its
-strides. When a batch fits in one block, backward computes the weight
-gradient from the forward's columns, which are still in the buffer; with
-more blocks it rebuilds each block's columns. MaxPool likewise pools 1D and
-2D maps through one window reshape.
+a channels-last result. BatchNorm, which works on that memory as an ``(M, C)``
+matrix, and ReLU keep its order both ways, so a following convolution reads
+its input without a copy. The windows are one strided view of the padded
+input, built directly from its strides. When a batch fits in one block,
+backward computes the weight gradient from the forward's columns, which are
+still in the buffer; with more blocks it rebuilds each block's columns.
+MaxPool likewise pools 1D and 2D maps through one window reshape.
 
 Each layer names its trainable arrays in ``param_names``. After
 initialisation :class:`FeatureExtractor` holds them all in one flat vector,
@@ -315,8 +315,11 @@ class MaxPool(Layer):
 class BatchNorm(Layer):
     """Per-plane batch normalization with learnable scale and shift.
 
-    Training normalizes by batch statistics and updates running statistics by
-    an exponential moving average; inference uses the running statistics.
+    Training normalizes by batch statistics, which also update the running
+    statistics by an exponential moving average; inference uses the running
+    ones. Either way forward is one affine map ``y = x*a + b`` on the ``(M, C)``
+    channels-last matrix, ``a = scale/sqrt(var + eps)``, ``b = shift - mean*a``,
+    and backward returns ``dy*a``, plus per-plane ``x*c + d`` in training.
     """
 
     param_names = ("scale", "shift")
@@ -343,52 +346,48 @@ class BatchNorm(Layer):
         return self.trainable_params + [self.running_mean, self.running_var]
 
     def _apply(self, x, mode):
-        axes = (0,) + tuple(range(2, x.ndim))
-        pshape = (1, self.planes) + (1,) * (x.ndim - 2)
-        gamma = self.scale.reshape(pshape)
-        beta = self.shift.reshape(pshape)
-
-        if mode == "train":
+        to_last = (0, *range(2, x.ndim), 1)
+        to_first = (0, x.ndim - 1, *range(1, x.ndim - 1))
+        xt = x.transpose(to_last)
+        # (M, C): a view of a convolution's output, a copy otherwise
+        xm = xt.reshape(-1, self.planes)
+        m = len(xm)
+        train = mode == "train"
+        if train:
             if x.shape[0] < 2:
                 raise ContractError("batch normalization needs batch size >= 2 in training")
-            mu = x.mean(axis=axes, keepdims=True)
-            var = x.var(axis=axes, keepdims=True)
-            inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
-            xhat = (x - mu) * inv_std
-            y = gamma * xhat + beta
+            ones = np.ones(m)
+            mean = (ones @ xm) / m
+            sq = xm - mean
+            sq *= sq
+            var = (ones @ sq) / m
             self.running_mean *= BN_MOMENTUM
-            self.running_mean += (1.0 - BN_MOMENTUM) * mu.reshape(-1)
+            self.running_mean += (1.0 - BN_MOMENTUM) * mean
             self.running_var *= BN_MOMENTUM
-            self.running_var += (1.0 - BN_MOMENTUM) * var.reshape(-1)
-            m = x.size // self.planes
-
-            def bwd(dy):
-                dgamma = (dy * xhat).sum(axis=axes).reshape(-1)
-                dbeta = dy.sum(axis=axes).reshape(-1)
-                dxhat = dy * gamma
-                dx = (inv_std / m) * (
-                    m * dxhat
-                    - dxhat.sum(axis=axes, keepdims=True)
-                    - xhat * (dxhat * xhat).sum(axis=axes, keepdims=True)
-                )
-                return dx, dgamma, dbeta
-
-            return y, bwd
-
-        # the running statistics fold into one per-plane affine map y = x*a + b
-        inv_std = (1.0 / np.sqrt(self.running_var + BN_EPSILON)).reshape(pshape)
-        a = gamma * inv_std
-        mean = self.running_mean.reshape(pshape).copy()
-        y = x * a
-        y += beta - mean * a
+            self.running_var += (1.0 - BN_MOMENTUM) * var
+        else:
+            mean, var = self.running_mean.copy(), self.running_var   # bwd reads mean later
+        inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
+        a = self.scale * inv_std
+        ym = xm * a
+        ym += self.shift - mean * a
 
         def bwd(dy):
-            xhat = (x - mean) * inv_std
-            dgamma = (dy * xhat).sum(axis=axes).reshape(-1)
-            dbeta = dy.sum(axis=axes).reshape(-1)
-            return dy * a, dgamma, dbeta
+            dym = dy.transpose(to_last).reshape(xm.shape)
+            ones = np.ones(m)
+            dbeta = ones @ dym
+            prod = dym * xm
+            dgamma = (ones @ prod - mean * dbeta) * inv_std
+            dxm = dym * a
+            if train:
+                # the batch statistics' share: dx += x*c + d, per plane
+                c = a * inv_std * dgamma / -m
+                np.multiply(xm, c, out=prod)
+                prod -= a * dbeta / m + c * mean
+                dxm += prod
+            return dxm.reshape(xt.shape).transpose(to_first), dgamma, dbeta
 
-        return y, bwd
+        return ym.reshape(xt.shape).transpose(to_first), bwd
 
 
 class Dropout(Layer):

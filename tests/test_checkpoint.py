@@ -155,6 +155,23 @@ def test_hand_built_payload_loads(tmp_path):
     assert normalizer is None
 
 
+DENSE_SPEC = b"input 4\nwalsh_rank 4\nflatten\ndense 4\n"
+
+
+def test_hand_built_state_and_standardizer_load(tmp_path):
+    # the layout the value checks below rely on; a zero running variance is valid
+    path = tmp_path / "m.divf"
+    _write(path, _payload(spec=DENSE_SPEC + b"batchnorm\n",
+                          arrays=_array(np.ones(16)) + _array(np.zeros(4)) + _array(np.ones(4))
+                          + _array(np.zeros(4)) + _array(np.zeros(4)) + _array(np.zeros(4)),
+                          tail=struct.pack("<I", 1) + _array(np.zeros(4))
+                          + _array(np.full(4, 1e-300))))
+    model, _, normalizer = load_checkpoint(path)
+    assert model.spec_lines() == ["flatten", "dense 4", "batchnorm"]
+    np.testing.assert_array_equal(model.layers[2].running_var, 0.0)
+    np.testing.assert_array_equal(normalizer.std, 1e-300)
+
+
 MALFORMED = {
     "class-count-zero": _payload(class_count=0),
     "class-count-beyond-rank": _payload(class_count=4),            # rank 4 holds 3
@@ -170,6 +187,27 @@ MALFORMED = {
     "malformed-spec": _payload(spec=b"input 4\nwalsh_rank 4\nsoftmax\n"),
     "spec-larger-than-file": _payload(spec=b"input 100000x100000\nwalsh_rank 4\n"
                                            b"flatten\ndense 4\n"),
+    # CRC-valid files whose values would make eval report loss=nan
+    "nan-weight": _payload(spec=DENSE_SPEC, arrays=_array([np.nan] + [0.0] * 15)
+                           + _array(np.zeros(4))),
+    "infinite-bias": _payload(spec=DENSE_SPEC, arrays=_array(np.zeros(16))
+                              + _array([0.0, np.inf, 0.0, 0.0])),
+    "negative-running-var": _payload(spec=DENSE_SPEC + b"batchnorm\n",
+                                     arrays=_array(np.zeros(16)) + _array(np.zeros(4))
+                                     + _array(np.ones(4)) + _array(np.zeros(4))
+                                     + _array(np.zeros(4)) + _array([1.0, 1.0, -1e-3, 1.0])),
+    "nan-running-mean": _payload(spec=DENSE_SPEC + b"batchnorm\n",
+                                 arrays=_array(np.zeros(16)) + _array(np.zeros(4))
+                                 + _array(np.ones(4)) + _array(np.zeros(4))
+                                 + _array([0.0, np.nan, 0.0, 0.0]) + _array(np.ones(4))),
+    "standardizer-std-zero": _payload(tail=struct.pack("<I", 1) + _array(np.zeros(4))
+                                      + _array([1.0, 0.0, 1.0, 1.0])),
+    "standardizer-std-negative": _payload(tail=struct.pack("<I", 1) + _array(np.zeros(4))
+                                          + _array([1.0, -2.0, 1.0, 1.0])),
+    "standardizer-std-infinite": _payload(tail=struct.pack("<I", 1) + _array(np.zeros(4))
+                                          + _array([1.0, np.inf, 1.0, 1.0])),
+    "standardizer-mean-nan": _payload(tail=struct.pack("<I", 1) + _array([np.nan, 0, 0, 0])
+                                      + _array(np.ones(4))),
 }
 
 

@@ -9,6 +9,7 @@ from divfe.cli import main
 from divfe.checkpoint import load_checkpoint, save_checkpoint
 from divfe.data_io import LabeledDataset, Standardizer, save_signals_csv
 from divfe.layers import Conv1D, Dense, FeatureExtractor, Flatten, ReLU
+from divfe.modelspec import parse_model_spec
 from divfe.walsh import make_codebook
 
 MODEL_SPEC = """input 8
@@ -236,6 +237,27 @@ def test_corrupt_checkpoint_is_format_error(tmp_path, signal_csv, capsys):
                  "--format", "csv"])
     assert code == 5
     assert "error=format-error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "divergence"])
+@pytest.mark.parametrize("case", ["std-zero", "nan-weight", "negative-running-var"])
+def test_checkpoint_with_bad_values_is_format_error(tmp_path, signal_csv, capsys,
+                                                    command, case):
+    model = parse_model_spec(MODEL_SPEC.replace("relu\n", "batchnorm\nrelu\n")).initialize(0)
+    normalizer = None
+    if case == "std-zero":
+        normalizer = Standardizer(mean=np.zeros(8), std=np.zeros(8))
+    elif case == "nan-weight":
+        model.params[0] = np.nan
+    else:
+        model.layers[1].running_var[0] = -1.0
+    bad = tmp_path / "bad.divf"
+    save_checkpoint(model, make_codebook(2, 4), bad, normalizer=normalizer)
+    code = main([command, "--checkpoint", str(bad), "--data", str(signal_csv),
+                 "--format", "csv"])
+    assert code == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error=format-error") and err.count("\n") == 1
 
 
 def test_rank_mismatch_is_wiring_error(tmp_path, signal_csv, capsys):
