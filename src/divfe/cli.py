@@ -161,10 +161,18 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _require_finite(value, args, what):
+    """Stored values pass ``load_checkpoint``'s checks and can still overflow
+    once applied: a tiny standardizer std or huge weights."""
+    if not np.isfinite(value).all():
+        raise FormatError(f"{args.checkpoint}: {what} overflow on this data")
+
+
 def _load_checkpoint_and_data(args):
     """The checkpoint's model and codebook, and the dataset to score with it,
-    normalised as in training; samples the model does not take and labels the
-    checkpoint has no class for are rejected."""
+    normalised as in training; samples the model does not take, labels the
+    checkpoint has no class for and normalised samples that overflow are
+    rejected."""
     model, codebook, normalizer = load_checkpoint(args.checkpoint)
     dataset = _load_dataset(args.data, args.format, args.labels)
     model.check_sample_shape(dataset.samples.shape[1:])
@@ -173,12 +181,14 @@ def _load_checkpoint_and_data(args):
                             f"checkpoint's {codebook.class_count} classes")
     if normalizer is not None:
         dataset = normalizer.apply(dataset)
+        _require_finite(dataset.samples, args, "the standardized samples")
     return model, codebook, dataset
 
 
 def cmd_eval(args) -> int:
     model, codebook, dataset = _load_checkpoint_and_data(args)
     result = evaluate(model, dataset, codebook)
+    _require_finite(result.mean_loss, args, "the model's outputs")
     print(f"accuracy={result.accuracy:.9g}")
     print(f"loss={result.mean_loss:.9g}")
     _print_confusion(result.confusion)
@@ -195,6 +205,8 @@ def cmd_divergence(args) -> int:
     outputs = np.concatenate([
         model.forward(dataset.samples[i:i + EVAL_BATCH_SIZE], mode="infer")
         for i in range(0, len(dataset), EVAL_BATCH_SIZE)])
+    # the scatter matrices sum products of outputs
+    _require_finite(np.square(outputs).sum(), args, "the model's outputs")
     modes = ["paper", "empirical"] if args.mode == "both" else [args.mode]
     for mode in modes:
         report = div.analyze(outputs, dataset.labels, codebook, mode=mode)

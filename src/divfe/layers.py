@@ -15,15 +15,19 @@ stride 1. Padding is ``valid`` by default; ``same`` zero-padding is available
 for architectures whose filters would otherwise outgrow the map.
 
 Conv1D and Conv2D share one kernel, :func:`_conv2d`; a length-L signal is
-a 1×L image. The kernel computes channels-last: it transposes its input to
-``(N, H, W, C)``, builds im2col columns in ``(fh, fw, C)`` order in blocks of
-whole samples of at most about 4 MiB, and returns a ``(N, P, H, W)`` view of
-a channels-last result. BatchNorm, which works on that memory as an ``(M, C)``
-matrix, and ReLU keep its order both ways, so a following convolution reads
-its input without a copy. The windows are one strided view of the padded
-input, built directly from its strides. When a batch fits in one block,
-backward computes the weight gradient from the forward's columns, which are
-still in the buffer; with more blocks it rebuilds each block's columns.
+a 1×L image. The kernel computes channels-last. In blocks of whole samples
+of at most about 1 MiB it copies only the fw-wide windows of each padded row
+(MEC, Cho & Brand 2017): a ``(Hp·Wo, fw·C)`` matrix per sample, so each input
+element is copied fw times, not fh·fw. Filter row u meets the window rows
+from ``u·Wo`` on, and the output is the sum over u of their GEMMs with its
+``(fw·C, P)`` weight slab. With one filter row (every Conv1D, or a filter
+spanning the padded map, fh·fw·C wide) a block is one matrix, and its output
+and weight gradient one GEMM each. The weight gradient comes from the same
+windows, still in the buffer when a batch fits in one block; the input
+gradient is one GEMM per filter tap (one in all for a spanning filter). The
+result is a ``(N, P, H, W)`` view of a channels-last array. BatchNorm, which
+works on that memory as an ``(M, C)`` matrix, and ReLU keep its order both
+ways, so a following convolution reads its input without a copy.
 MaxPool likewise pools 1D and 2D maps through one window reshape.
 
 Each layer names its trainable arrays in ``param_names``. After
@@ -38,9 +42,11 @@ from .numerics import ContractError, GradientTape, ShapeError
 
 BN_EPSILON = 1e-5
 BN_MOMENTUM = 0.9
-# The convolution kernel streams its im2col columns in blocks of whole samples
-# of at most this many bytes, so the full column matrix is never materialised.
-_IM2COL_BLOCK_BYTES = 4 << 20
+# The convolution kernel copies its row windows in blocks of whole samples of
+# at most this many bytes, so a block's windows and its output stay in a 2 MiB
+# per-core L2 cache (4 MiB blocks ran the mnist.spec convolutions about 1.4x
+# slower at batch 256).
+_IM2COL_BLOCK_BYTES = 1 << 20
 
 
 class Layer:
@@ -92,25 +98,30 @@ def _he_init(rng, shape, fan_in):
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
 
 
-def _windows(xp, fh, fw):
-    """The ``(N, Ho, Wo, fh, fw, C)`` view of every fh×fw window of a
+def _windows(xp, fw):
+    """The ``(N, H, Wo, fw, C)`` view of every fw-wide window of every row of a
     C-contiguous ``xp (N, H, W, C)``, built on its buffer.
 
-    Column (u, v, :) of window (i, j) is xp[:, i+u, j+v, :], so each copied
-    run xp[:, i+u, j:j+fw, :] is fw*C contiguous doubles.
+    Window j of row i is xp[:, i, j:j+fw, :], one run of fw*C contiguous
+    doubles.
     """
     n, h, w, c = xp.shape
     s0, s1, s2, s3 = xp.strides
-    return np.ndarray((n, h - fh + 1, w - fw + 1, fh, fw, c), xp.dtype, buffer=xp,
-                      strides=(s0, s1, s2, s1, s2, s3))
+    return np.ndarray((n, h, w - fw + 1, fw, c), xp.dtype, buffer=xp,
+                      strides=(s0, s1, s2, s2, s3))
 
 
 def _conv2d(x, weights, bias, padding):
     """Stride-1 cross-correlation of ``x (N, C, H, W)`` with ``weights
-    (P, C, fh, fw)`` plus ``bias (P,)`` under ``valid`` or ``same`` padding.
+    (P, C, fh, fw)``, or of a signal ``x (N, C, L)`` with ``weights (P, C, f)``
+    as a 1×L image, plus ``bias (P,)`` under ``valid`` or ``same`` padding.
 
-    Returns ``(y, bwd)``: ``y (N, P, Ho, Wo)`` and ``bwd(dy) -> (dx, dW, db)``.
+    Returns ``(y, bwd)``: ``y (N, P, Ho, Wo)`` and ``bwd(dy) -> (dx, dW, db)``,
+    each in its argument's rank.
     """
+    signal = x.ndim == 3
+    if signal:
+        x, weights = x[:, :, None], weights[:, :, None]
     n, c, h, w = x.shape
     planes, _, fh, fw = weights.shape
     xt = x.transpose(0, 2, 3, 1)                                   # (N, H, W, C)
@@ -123,49 +134,71 @@ def _conv2d(x, weights, bias, padding):
         xp = np.ascontiguousarray(xt)
     ho = xp.shape[1] - fh + 1
     wo = xp.shape[2] - fw + 1
-    k = fh * fw * c
-    windows = _windows(xp, fh, fw)
-    step = max(1, min(n, _IM2COL_BLOCK_BYTES // (8 * ho * wo * k)))
-    blocks = [(s, min(n, s + step)) for s in range(0, n, step)]
-    buf = np.empty((step, ho, wo, fh, fw, c))
+    # a filter spanning the padded map has one window per sample, whose rows
+    # are its whole im2col row: one filter row fh*fw*C wide
+    fh_rows, width = (1, fh * fw * c) if ho * wo == 1 else (fh, fw * c)
+    # a block's windows and outputs: one matrix per sample, or with one filter
+    # row one matrix for the whole block
+    rows_shape, out_shape = (((-1, width), (-1, planes)) if fh_rows == 1 else
+                             ((-1, xp.shape[1] * wo, width), (-1, ho * wo, planes)))
+    windows = _windows(xp, fw)                             # (N, Hp, Wo, fw, C)
+    step = max(1, min(n, _IM2COL_BLOCK_BYTES // (8 * xp.shape[1] * wo * fw * c)))
+    starts = range(0, n, step)
+    buf = np.empty((step,) + windows.shape[1:])
 
-    def cols(s, e):
-        np.copyto(buf[:e - s], windows[s:e])
-        return buf[:e - s].reshape((e - s) * ho * wo, k)
+    def fill(s):
+        """Copy the row windows of the block from sample s into buf and return,
+        per filter row u, the windows it meets: rows u*Wo onwards, Ho*Wo of them
+        for each sample; with one filter row, all of the block's rows."""
+        m = min(step, n - s)
+        np.copyto(buf[:m], windows[s:s + m])
+        rows = buf[:m].reshape(rows_shape)
+        return [rows] if fh_rows == 1 else [rows[:, u * wo:u * wo + ho * wo]
+                                            for u in range(fh_rows)]
 
-    w_mat = weights.transpose(0, 2, 3, 1).reshape(planes, k)
+    slabs = np.ascontiguousarray(weights.transpose(2, 3, 1, 0)).reshape(fh_rows, width, planes)
     y_nhwc = np.empty((n, ho, wo, planes))
-    for s, e in blocks:
-        yb = y_nhwc[s:e].reshape((e - s) * ho * wo, planes)
-        np.matmul(cols(s, e), w_mat.T, out=yb)
+    for s in starts:
+        taps = fill(s)
+        yb = y_nhwc[s:s + step].reshape(out_shape)
+        np.matmul(taps[0], slabs[0], out=yb)
+        for u in range(1, fh_rows):
+            yb += taps[u] @ slabs[u]
         yb += bias
 
     def bwd(dy):
-        dy_m = np.ascontiguousarray(dy.transpose(0, 2, 3, 1)).reshape(-1, planes)
+        if signal:
+            dy = dy[:, :, None]
+        dy_n = np.ascontiguousarray(dy.transpose(0, 2, 3, 1))        # (N, Ho, Wo, P)
+        dy_m = dy_n.reshape(-1, planes)
         db = dy_m.sum(axis=0)
-        if len(blocks) == 1:
-            # buf still holds the forward's columns
-            dw = dy_m.T @ buf.reshape(n * ho * wo, k)
-        else:
-            dw = np.zeros((planes, k))
-            for s, e in blocks:
-                dw += dy_m[s * ho * wo:e * ho * wo].T @ cols(s, e)
-        dw = dw.reshape(planes, fh, fw, c).transpose(0, 3, 1, 2).copy()
+        dw = None
+        for s in starts:
+            # with one block, buf still holds the forward's row windows
+            block_taps = taps if len(starts) == 1 else fill(s)
+            dyb = dy_n[s:s + step].reshape(out_shape).swapaxes(-1, -2)
+            if fh_rows == 1:
+                g = dyb @ block_taps[0]
+            else:   # stacked per sample: summed over the block's samples
+                g = np.concatenate([dyb @ a for a in block_taps], axis=-1).sum(axis=0)
+            dw = g if dw is None else dw + g                     # (P, fh_rows*width)
+        dw = dw.reshape(planes, fh, fw, c).transpose(0, 3, 1, 2)
         if ho * wo == 1:
-            # the filter spans the padded map: one window per sample
-            dxp = (dy_m @ w_mat).reshape(xp.shape)
+            dxp = (dy_m @ weights.transpose(0, 2, 3, 1).reshape(planes, -1)).reshape(xp.shape)
         else:
-            taps = weights.transpose(2, 3, 0, 1).copy()            # (fh, fw, P, C)
+            w_taps = weights.transpose(2, 3, 0, 1).copy()          # (fh, fw, P, C)
             dxp = np.zeros(xp.shape)
-            dtap = np.empty((n * ho * wo, c))
+            dtap = np.empty((n, ho, wo, c))
+            dtap_m = dtap.reshape(-1, c)
             for u in range(fh):
                 for v in range(fw):
-                    np.matmul(dy_m, taps[u, v], out=dtap)
-                    dxp[:, u:u + ho, v:v + wo] += dtap.reshape(n, ho, wo, c)
+                    np.matmul(dy_m, w_taps[u, v], out=dtap_m)
+                    dxp[:, u:u + ho, v:v + wo] += dtap
         dx = dxp[:, top:top + h, left:left + w].transpose(0, 3, 1, 2)
-        return dx, dw, db
+        return (dx[:, :, 0], dw[:, :, 0], db) if signal else (dx, dw, db)
 
-    return y_nhwc.transpose(0, 3, 1, 2), bwd
+    y = y_nhwc.transpose(0, 3, 1, 2)
+    return (y[:, :, 0] if signal else y), bwd
 
 
 class Conv1D(Layer):
@@ -211,13 +244,7 @@ class Conv1D(Layer):
         return f"conv1d {self.filter_len} {self.planes}{pad}"
 
     def _apply(self, x, mode):
-        y, bwd = _conv2d(x[:, :, None], self.weights[:, :, None], self.bias, self.padding)
-
-        def bwd_1d(dy):
-            dx, dw, db = bwd(dy[:, :, None])
-            return dx[:, :, 0], dw[:, :, 0], db
-
-        return y[:, :, 0], bwd_1d
+        return _conv2d(x, self.weights, self.bias, self.padding)
 
 
 class Conv2D(Layer):

@@ -260,6 +260,27 @@ def test_checkpoint_with_bad_values_is_format_error(tmp_path, signal_csv, capsys
     assert err.startswith("error=format-error") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["eval", "divergence"])
+@pytest.mark.parametrize("case", ["std-1e-310", "weights-1e300"])
+def test_checkpoint_values_that_overflow_in_use_are_format_error(tmp_path, signal_csv,
+                                                                 capsys, command, case):
+    # every stored value is finite and valid; applying them is not
+    model = parse_model_spec(MODEL_SPEC).initialize(0)
+    normalizer = Standardizer(mean=np.zeros(8), std=np.ones(8))
+    if case == "std-1e-310":
+        normalizer = Standardizer(mean=np.zeros(8), std=np.full(8, 1e-310))
+    else:
+        model.params[:] = 1e300
+    bad = tmp_path / "bad.divf"
+    save_checkpoint(model, make_codebook(2, 4), bad, normalizer=normalizer)
+    code = main([command, "--checkpoint", str(bad), "--data", str(signal_csv),
+                 "--format", "csv"])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.err.startswith("error=format-error") and captured.err.count("\n") == 1
+    assert "overflow" in captured.err and captured.out == ""
+
+
 def test_rank_mismatch_is_wiring_error(tmp_path, signal_csv, capsys):
     model_path = tmp_path / "model.spec"
     model_path.write_text("input 8\nwalsh_rank 16\nflatten\ndense 8\n")

@@ -2,10 +2,12 @@
 
 Each example takes valid inputs for one of the five commands, mutates one of
 the files that command reads (spec text, config text, signal CSV, IDX pair,
-growth template or checkpoint bytes) and runs the command. Whatever the mutation,
-no exception may escape ``main``: a run either exits 0 with nothing on
-stderr, or exits non-zero with exactly one ``error=<category>: ...`` line
-whose category is not ``internal``.
+growth template or checkpoint bytes, or one stored checkpoint array scaled by
+1e300) and runs the command. Whatever the mutation, no exception may escape
+``main``: a run either exits 0 with nothing on stderr, or exits non-zero with
+exactly one ``error=<category>: ...`` line whose category is not ``internal``.
+A scaled array holds valid values that may overflow once applied, which is a
+``format-error``.
 """
 
 import contextlib
@@ -134,9 +136,33 @@ def _mutate_bytes(data, blob, reseal):
         payload[pos:pos] = chunk
     else:
         del payload[pos:pos + len(chunk)]
-    if reseal:
-        return b"DIVF" + bytes(payload) + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
-    return bytes(payload)
+    return _seal(payload) if reseal else bytes(payload)
+
+
+def _seal(payload):
+    return b"DIVF" + bytes(payload) + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
+
+
+def _array_spans(blob):
+    """Byte spans of the checkpoint's stored arrays: the model's state arrays,
+    then the standardizer's mean and std."""
+    state_arrays = len(parse_model_spec(SPEC).initialize(0).state_arrays)
+    (spec_len,) = struct.unpack_from("<I", blob, 12)
+    pos, spans = 16 + spec_len, []
+    for i in range(state_arrays + 2):
+        pos += 4 * (i == state_arrays)           # the normalizer flag
+        (count,) = struct.unpack_from("<Q", blob, pos)
+        spans.append(slice(pos + 8, pos + 8 + 8 * count))
+        pos = spans[-1].stop
+    return spans
+
+
+def _scale_array(data, blob):
+    """One stored array multiplied by 1e300, the CRC recomputed."""
+    span = data.draw(st.sampled_from(_array_spans(blob)))
+    with np.errstate(over="ignore"):
+        scaled = np.frombuffer(blob[span], dtype="<f8") * 1e300
+    return _seal(blob[4:span.start] + scaled.astype("<f8").tobytes() + blob[span.stop:-4])
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
@@ -152,8 +178,11 @@ def test_mutated_inputs_exit_with_one_categorized_error(data):
     readable = [arg[1:-1] for arg in COMMANDS[command] if arg[1:-1] in BASE]
     name = data.draw(st.sampled_from(readable))
     files = dict(BASE)
+    scaled = name == "model.divf" and data.draw(st.integers(0, 2)) == 0
     # text files mostly get token and line edits, which keep them decodable
-    if name in BINARY or data.draw(st.integers(0, 3)) == 0:
+    if scaled:
+        files[name] = _scale_array(data, files[name])
+    elif name in BINARY or data.draw(st.integers(0, 3)) == 0:
         reseal = name == "model.divf" and data.draw(st.booleans())
         files[name] = _mutate_bytes(data, files[name], reseal)
     else:
@@ -167,3 +196,4 @@ def test_mutated_inputs_exit_with_one_categorized_error(data):
         assert len(err) == 1, err
         match = ERROR_LINE.fullmatch(err[0])
         assert match and match.group(1) != "internal", err[0]
+        assert not scaled or match.group(1) == "format-error", err[0]

@@ -117,25 +117,46 @@ BLOCKED_CONFIGS = [
 
 
 def _blocked_conv(monkeypatch, config, samples_per_block):
-    """A wired, initialised convolution, its input, and the im2col budget
-    patched to ``samples_per_block`` samples (0: below one sample)."""
+    """A wired, initialised convolution, its input, and the row-window budget
+    patched to ``samples_per_block`` samples (0: below one sample), checked to
+    run the forward in several blocks, the last one partial when a block holds
+    several samples."""
     n, c, h, w, fh, fw, planes, padding = config
     rng = np.random.default_rng(sum(config[:-1]) + samples_per_block)
     if h == fh == 1:
         layer = Conv1D(fw, planes, padding=padding)
         _, wo = layer.wire((c, w))
-        ho, x_shape = 1, (n, c, w)
+        x_shape = (n, c, w)
     else:
         layer = Conv2D(fh, fw, planes, padding=padding)
-        _, ho, wo = layer.wire((c, h, w))
+        _, _, wo = layer.wire((c, h, w))
         x_shape = (n, c, h, w)
     layer.init_params(rng)
     layer.bias[:] = rng.normal(size=planes)
-    sample_bytes = 8 * ho * wo * fh * fw * c
+    hp = h + fh - 1 if padding == "same" else h
+    sample_bytes = 8 * hp * wo * fw * c     # one sample's row windows
     monkeypatch.setattr(layers, "_IM2COL_BLOCK_BYTES",
                         max(1, samples_per_block * sample_bytes + sample_bytes // 2))
-    assert n > max(1, samples_per_block)    # several blocks; odd n leaves a partial one
-    return layer, rng.normal(size=x_shape), rng
+    x = rng.normal(size=x_shape)
+    step = max(1, samples_per_block)
+    assert n > step and (step == 1 or n % step)
+    assert _block_sizes(layer, x) == [step] * (n // step) + [n % step] * (n % step > 0)
+    return layer, x, rng
+
+
+def _block_sizes(layer, x):
+    """The samples in each block of row windows a forward pass copies."""
+    sizes = []
+    copyto = np.copyto
+
+    def spy(dst, src, *args, **kwargs):
+        sizes.append(len(dst))
+        return copyto(dst, src, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "copyto", spy)
+        layer.forward(x)
+    return sizes
 
 
 @pytest.mark.parametrize("samples_per_block", [0, 2])
@@ -156,6 +177,46 @@ def test_conv2d_blocked_gradients(monkeypatch, config):
     _check_all_grads(layer, x, rng)
 
 
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), c=st.integers(1, 3),
+       h=st.integers(1, 5), w=st.integers(1, 5), fh=st.integers(1, 4), fw=st.integers(1, 4),
+       planes=st.integers(1, 3), same=st.booleans(), shape=st.sampled_from(["free", "spanning",
+                                                                             "signal"]),
+       budget=st.floats(0.0, 1.0))
+def test_conv2d_matches_direct_sum(seed, n, c, h, w, fh, fw, planes, same, shape, budget):
+    """The kernel against the tap-by-tap sum, forward at 1e-12 and gradients by
+    finite differences, under any block budget from 1 byte to the whole batch."""
+    if shape == "signal":
+        h = fh = 1
+    elif shape == "spanning":      # one output position per sample
+        h, w = (1, 1) if same else (fh, fw)
+    padding = "same" if same else "valid"
+    if not same:
+        fh, fw = min(fh, h), min(fw, w)
+    hp, wp = (h + fh - 1, w + fw - 1) if same else (h, w)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, c, h, w))
+    weights = rng.normal(size=(planes, c, fh, fw))
+    bias = rng.normal(size=planes)
+    whole_batch = 8 * n * hp * (wp - fw + 1) * fw * c
+    expected = _direct_conv2d(x, weights, bias, padding)
+    if shape == "signal":
+        x, weights, expected = x[:, :, 0], weights[:, :, 0], expected[:, :, 0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(layers, "_IM2COL_BLOCK_BYTES", max(1, round(budget * whole_batch)))
+        y, bwd = layers._conv2d(x, weights, bias, padding)
+        np.testing.assert_allclose(y, expected, rtol=1e-12, atol=1e-12)
+        proj = rng.normal(size=y.shape)
+        grads = bwd(proj)
+        assert [g.shape for g in grads] == [x.shape, weights.shape, bias.shape]
+
+        def loss(_):
+            return float(np.sum(layers._conv2d(x, weights, bias, padding)[0] * proj))
+
+        for arg, g in zip((x, weights, bias), grads):
+            assert relative_error(g, numeric_gradient(loss, arg, step=STEP)) < TOL
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), c=st.integers(1, 3),
        h=st.integers(1, 6), w=st.integers(1, 6), fh=st.integers(1, 4),
@@ -169,10 +230,10 @@ def test_window_view_equals_sliding_window_view(seed, n, c, h, w, fh, fw, same, 
         xp = np.zeros((n, h + fh - 1, w + fw - 1, c))
         xp[:, (fh - 1) // 2:(fh - 1) // 2 + h, (fw - 1) // 2:(fw - 1) // 2 + w] = xt
     else:
-        fh, fw = min(fh, h), min(fw, w)
+        fw = min(fw, w)
         xp = np.ascontiguousarray(xt)
-    expected = sliding_window_view(xp, (fh, fw), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
-    view = layers._windows(xp, fh, fw)
+    expected = sliding_window_view(xp, fw, axis=2).transpose(0, 1, 2, 4, 3)
+    view = layers._windows(xp, fw)
     assert view.shape == expected.shape
     assert np.shares_memory(view, xp)
     np.testing.assert_array_equal(view, expected)
