@@ -23,11 +23,18 @@ from ``u·Wo`` on, and the output is the sum over u of their GEMMs with its
 ``(fw·C, P)`` weight slab. With one filter row (every Conv1D, or a filter
 spanning the padded map, fh·fw·C wide) a block is one matrix, and its output
 and weight gradient one GEMM each. The weight gradient comes from the same
-windows, still in the buffer when a batch fits in one block; the input
-gradient is one GEMM per filter tap (one in all for a spanning filter). The
-result is a ``(N, P, H, W)`` view of a channels-last array. BatchNorm, which
-works on that memory as an ``(M, C)`` matrix, and ReLU keep its order both
-ways, so a following convolution reads its input without a copy.
+windows, still in the buffer when a batch fits in one block. The input
+gradient, a full correlation of ``dy`` with the flipped filter, takes the
+same scheme transposed: ``dy`` padded by fw-1 columns each side has Wp
+windows per row, a ``(Ho·Wp, fw·P)`` matrix per sample, and filter row u,
+reversed, adds one GEMM into padded input rows u..u+Ho, which are contiguous.
+It stays one GEMM per filter tap where the windows do not pay for their
+copy: on one input plane, for a filter of one or two taps, and on an output
+narrower than the filter, whose padding at least doubles the GEMM; a
+spanning filter takes one GEMM in all. The result is a ``(N, P, H, W)`` view
+of a channels-last array. BatchNorm, which works on that memory as an
+``(M, C)`` matrix, and ReLU keep its order both ways, so a following
+convolution reads its input without a copy.
 MaxPool likewise pools 1D and 2D maps through one window reshape.
 
 Each layer names its trainable arrays in ``param_names``. After
@@ -111,13 +118,50 @@ def _windows(xp, fw):
                       strides=(s0, s1, s2, s2, s3))
 
 
+def _transposed_rows(dy_n, weights, xp_shape):
+    """The input gradient ``dxp`` of shape ``xp_shape (N, Hp, Wp, C)`` for
+    ``dy_n (N, Ho, Wo, P)``: a full correlation of dy with the flipped filter,
+    by row windows.
+
+    dy padded by fw-1 columns each side has Wp fw-wide windows per row; filter
+    row u, reversed, meets them in output rows u..u+Ho, contiguous per sample.
+    """
+    n, ho, wo, planes = dy_n.shape
+    _, hp, wp, c = xp_shape
+    fh, fw = weights.shape[2:]
+    width = fw * planes
+    dyp = np.zeros((n, ho, wp + fw - 1, planes))
+    dyp[:, :, fw - 1:fw - 1 + wo] = dy_n
+    windows = _windows(dyp, fw)                            # (N, Ho, Wp, fw, P)
+    flipped = weights[:, :, :, ::-1].transpose(2, 3, 0, 1)    # (fh, fw, P, C)
+    slabs = np.ascontiguousarray(flipped).reshape(fh, width, c)
+    step = max(1, min(n, _IM2COL_BLOCK_BYTES // (8 * ho * wp * width)))
+    buf = np.empty((step,) + windows.shape[1:])
+    # with one filter row a block's product is its rows of dxp
+    dxp = np.empty(xp_shape) if fh == 1 else np.zeros(xp_shape)
+    for s in range(0, n, step):
+        m = min(step, n - s)
+        np.copyto(buf[:m], windows[s:s + m])
+        rows = buf[:m].reshape(-1, width)
+        dxb = dxp[s:s + m].reshape(m, hp * wp, c)
+        if fh == 1:
+            np.matmul(rows, slabs[0], out=dxb.reshape(-1, c))
+        else:
+            for u in range(fh):
+                dxb[:, u * wp:(u + ho) * wp] += (rows @ slabs[u]).reshape(m, ho * wp, c)
+    return dxp
+
+
 def _conv2d(x, weights, bias, padding):
     """Stride-1 cross-correlation of ``x (N, C, H, W)`` with ``weights
     (P, C, fh, fw)``, or of a signal ``x (N, C, L)`` with ``weights (P, C, f)``
     as a 1×L image, plus ``bias (P,)`` under ``valid`` or ``same`` padding.
 
     Returns ``(y, bwd)``: ``y (N, P, Ho, Wo)`` and ``bwd(dy) -> (dx, dW, db)``,
-    each in its argument's rank.
+    each in its argument's rank. ``dx`` comes from one GEMM for a filter
+    spanning the padded map, from :func:`_transposed_rows` for several input
+    planes, more than two taps and an output at least fw wide, and from one
+    GEMM per filter tap otherwise.
     """
     signal = x.ndim == 3
     if signal:
@@ -185,7 +229,13 @@ def _conv2d(x, weights, bias, padding):
         dw = dw.reshape(planes, fh, fw, c).transpose(0, 3, 1, 2)
         if ho * wo == 1:
             dxp = (dy_m @ weights.transpose(0, 2, 3, 1).reshape(planes, -1)).reshape(xp.shape)
+        elif c > 1 and fh * fw > 2 and wo >= fw:
+            dxp = _transposed_rows(dy_n, weights, xp.shape)
         else:
+            # per tap where row windows do not pay for their copy: on one input
+            # plane (fw*P doubles copied per input element), for two taps or
+            # fewer (one GEMM saved at most), and on an output narrower than the
+            # filter (the padding at least doubles the GEMM)
             w_taps = weights.transpose(2, 3, 0, 1).copy()          # (fh, fw, P, C)
             dxp = np.zeros(xp.shape)
             dtap = np.empty((n, ho, wo, c))

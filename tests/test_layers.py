@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -98,17 +98,41 @@ def _direct_conv2d(x, weights, bias, padding):
     return y
 
 
+def _direct_conv2d_adjoint(x, weights, dy, padding):
+    """Reference ``(dx, dW, db)`` of :func:`_direct_conv2d` for the output
+    gradient ``dy``: its tap sum transposed, tap (u, v) adding ``dy`` contracted
+    with ``weights[:, :, u, v]`` into the shifted input slice, and ``dy``
+    contracted with that slice into ``dW[:, :, u, v]``."""
+    fh, fw = weights.shape[2:]
+    h, w = x.shape[2:]
+    top, left = ((fh - 1) // 2, (fw - 1) // 2) if padding == "same" else (0, 0)
+    if padding == "same":
+        x = np.pad(x, ((0, 0), (0, 0), (top, fh - 1 - top), (left, fw - 1 - left)))
+    ho, wo = dy.shape[2:]
+    dxp, dw = np.zeros(x.shape), np.zeros(weights.shape)
+    for u in range(fh):
+        for v in range(fw):
+            dxp[:, :, u:u + ho, v:v + wo] += np.einsum("nphw,pc->nchw", dy, weights[:, :, u, v])
+            dw[:, :, u, v] = np.einsum("nphw,nchw->pc", dy, x[:, :, u:u + ho, v:v + wo])
+    return dxp[:, :, top:top + h, left:left + w], dw, dy.sum(axis=(0, 2, 3))
+
+
 # (batch, planes in, height, width, fh, fw, planes out, padding): odd batches,
 # C > 1 and non-square filters, under both paddings; height-1 cases with
-# 1-high filters run through Conv1D as length-``width`` signals; spanning
-# cases (one output position per sample) take the single-GEMM input gradient
+# 1-high filters run through Conv1D as length-``width`` signals. The input
+# gradient takes row windows in the first five, one GEMM per tap in the next
+# four and one GEMM in the spanning cases (one output position per sample)
 BLOCKED_CONFIGS = [
     (5, 3, 7, 6, 3, 2, 4, "valid"),
     (7, 2, 6, 8, 2, 5, 3, "same"),
-    (3, 1, 5, 5, 5, 5, 2, "valid"),
     (5, 2, 4, 7, 4, 3, 2, "same"),
     (5, 3, 1, 9, 1, 4, 2, "valid"),
     (7, 2, 1, 8, 1, 3, 3, "same"),
+    (5, 1, 6, 7, 3, 2, 3, "valid"),     # 2D, one plane
+    (5, 1, 1, 9, 1, 3, 4, "same"),      # 1D, one plane
+    (5, 3, 1, 7, 1, 2, 2, "same"),      # 1D, two taps
+    (5, 2, 6, 6, 2, 4, 3, "valid"),     # output 3 wide, filter 4
+    (3, 1, 5, 5, 5, 5, 2, "valid"),     # 2D spanning
     (5, 2, 4, 3, 4, 3, 3, "valid"),     # 2D spanning
     (5, 2, 1, 1, 3, 2, 2, "same"),      # 2D spanning, 1x1 map
     (5, 3, 1, 6, 1, 6, 2, "valid"),     # 1D spanning
@@ -118,9 +142,12 @@ BLOCKED_CONFIGS = [
 
 def _blocked_conv(monkeypatch, config, samples_per_block):
     """A wired, initialised convolution, its input, and the row-window budget
-    patched to ``samples_per_block`` samples (0: below one sample), checked to
-    run the forward in several blocks, the last one partial when a block holds
-    several samples."""
+    patched to ``samples_per_block`` samples (0: below one sample), checked
+    for the backward's row windows of the padded ``dy`` and then for the
+    forward's: each pass copies its windows in several blocks of at most the
+    budget, the last one partial when a block holds several samples. ``dy``
+    windows are copied only on several input planes, for more than two taps,
+    an output at least fw wide and a filter not spanning the map."""
     n, c, h, w, fh, fw, planes, padding = config
     rng = np.random.default_rng(sum(config[:-1]) + samples_per_block)
     if h == fh == 1:
@@ -133,30 +160,44 @@ def _blocked_conv(monkeypatch, config, samples_per_block):
         x_shape = (n, c, h, w)
     layer.init_params(rng)
     layer.bias[:] = rng.normal(size=planes)
-    hp = h + fh - 1 if padding == "same" else h
-    sample_bytes = 8 * hp * wo * fw * c     # one sample's row windows
-    monkeypatch.setattr(layers, "_IM2COL_BLOCK_BYTES",
-                        max(1, samples_per_block * sample_bytes + sample_bytes // 2))
+    hp, wp = (h + fh - 1, w + fw - 1) if padding == "same" else (h, w)
+    ho = hp - fh + 1
     x = rng.normal(size=x_shape)
     step = max(1, samples_per_block)
     assert n > step and (step == 1 or n % step)
-    assert _block_sizes(layer, x) == [step] * (n // step) + [n % step] * (n % step > 0)
+    blocks = [step] * (n // step) + [n % step] * (n % step > 0)
+
+    def block_sizes(sample, run):
+        """The samples in each block of ``sample``-shaped windows ``run()``
+        copies under a budget of ``samples_per_block`` and a half of them."""
+        sample_bytes = 8 * int(np.prod(sample))
+        budget = max(1, samples_per_block * sample_bytes + sample_bytes // 2)
+        monkeypatch.setattr(layers, "_IM2COL_BLOCK_BYTES", budget)
+        copied = _copied_blocks(run)
+        assert all(b.nbytes <= budget for b in copied if len(b) > 1)
+        return [len(b) for b in copied if b.shape[1:] == sample]
+
+    y, bwd = layer._apply(x, "train")
+    dy = rng.normal(size=y.shape)
+    row_window_dx = c > 1 and fh * fw > 2 and wo >= fw and ho * wo > 1
+    assert block_sizes((ho, wp, fw, planes), lambda: bwd(dy)) == blocks * row_window_dx
+    assert block_sizes((hp, wo, fw, c), lambda: layer.forward(x)) == blocks
     return layer, x, rng
 
 
-def _block_sizes(layer, x):
-    """The samples in each block of row windows a forward pass copies."""
-    sizes = []
+def _copied_blocks(run):
+    """Every block of windows ``np.copyto`` fills while ``run()`` runs."""
+    blocks = []
     copyto = np.copyto
 
     def spy(dst, src, *args, **kwargs):
-        sizes.append(len(dst))
+        blocks.append(dst)
         return copyto(dst, src, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np, "copyto", spy)
-        layer.forward(x)
-    return sizes
+        run()
+    return blocks
 
 
 @pytest.mark.parametrize("samples_per_block", [0, 2])
@@ -183,9 +224,16 @@ def test_conv2d_blocked_gradients(monkeypatch, config):
        planes=st.integers(1, 3), same=st.booleans(), shape=st.sampled_from(["free", "spanning",
                                                                              "signal"]),
        budget=st.floats(0.0, 1.0))
+# each side of the one-plane selection, for a 2D filter and for a signal
+@example(seed=1, n=3, c=1, h=5, w=5, fh=3, fw=2, planes=2, same=False, shape="free", budget=0.4)
+@example(seed=2, n=3, c=2, h=5, w=5, fh=3, fw=2, planes=2, same=True, shape="free", budget=0.4)
+@example(seed=3, n=3, c=1, h=1, w=5, fh=1, fw=3, planes=2, same=True, shape="signal", budget=0.4)
+@example(seed=4, n=3, c=3, h=1, w=5, fh=1, fw=3, planes=2, same=False, shape="signal",
+         budget=0.4)
 def test_conv2d_matches_direct_sum(seed, n, c, h, w, fh, fw, planes, same, shape, budget):
-    """The kernel against the tap-by-tap sum, forward at 1e-12 and gradients by
-    finite differences, under any block budget from 1 byte to the whole batch."""
+    """The kernel against the tap-by-tap sum and its adjoint at 1e-12, and its
+    gradients against finite differences, under any block budget from 1 byte
+    to the whole batch of either pass's row windows."""
     if shape == "signal":
         h = fh = 1
     elif shape == "spanning":      # one output position per sample
@@ -198,22 +246,26 @@ def test_conv2d_matches_direct_sum(seed, n, c, h, w, fh, fw, planes, same, shape
     x = rng.normal(size=(n, c, h, w))
     weights = rng.normal(size=(planes, c, fh, fw))
     bias = rng.normal(size=planes)
-    whole_batch = 8 * n * hp * (wp - fw + 1) * fw * c
+    # the forward's windows of x or the backward's of the padded dy
+    whole_batch = 8 * n * fw * max(hp * (wp - fw + 1) * c, (hp - fh + 1) * wp * planes)
     expected = _direct_conv2d(x, weights, bias, padding)
+    proj = rng.normal(size=expected.shape)
+    adjoint = _direct_conv2d_adjoint(x, weights, proj, padding)
     if shape == "signal":
-        x, weights, expected = x[:, :, 0], weights[:, :, 0], expected[:, :, 0]
+        x, weights, expected, proj = x[:, :, 0], weights[:, :, 0], expected[:, :, 0], proj[:, :, 0]
+        adjoint = adjoint[0][:, :, 0], adjoint[1][:, :, 0], adjoint[2]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(layers, "_IM2COL_BLOCK_BYTES", max(1, round(budget * whole_batch)))
         y, bwd = layers._conv2d(x, weights, bias, padding)
         np.testing.assert_allclose(y, expected, rtol=1e-12, atol=1e-12)
-        proj = rng.normal(size=y.shape)
         grads = bwd(proj)
         assert [g.shape for g in grads] == [x.shape, weights.shape, bias.shape]
 
         def loss(_):
             return float(np.sum(layers._conv2d(x, weights, bias, padding)[0] * proj))
 
-        for arg, g in zip((x, weights, bias), grads):
+        for arg, g, exact in zip((x, weights, bias), grads, adjoint):
+            np.testing.assert_allclose(g, exact, rtol=1e-12, atol=1e-12)
             assert relative_error(g, numeric_gradient(loss, arg, step=STEP)) < TOL
 
 
