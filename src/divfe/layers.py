@@ -137,18 +137,14 @@ def _transposed_rows(dy_n, weights, xp_shape):
     slabs = np.ascontiguousarray(flipped).reshape(fh, width, c)
     step = max(1, min(n, _IM2COL_BLOCK_BYTES // (8 * ho * wp * width)))
     buf = np.empty((step,) + windows.shape[1:])
-    # with one filter row a block's product is its rows of dxp
-    dxp = np.empty(xp_shape) if fh == 1 else np.zeros(xp_shape)
+    dxp = np.zeros(xp_shape)
     for s in range(0, n, step):
         m = min(step, n - s)
         np.copyto(buf[:m], windows[s:s + m])
         rows = buf[:m].reshape(-1, width)
         dxb = dxp[s:s + m].reshape(m, hp * wp, c)
-        if fh == 1:
-            np.matmul(rows, slabs[0], out=dxb.reshape(-1, c))
-        else:
-            for u in range(fh):
-                dxb[:, u * wp:(u + ho) * wp] += (rows @ slabs[u]).reshape(m, ho * wp, c)
+        for u in range(fh):
+            dxb[:, u * wp:(u + ho) * wp] += (rows @ slabs[u]).reshape(m, ho * wp, c)
     return dxp
 
 
