@@ -49,20 +49,20 @@ def _fail(exc) -> int:
 
 @dataclass
 class RunConfig:
-    seed: int = 0
-    lr: float = 1e-3
-    momentum: float = 0.9
-    batch: int = 32
-    epochs: int = 100
-    patience: int = 10
-    train_fraction: float = 0.8
-    val_fraction: float = 0.1
+    seed: int = TrainConfig.seed
+    lr: float = TrainConfig.learning_rate
+    momentum: float = TrainConfig.momentum
+    batch: int = TrainConfig.batch_size
+    epochs: int = TrainConfig.max_epochs
+    patience: int = TrainConfig.patience
+    train_fraction: float = SplitSpec.train_fraction
+    val_fraction: float = SplitSpec.validation_fraction
     standardize: int = -1      # -1: default by format (iris on, others off)
-    augment_factor: int = 1
-    augment_snr_db: float = 20.0
-    augment_gain_low: float = 0.7
-    augment_gain_high: float = 1.3
-    augment_rotation: float = 1.0
+    augment_factor: int = 1    # no expansion unless asked, unlike `divfe augment`
+    augment_snr_db: float = AugmentConfig.snr_db
+    augment_gain_low: float = AugmentConfig.gain_low
+    augment_gain_high: float = AugmentConfig.gain_high
+    augment_rotation: float = AugmentConfig.max_rotation
 
 
 def _load_run_config(path) -> RunConfig:
@@ -99,6 +99,8 @@ def _train_config(cfg: RunConfig) -> TrainConfig:
 
 
 def _load_dataset(path, fmt, labels_path=None) -> LabeledDataset:
+    if labels_path is not None and fmt != "mnist":
+        raise ParseError(f"--labels is for the mnist format only, not {fmt!r}")
     if fmt == "iris":
         return load_iris(path)
     if fmt == "csv":
@@ -300,12 +302,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("augment", help="expand a 1D-signal CSV training set")
     p.add_argument("--data", required=True, type=Path)
     p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--factor", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--snr-db", type=float, default=20.0)
-    p.add_argument("--gain-low", type=float, default=0.7)
-    p.add_argument("--gain-high", type=float, default=1.3)
-    p.add_argument("--rotation", type=float, default=1.0)
+    p.add_argument("--factor", type=int, default=AugmentConfig.factor)
+    p.add_argument("--seed", type=int, default=AugmentConfig.seed)
+    p.add_argument("--snr-db", type=float, default=AugmentConfig.snr_db)
+    p.add_argument("--gain-low", type=float, default=AugmentConfig.gain_low)
+    p.add_argument("--gain-high", type=float, default=AugmentConfig.gain_high)
+    p.add_argument("--rotation", type=float, default=AugmentConfig.max_rotation)
     p.set_defaults(func=cmd_augment)
 
     return parser

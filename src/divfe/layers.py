@@ -14,27 +14,27 @@ Convolution is implemented as cross-correlation (the usual CNN convention),
 stride 1. Padding is ``valid`` by default; ``same`` zero-padding is available
 for architectures whose filters would otherwise outgrow the map.
 
-Conv1D and Conv2D share one kernel, :func:`_conv2d`; a length-L signal is
-a 1×L image. The kernel computes channels-last. In blocks of whole samples
-of at most about 1 MiB it copies only the fw-wide windows of each padded row
-(MEC, Cho & Brand 2017): a ``(Hp·Wo, fw·C)`` matrix per sample, so each input
-element is copied fw times, not fh·fw. Filter row u meets the window rows
-from ``u·Wo`` on, and the output is the sum over u of their GEMMs with its
-``(fw·C, P)`` weight slab. With one filter row (every Conv1D, or a filter
-spanning the padded map, fh·fw·C wide) a block is one matrix, and its output
-and weight gradient one GEMM each. The weight gradient comes from the same
-windows, still in the buffer when a batch fits in one block. The input
-gradient, a full correlation of ``dy`` with the flipped filter, takes the
-same scheme transposed: ``dy`` padded by fw-1 columns each side has Wp
-windows per row, a ``(Ho·Wp, fw·P)`` matrix per sample, and filter row u,
-reversed, adds one GEMM into padded input rows u..u+Ho, which are contiguous.
-It stays one GEMM per filter tap where the windows do not pay for their
-copy: on one input plane, for a filter of one or two taps, and on an output
-narrower than the filter, whose padding at least doubles the GEMM; a
-spanning filter takes one GEMM in all. The result is a ``(N, P, H, W)`` view
-of a channels-last array. BatchNorm, which works on that memory as an
-``(M, C)`` matrix, and ReLU keep its order both ways, so a following
-convolution reads its input without a copy.
+Conv1D is Conv2D's code on one filter extent. Both run one channels-last
+kernel, :func:`_conv2d`, which takes a length-L signal as a 1×L image. In
+blocks of whole samples of at most about 1 MiB it copies only the fw-wide
+windows of each padded row (MEC, Cho & Brand 2017): a ``(Hp·Wo, fw·C)``
+matrix per sample, so each input element is copied fw times, not fh·fw.
+Filter row u meets the window rows from ``u·Wo`` on, and the output is the
+sum over u of their GEMMs with its ``(fw·C, P)`` weight slab. With one
+filter row (every Conv1D, or a filter spanning the padded map, fh·fw·C wide)
+a block is one matrix, and its output and weight gradient one GEMM each. The
+weight gradient comes from the same windows, still in the buffer when a
+batch fits in one block. The input gradient, a full correlation of ``dy``
+with the flipped filter, takes the same scheme transposed: ``dy`` padded by
+fw-1 columns each side has Wp windows per row, a ``(Ho·Wp, fw·P)`` matrix
+per sample, and filter row u, reversed, adds one GEMM into padded input rows
+u..u+Ho, which are contiguous. It stays one GEMM per filter tap where the
+windows do not pay for their copy: on one input plane, for a filter of one
+or two taps, and on an output narrower than the filter, whose padding at
+least doubles the GEMM; a spanning filter takes one GEMM in all. The result
+is a ``(N, P, H, W)`` view of a channels-last array. BatchNorm, which works
+on that memory as an ``(M, C)`` matrix, and ReLU keep its order both ways,
+so a following convolution reads its input without a copy.
 MaxPool likewise pools 1D and 2D maps through one window reshape.
 
 Each layer names its trainable arrays in ``param_names``. After
@@ -42,6 +42,8 @@ initialisation :class:`FeatureExtractor` holds them all in one flat vector,
 ``params``, and every layer attribute is a reshaped view of its slice, so an
 SGD step is three whole-vector operations.
 """
+
+import math
 
 import numpy as np
 
@@ -247,96 +249,65 @@ def _conv2d(x, weights, bias, padding):
     return (y[:, :, 0] if signal else y), bwd
 
 
-class Conv1D(Layer):
-    """1D cross-correlation, stride 1, summed over input planes, plus bias.
-
-    A length-L signal runs through :func:`_conv2d` as a 1×L image.
-    """
-
-    param_names = ("weights", "bias")
-
-    def __init__(self, filter_len: int, planes: int, padding: str = "valid"):
-        if filter_len < 1 or planes < 1:
-            raise ContractError("filter_len and planes must be >= 1")
-        if padding not in ("valid", "same"):
-            raise ContractError(f"unknown padding {padding!r}")
-        self.filter_len = filter_len
-        self.planes = planes
-        self.padding = padding
-        self.in_planes = None
-        self.weights = None  # (planes, in_planes, filter_len)
-        self.bias = None     # (planes,)
-
-    def wire(self, in_shape):
-        if len(in_shape) != 2:
-            raise ShapeError(f"Conv1D expects (planes, length) input, got {in_shape}")
-        c, length = in_shape
-        if self.padding == "valid" and self.filter_len > length:
-            raise ShapeError(f"filter length {self.filter_len} exceeds input length {length}")
-        self.in_planes = c
-        out_len = length if self.padding == "same" else length - self.filter_len + 1
-        return (self.planes, out_len)
-
-    def init_params(self, rng):
-        fan_in = self.in_planes * self.filter_len
-        self.weights = _he_init(rng, (self.planes, self.in_planes, self.filter_len), fan_in)
-        self.bias = np.zeros(self.planes)
-
-    def weight_count(self):
-        return self.planes * self.in_planes * self.filter_len
-
-    def spec_line(self):
-        pad = " same" if self.padding == "same" else ""
-        return f"conv1d {self.filter_len} {self.planes}{pad}"
-
-    def _apply(self, x, mode):
-        return _conv2d(x, self.weights, self.bias, self.padding)
-
-
 class Conv2D(Layer):
-    """2D cross-correlation, stride 1, summed over input planes, plus bias."""
+    """Cross-correlation over ``ndim`` spatial axes, stride 1, summed over input
+    planes, plus bias: ``Conv2D(fh, fw, planes)`` has ``(planes, C, fh, fw)``
+    weights."""
 
     param_names = ("weights", "bias")
+    ndim = 2
 
-    def __init__(self, filter_h: int, filter_w: int, planes: int, padding: str = "valid"):
-        if filter_h < 1 or filter_w < 1 or planes < 1:
+    def __init__(self, *sizes: int, padding: str = "valid"):
+        *extents, planes = sizes
+        if len(extents) != self.ndim:
+            raise ContractError(f"{self.kind} takes {self.ndim} extent(s), got {extents}")
+        if min(*extents, planes) < 1:
             raise ContractError("filter extents and planes must be >= 1")
         if padding not in ("valid", "same"):
             raise ContractError(f"unknown padding {padding!r}")
-        self.filter_h = filter_h
-        self.filter_w = filter_w
+        self.extents = tuple(extents)
         self.planes = planes
         self.padding = padding
         self.in_planes = None
-        self.weights = None  # (planes, in_planes, fh, fw)
-        self.bias = None
+        self.weights = None  # (planes, in_planes, *extents)
+        self.bias = None     # (planes,)
 
     def wire(self, in_shape):
-        if len(in_shape) != 3:
-            raise ShapeError(f"Conv2D expects (planes, height, width) input, got {in_shape}")
-        c, h, w = in_shape
-        if self.padding == "valid" and (self.filter_h > h or self.filter_w > w):
-            raise ShapeError(f"filter {self.filter_h}x{self.filter_w} exceeds input {h}x{w}")
+        if len(in_shape) != self.ndim + 1:
+            raise ShapeError(f"{self.kind} expects input of rank {self.ndim + 1}, got {in_shape}")
+        c, *size = in_shape
+        if self.padding == "valid" and any(f > n for f, n in zip(self.extents, size)):
+            raise ShapeError(f"filter {self.extents} exceeds input {tuple(size)}")
         self.in_planes = c
         if self.padding == "same":
-            return (self.planes, h, w)
-        return (self.planes, h - self.filter_h + 1, w - self.filter_w + 1)
+            return (self.planes, *size)
+        return (self.planes, *(n - f + 1 for f, n in zip(self.extents, size)))
 
     def init_params(self, rng):
-        fan_in = self.in_planes * self.filter_h * self.filter_w
-        shape = (self.planes, self.in_planes, self.filter_h, self.filter_w)
-        self.weights = _he_init(rng, shape, fan_in)
+        shape = (self.planes, self.in_planes, *self.extents)
+        self.weights = _he_init(rng, shape, math.prod(shape[1:]))
         self.bias = np.zeros(self.planes)
 
     def weight_count(self):
-        return self.planes * self.in_planes * self.filter_h * self.filter_w
+        return self.planes * self.in_planes * math.prod(self.extents)
 
     def spec_line(self):
         pad = " same" if self.padding == "same" else ""
-        return f"conv2d {self.filter_h}x{self.filter_w} {self.planes}{pad}"
+        return f"{self.kind} {'x'.join(map(str, self.extents))} {self.planes}{pad}"
 
     def _apply(self, x, mode):
         return _conv2d(x, self.weights, self.bias, self.padding)
+
+
+class Conv1D(Layer):
+    """:class:`Conv2D`'s code on one filter extent: ``Conv1D(f, planes)`` has
+    ``(planes, C, f)`` weights, and a length-L signal runs through
+    :func:`_conv2d` as a 1×L image."""
+
+    param_names = Conv2D.param_names
+    ndim = 1
+    __init__, wire, init_params = Conv2D.__init__, Conv2D.wire, Conv2D.init_params
+    weight_count, spec_line, _apply = Conv2D.weight_count, Conv2D.spec_line, Conv2D._apply
 
 
 class MaxPool(Layer):

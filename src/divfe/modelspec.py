@@ -30,7 +30,11 @@ class SpecError(ValueError):
     pass
 
 
-_PLAIN_LAYERS = {"batchnorm": BatchNorm, "relu": ReLU, "flatten": Flatten}
+_CONVOLUTIONS = {cls.kind: cls for cls in (Conv1D, Conv2D)}
+# every other layer keyword -> (its class, the type of each argument)
+_LAYERS = {cls.kind: (cls, types) for cls, types in (
+    (MaxPool, (int,)), (Dropout, (float,)), (Dense, (int,)),
+    (BatchNorm, ()), (ReLU, ()), (Flatten, ()))}
 _TEMPLATE_KEYS = ("input", "walsh_rank", "planes", "filters", "relu", "batchnorm")
 
 
@@ -96,26 +100,13 @@ def parse_model_spec(text: str) -> FeatureExtractor:
     def line(lineno, kind, args):
         if kind in ("input", "walsh_rank"):
             _header(header, lineno, kind, args)
-        elif kind == "conv1d":
-            flen, planes, *extra = args
-            layers.append(Conv1D(int(flen), int(planes), padding=_padding(extra, lineno)))
-        elif kind == "conv2d":
+        elif kind in _CONVOLUTIONS:
             extent, planes, *extra = args
-            fh, fw = _dims(extent, lineno)
-            layers.append(Conv2D(fh, fw, int(planes), padding=_padding(extra, lineno)))
-        elif kind == "maxpool":
-            (window,) = args
-            layers.append(MaxPool(int(window)))
-        elif kind == "dropout":
-            (rate,) = args
-            layers.append(Dropout(float(rate)))
-        elif kind == "dense":
-            (out_dim,) = args
-            layers.append(Dense(int(out_dim)))
-        elif kind in _PLAIN_LAYERS:
-            if args:
-                raise ValueError(f"{kind} takes no arguments")
-            layers.append(_PLAIN_LAYERS[kind]())
+            layers.append(_CONVOLUTIONS[kind](*map(int, extent.lower().split("x")), int(planes),
+                                              padding=_padding(extra, lineno)))
+        elif kind in _LAYERS:
+            cls, types = _LAYERS[kind]
+            layers.append(cls(*(cast(arg) for cast, arg in zip(types, args, strict=True))))
         else:
             raise SpecError(f"line {lineno}: unknown layer {kind!r}")
 

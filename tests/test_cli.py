@@ -465,3 +465,23 @@ def test_bad_config_values_are_contract_error_before_data_loads(tmp_path, capsys
                  "--out", str(tmp_path / "o.divf")])
     assert code == 7
     assert "error=contract-error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "iris"])
+@pytest.mark.parametrize("command", ["train", "eval", "divergence", "grow"])
+def test_labels_outside_the_mnist_format_are_parse_error(tmp_path, signal_csv, capsys,
+                                                         command, fmt):
+    model_path = tmp_path / "model.spec"
+    model_path.write_text(MODEL_SPEC)
+    template = tmp_path / "growth.txt"
+    template.write_text("input 8\nwalsh_rank 4\nplanes 2\n")
+    checkpoint = tmp_path / "model.divf"
+    save_checkpoint(parse_model_spec(MODEL_SPEC).initialize(0), make_codebook(2, 4), checkpoint)
+    source = {"train": ["--model", str(model_path), "--out", str(tmp_path / "o.divf")],
+              "eval": ["--checkpoint", str(checkpoint)],
+              "divergence": ["--checkpoint", str(checkpoint)],
+              "grow": ["--template", str(template)]}[command]
+    code = main([command, *source, "--data", str(signal_csv), "--format", fmt,
+                 "--labels", str(tmp_path / "nope-idx1-ubyte")])
+    assert code == 4
+    assert "error=parse-error: --labels" in capsys.readouterr().err

@@ -1,16 +1,21 @@
 """Plain-text model description: spec files and growth templates."""
 
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divfe import modelspec
+from divfe.checkpoint import load_checkpoint, save_checkpoint
 from divfe.layers import (BatchNorm, Conv1D, Conv2D, Dense, Dropout, FeatureExtractor,
                           Flatten, Layer, MaxPool, ReLU)
 from divfe.modelspec import (SpecError, format_model_spec, load_model_spec,
                              parse_growth_template, parse_model_spec)
 from divfe.numerics import GradientTape, ShapeError
+from divfe.walsh import make_codebook
 
 SPECS = sorted((Path(__file__).resolve().parent.parent / "specs").glob("*.spec"))
 
@@ -88,6 +93,11 @@ def test_unknown_layer_and_bad_tokens():
         parse_model_spec("input 4\nwalsh_rank 4\nconv1d 2 10 padded\n")
     with pytest.raises(SpecError):
         parse_model_spec("input 0x4\nwalsh_rank 4\nflatten\n")
+    # wrong extent counts, a bad or zero extent, and wrong argument counts
+    for line in ("conv1d 3x3 4", "conv2d 3 4", "conv2d 3x3x3 4", "conv2d 3xq 4",
+                 "conv2d 0x3 4", "maxpool 2 2", "relu 1", "dense"):
+        with pytest.raises(SpecError):
+            parse_model_spec(f"input 6x6\nwalsh_rank 4\n{line}\n")
 
 
 def test_wiring_error_surfaces():
@@ -165,6 +175,59 @@ def test_extra_tokens_and_duplicate_headers_rejected():
                  "input 4\ninput 4\nwalsh_rank 4\nflatten\n"):
         with pytest.raises(SpecError):
             parse_model_spec(text)
+
+
+# ---------------------------------------------------------------- random spec chains
+
+@st.composite
+def _spec_texts(draw):
+    """Canonical spec text from the whole grammar. Convolutions mostly match
+    the input's dimension and the dense width mostly matches walsh_rank, so
+    about a third of the draws wire; the rest raise ShapeError."""
+    ndim = draw(st.sampled_from((1, 2)))
+    rank = draw(st.sampled_from((4, 8, 16)))
+    size = st.integers(1, 16 if ndim == 1 else 8)
+    lines = ["input " + "x".join(str(draw(size)) for _ in range(ndim)), f"walsh_rank {rank}"]
+    for _ in range(draw(st.integers(1, 4))):
+        conv = draw(st.sampled_from((ndim,) * 7 + (3 - ndim,)))
+        extent = "x".join(str(draw(st.integers(1, 3))) for _ in range(conv))
+        pad = draw(st.sampled_from(("", " same")))
+        lines.append(f"conv{conv}d {extent} {draw(st.integers(1, 3))}{pad}")
+        lines += draw(st.lists(st.sampled_from(
+            ("batchnorm", "relu", "maxpool 1", "maxpool 2", "dropout 0.1", "dropout 0.5")),
+            max_size=2))
+    lines.append("flatten")
+    if draw(st.sampled_from((True, True, True, False))):
+        lines.append(f"dense {draw(st.sampled_from((rank, rank, rank, 4, 8, 16)))}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_spec_texts(), seed=st.integers(0, 2**32 - 1))
+def test_random_spec_chains(text, seed):
+    # a spec wires or raises ShapeError; a wired one formats back to its text,
+    # infers the same batched as per sample, and the same after a checkpoint
+    try:
+        model = parse_model_spec(text)
+    except ShapeError:
+        return
+    assert format_model_spec(model) == text
+    rng = np.random.default_rng(seed)
+    model.initialize(rng)
+    model.params[:] = rng.normal(size=model.params.size)
+    for layer in model.layers:
+        if isinstance(layer, BatchNorm):
+            layer.running_mean[:] = rng.normal(size=layer.planes)
+            layer.running_var[:] = rng.uniform(0.5, 2.0, size=layer.planes)
+    x = rng.normal(size=(3,) + model.input_shape)
+    batched = model.forward(x)
+    per_sample = np.concatenate([model.forward(x[i:i + 1]) for i in range(len(x))])
+    np.testing.assert_allclose(batched, per_sample, rtol=1e-9, atol=1e-9)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.divf"
+        save_checkpoint(model, make_codebook(2, model.rank), path)
+        loaded, _, _ = load_checkpoint(path)
+    np.testing.assert_array_equal(loaded.forward(x), batched)
 
 
 # ---------------------------------------------------------------- growth templates
