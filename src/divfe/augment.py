@@ -13,29 +13,23 @@ import numpy as np
 
 from .numerics import ContractError
 
-# Each augmentation operation is applied independently with this probability.
+# Each operation applies independently with probability OP_PROBABILITY: a gain
+# drawn uniformly from GAIN_RANGE, polarity inversion, a rotation by up to
+# MAX_ROTATION of the signal length, and noise at SNR_DB.
 OP_PROBABILITY = 0.5
+GAIN_RANGE = (0.7, 1.3)
+SNR_DB = 20.0
+MAX_ROTATION = 1.0
 
 
 @dataclass(frozen=True)
 class AugmentConfig:
-    gain_low: float = 0.7
-    gain_high: float = 1.3
-    snr_db: float = 20.0
-    max_rotation: float = 1.0   # fraction of the signal length
     factor: int = 3
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("gain_low", "gain_high", "snr_db", "max_rotation"):
-            if not np.isfinite(getattr(self, name)):
-                raise ContractError(f"{name} must be finite, got {getattr(self, name)}")
-        if not 0 < self.gain_low <= self.gain_high:
-            raise ContractError("need 0 < gain_low <= gain_high")
         if self.factor < 1:
             raise ContractError("expansion factor must be >= 1")
-        if not 0.0 <= self.max_rotation <= 1.0:
-            raise ContractError("max_rotation must be in [0, 1]")
         if self.seed < 0:
             raise ContractError(f"seed must be >= 0, got {self.seed}")
 
@@ -67,22 +61,21 @@ def add_noise(signal: np.ndarray, snr_db: float, rng: np.random.Generator) -> np
     return signal + rng.normal(0.0, noise_std, size=signal.shape)
 
 
-def augment_signal(signal: np.ndarray, config: AugmentConfig,
-                   rng: np.random.Generator) -> np.ndarray:
+def augment_signal(signal: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One random variant: each operation applied independently with
     probability :data:`OP_PROBABILITY`."""
     out = np.asarray(signal, dtype=np.float64)
     p = OP_PROBABILITY
     if rng.random() < p:
-        out = amplify(out, rng.uniform(config.gain_low, config.gain_high))
+        out = amplify(out, rng.uniform(*GAIN_RANGE))
     if rng.random() < p:
         out = invert_polarity(out)
     if rng.random() < p:
-        max_shift = int(config.max_rotation * out.shape[-1])
+        max_shift = int(MAX_ROTATION * out.shape[-1])
         if max_shift > 0:
             out = rotate_time(out, int(rng.integers(0, max_shift + 1)))
     if rng.random() < p:
-        out = add_noise(out, config.snr_db, rng)
+        out = add_noise(out, SNR_DB, rng)
     return out
 
 
@@ -90,8 +83,9 @@ def expand_training_set(dataset, config: AugmentConfig):
     """Expand a 1D-signal dataset by ``config.factor``.
 
     Output keeps every original sample and appends factor-1 variants per
-    sample with the label copied. Deterministic for a fixed seed: each
-    variant draws from its own spawned RNG stream.
+    sample with the label copied. Variant j (of sample j mod n) draws from
+    ``SeedSequence(seed, spawn_key=(j,))``. The output is allocated first, so
+    a factor too large for memory fails at once.
     """
     samples = np.asarray(dataset.samples, dtype=np.float64)
     if samples.ndim != 2:
@@ -100,13 +94,10 @@ def expand_training_set(dataset, config: AugmentConfig):
         return dataset
 
     n = samples.shape[0]
-    streams = np.random.SeedSequence(config.seed).spawn(n * (config.factor - 1))
-    out_samples = [samples]
-    for v in range(config.factor - 1):
-        variants = np.empty_like(samples)
-        for i in range(n):
-            rng = np.random.default_rng(streams[v * n + i])
-            variants[i] = augment_signal(samples[i], config, rng)
-        out_samples.append(variants)
-    return replace(dataset, samples=np.concatenate(out_samples, axis=0),
-                   labels=np.tile(dataset.labels, config.factor))
+    out = np.empty((n * config.factor, samples.shape[1]))
+    labels = np.tile(dataset.labels, config.factor)
+    out[:n] = samples
+    for j in range(n * (config.factor - 1)):
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(j,)))
+        out[n + j] = augment_signal(samples[j % n], rng)
+    return replace(dataset, samples=out, labels=labels)

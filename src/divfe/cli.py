@@ -6,7 +6,8 @@ in :mod:`divfe.trainer` (SeedSequence(seed, spawn_key=(trial, stream))), so
 adding a consumer does not perturb the others.
 
 Failures exit nonzero with one machine-readable line on stderr:
-``error=<category>: <message>``.
+``error=<category>: <message>``; an allocation that cannot be met (a spec,
+template or augmentation factor too large for memory) is ``out-of-memory``.
 """
 
 import argparse
@@ -35,6 +36,7 @@ _ERROR_CATEGORIES = [
     (FormatError, "format-error", 5),
     ((ParseError, SpecError, UnicodeDecodeError), "parse-error", 4),
     (OSError, "io-error", 3),
+    (MemoryError, "out-of-memory", 9),
 ]
 
 
@@ -59,10 +61,6 @@ class RunConfig:
     val_fraction: float = SplitSpec.validation_fraction
     standardize: int = -1      # -1: default by format (iris on, others off)
     augment_factor: int = 1    # no expansion unless asked, unlike `divfe augment`
-    augment_snr_db: float = AugmentConfig.snr_db
-    augment_gain_low: float = AugmentConfig.gain_low
-    augment_gain_high: float = AugmentConfig.gain_high
-    augment_rotation: float = AugmentConfig.max_rotation
 
 
 def _load_run_config(path) -> RunConfig:
@@ -90,9 +88,7 @@ def _load_run_config(path) -> RunConfig:
 
 
 def _train_config(cfg: RunConfig) -> TrainConfig:
-    augment = AugmentConfig(gain_low=cfg.augment_gain_low, gain_high=cfg.augment_gain_high,
-                            snr_db=cfg.augment_snr_db, max_rotation=cfg.augment_rotation,
-                            factor=cfg.augment_factor, seed=cfg.seed)
+    augment = AugmentConfig(factor=cfg.augment_factor, seed=cfg.seed)
     return TrainConfig(learning_rate=cfg.lr, momentum=cfg.momentum,
                        batch_size=cfg.batch, max_epochs=cfg.epochs,
                        patience=cfg.patience, seed=cfg.seed, augment=augment)
@@ -248,9 +244,7 @@ def cmd_grow(args) -> int:
 
 
 def cmd_augment(args) -> int:
-    config = AugmentConfig(factor=args.factor, seed=args.seed, snr_db=args.snr_db,
-                           gain_low=args.gain_low, gain_high=args.gain_high,
-                           max_rotation=args.rotation)
+    config = AugmentConfig(factor=args.factor, seed=args.seed)
     dataset = load_signals_csv(args.data)
     expanded = expand_training_set(dataset, config)
     save_signals_csv(args.out, expanded)
@@ -304,10 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, type=Path)
     p.add_argument("--factor", type=int, default=AugmentConfig.factor)
     p.add_argument("--seed", type=int, default=AugmentConfig.seed)
-    p.add_argument("--snr-db", type=float, default=AugmentConfig.snr_db)
-    p.add_argument("--gain-low", type=float, default=AugmentConfig.gain_low)
-    p.add_argument("--gain-high", type=float, default=AugmentConfig.gain_high)
-    p.add_argument("--rotation", type=float, default=AugmentConfig.max_rotation)
     p.set_defaults(func=cmd_augment)
 
     return parser

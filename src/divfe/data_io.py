@@ -182,6 +182,8 @@ def save_signals_csv(path, dataset: LabeledDataset):
     samples = dataset.samples
     if samples.ndim != 2:
         raise ContractError("signal CSV holds 1D samples only")
+    if not np.isfinite(samples).all():   # the loader would reject the file
+        raise ContractError("signal CSV samples must be finite")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         for label, signal in zip(dataset.labels, samples):

@@ -90,7 +90,7 @@ def divergence_value(within: np.ndarray, between: np.ndarray,
 
 
 def analyze(outputs: np.ndarray, labels: np.ndarray, codebook: WalshCodebook,
-            mode: str = "paper", ridge: float | None = None) -> ScatterReport:
+            mode: str = "paper") -> ScatterReport:
     """Full scatter report for a set of feature-extractor outputs.
 
     ``paper`` mode takes class centers from the codebook rows of the classes
@@ -111,7 +111,6 @@ def analyze(outputs: np.ndarray, labels: np.ndarray, codebook: WalshCodebook,
     else:
         means = np.stack([outputs[labels == cls].mean(axis=0) for cls in present])
     b = between_class_scatter(means)
-    if ridge is None:
-        ridge = default_ridge(s)
+    ridge = default_ridge(s)
     value = divergence_value(s, b, ridge)
     return ScatterReport(within=s, between=b, divergence=value, ridge=ridge)

@@ -199,8 +199,6 @@ def fit(model: FeatureExtractor, train_set: LabeledDataset,
 @dataclass(frozen=True)
 class TrialResult:
     accuracies: tuple
-    mean_accuracy: float
-    std_accuracy: float
     reports: tuple
 
 
@@ -232,11 +230,7 @@ def run_trials(model_factory, dataset: LabeledDataset, split_spec: SplitSpec,
         report = fit(model, train_set, val_set, codebook, config, trial=trial)
         accuracies.append(evaluate(model, test_set, codebook).accuracy)
         reports.append(report)
-    acc = np.asarray(accuracies)
-    return TrialResult(accuracies=tuple(accuracies),
-                       mean_accuracy=float(acc.mean()),
-                       std_accuracy=float(acc.std()),
-                       reports=tuple(reports))
+    return TrialResult(accuracies=tuple(accuracies), reports=tuple(reports))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 Each test prints a single ``criterion NN <name>: PASS`` line on success (and
 pytest itself reports one PASSED/FAILED line per criterion under ``-v``).
 Criterion 6 needs the MNIST IDX files on disk and is skipped when they are
-absent; set DIVFE_MNIST_DIR or place them under data/mnist/.
+absent; set DIVFE_MNIST_DIR or place them under data/mnist/. Its synthetic
+companion, shifted random-prototype digits on the same spec, always runs.
 """
 
 import os
@@ -159,6 +160,50 @@ def test_criterion_06_mnist_desk_scale():
     median = float(np.median(accuracies))
     assert median >= 0.95, f"median test accuracy {median:.4f} < 0.95 ({accuracies})"
     _report(6, "mnist-desk-scale")
+
+
+def _shifted_digits(rng, prototypes, n):
+    """28x28 images in [0, 1], classes cycling: the class prototype plus
+    uniform noise, rolled by up to 2 px along each axis."""
+    labels = np.arange(n) % len(prototypes)
+    images = np.clip(0.6 * prototypes[labels] + 0.4 * rng.random((n, 28, 28)), 0.0, 1.0)
+    shifts = rng.integers(-2, 3, size=(n, 2))
+    images = np.stack([np.roll(image, tuple(shift), axis=(0, 1))
+                       for image, shift in zip(images, shifts)])
+    return LabeledDataset(samples=images, labels=labels, class_count=len(prototypes))
+
+
+def test_criterion_06_synthetic_shifted_digits(tmp_path):
+    """Criterion 6's image path without a download: ``specs/mnist.spec`` for 3
+    epochs on 320 shifted random-prototype digits. Over seeds 0-7 of this
+    setup the 400-image test accuracy was 0.42-0.58 and the last epoch's
+    training loss 0.17-0.21 of the first's; the bounds sit below and above."""
+    rng = np.random.default_rng([0, 6])
+    prototypes = rng.random((10, 28, 28))
+    train_set, val_set, test_set = (_shifted_digits(rng, prototypes, n)
+                                    for n in (320, 64, 400))
+    codebook = make_codebook(10, 16)
+
+    def train(train_set, epochs):
+        model = load_model_spec(REPO / "specs" / "mnist.spec")
+        model.initialize(derive_rng(0, 0, STREAM_INIT))
+        config = TrainConfig(learning_rate=0.005, momentum=0.9, batch_size=32,
+                             max_epochs=epochs, patience=epochs, seed=0)
+        return model, fit(model, train_set, val_set, codebook, config)
+
+    model, report = train(train_set, 3)
+    accuracy = evaluate(model, test_set, codebook).accuracy
+    assert accuracy >= 0.35, f"test accuracy {accuracy:.3f} < 0.35"
+    assert report.train_loss[-1] <= 0.3 * report.train_loss[0], report.train_loss
+
+    # same seed, same checkpoint bytes through the convolution/BatchNorm stack
+    blobs = []
+    for run in range(2):
+        short, _ = train(train_set.subset(np.arange(64)), 1)
+        save_checkpoint(short, codebook, tmp_path / f"run{run}.divf")
+        blobs.append((tmp_path / f"run{run}.divf").read_bytes())
+    assert blobs[0] == blobs[1]
+    _report(6, "synthetic-shifted-digits")
 
 
 def test_criterion_07_augmentation_invariants():

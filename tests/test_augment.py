@@ -1,5 +1,7 @@
 """1D-signal augmentation operations and training-set expansion."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -63,9 +65,8 @@ def test_add_noise_leaves_zero_signal_unchanged():
 
 def test_augment_signal_deterministic_per_stream():
     s = _signal()
-    cfg = AugmentConfig()
-    a = augment_signal(s, cfg, np.random.default_rng(7))
-    b = augment_signal(s, cfg, np.random.default_rng(7))
+    a = augment_signal(s, np.random.default_rng(7))
+    b = augment_signal(s, np.random.default_rng(7))
     np.testing.assert_array_equal(a, b)
 
 
@@ -104,6 +105,25 @@ def test_expansion_is_deterministic():
     assert not np.array_equal(a.samples, c.samples)
 
 
+def test_expansion_matches_the_spawned_stream_reference():
+    # the reference spawns every child stream up front: variant j must draw
+    # from the j-th child of SeedSequence(seed)
+    ds = _dataset()
+    factor, seed = 3, 11
+    n = len(ds)
+    streams = np.random.SeedSequence(seed).spawn(n * (factor - 1))
+    reference = np.concatenate(
+        [ds.samples] + [np.stack([augment_signal(ds.samples[i],
+                                                 np.random.default_rng(streams[v * n + i]))
+                                  for i in range(n)])
+                        for v in range(factor - 1)])
+    out = expand_training_set(ds, AugmentConfig(factor=factor, seed=seed))
+    assert out.samples.tobytes() == reference.tobytes()
+    np.testing.assert_array_equal(out.labels, np.tile(ds.labels, factor))
+    # and the bytes themselves: the fixed gain range, SNR and rotation included
+    assert hashlib.sha256(out.samples.tobytes()).hexdigest()[:16] == "dba9bc426935836b"
+
+
 def test_factor_one_returns_dataset_unchanged():
     ds = _dataset()
     assert expand_training_set(ds, AugmentConfig(factor=1)) is ds
@@ -118,19 +138,6 @@ def test_expansion_rejects_non_1d_samples():
 
 def test_config_validation():
     with pytest.raises(ContractError):
-        AugmentConfig(gain_low=0.0)
-    with pytest.raises(ContractError):
-        AugmentConfig(gain_low=1.5, gain_high=1.0)
-    with pytest.raises(ContractError):
         AugmentConfig(factor=0)
     with pytest.raises(ContractError):
-        AugmentConfig(max_rotation=1.5)
-    with pytest.raises(ContractError):
         AugmentConfig(seed=-1)
-
-
-@pytest.mark.parametrize("field", ["gain_low", "gain_high", "snr_db", "max_rotation"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-def test_config_rejects_non_finite_values(field, value):
-    with pytest.raises(ContractError, match=f"{field} must be finite"):
-        AugmentConfig(**{field: value})

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, outputs and error exit codes."""
 
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -414,9 +415,7 @@ def test_non_finite_csv_values_are_parse_error(tmp_path, signal_csv, trained, ca
     assert "error=parse-error" in err and "bad.csv:6: non-finite" in err
 
 
-@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--factor", "0"),
-                                         ("--snr-db", "nan"), ("--gain-high", "inf"),
-                                         ("--gain-low", "-inf"), ("--rotation", "nan")])
+@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--factor", "0")])
 def test_bad_augment_flags_are_contract_error_before_data_loads(tmp_path, capsys, flag, value):
     # the data file does not exist: the flags must be rejected first
     out = tmp_path / "augmented.csv"
@@ -425,6 +424,69 @@ def test_bad_augment_flags_are_contract_error_before_data_loads(tmp_path, capsys
     assert code == 7
     assert "error=contract-error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--snr-db", "nan"), ("--gain-high", "inf"),
+                                         ("--gain-low", "-inf"), ("--rotation", "nan")])
+def test_removed_augment_flags_are_usage_errors(tmp_path, capsys, flag, value):
+    # the gain range, SNR and rotation are fixed: argparse refuses the flags
+    out = tmp_path / "augmented.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["augment", "--data", str(tmp_path / "nope.csv"), "--out", str(out),
+              f"{flag}={value}"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_huge_augment_factor_is_out_of_memory_at_once(tmp_path, signal_csv, capsys):
+    # 120 rows * 10**13 * 8 doubles is beyond any address space: the output
+    # allocation fails before a single variant is drawn
+    out = tmp_path / "augmented.csv"
+    start = time.perf_counter()
+    code = main(["augment", "--data", str(signal_csv), "--out", str(out),
+                 "--factor", str(10 ** 13)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 9
+    assert "error=out-of-memory" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_augment_refuses_to_write_samples_its_loader_rejects(tmp_path, capsys):
+    # 1.5e308 is finite, but a gain above 1 or the noise power overflows it
+    rng = np.random.default_rng(3)
+    samples = rng.normal(size=(12, 8))
+    samples[4, 2] = 1.5e308
+    data = tmp_path / "signals.csv"
+    save_signals_csv(data, LabeledDataset(samples=samples, labels=np.arange(12) % 2,
+                                          class_count=2))
+    out = tmp_path / "augmented.csv"
+    code = main(["augment", "--data", str(data), "--out", str(out),
+                 "--factor", "6", "--seed", "1"])
+    assert code == 7
+    assert "error=contract-error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "grow"])
+def test_weights_beyond_any_address_space_are_out_of_memory(tmp_path, signal_csv, capsys,
+                                                            command):
+    # 10**14 planes: petabytes of weights, so the allocation fails at once
+    # under every overcommit setting
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text("epochs = 1\n")
+    spec = tmp_path / "model.txt"
+    if command == "train":
+        spec.write_text("input 8\nwalsh_rank 4\nconv1d 3 100000000000000\nflatten\ndense 4\n")
+        args = ["train", "--model", str(spec), "--out", str(tmp_path / "o.divf")]
+    else:
+        # depth 2 holds the huge layer; a threshold of 1 is never cleared at depth 1
+        spec.write_text("input 8\nwalsh_rank 4\nplanes 100000000000000\nfilters 3\n")
+        args = ["grow", "--template", str(spec), "--threshold", "1.0", "--max-depth", "2"]
+    code = main(args + ["--data", str(signal_csv), "--format", "csv",
+                        "--config", str(config_path)])
+    assert code == 9
+    assert "error=out-of-memory" in capsys.readouterr().err
 
 
 def test_idx_dimensions_overflowing_int64_are_format_error(tmp_path, capsys):
@@ -450,8 +512,6 @@ def test_idx_pair_without_images_is_format_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line", ["lr = nan", "lr = inf", "momentum = nan",
-                                  "augment_snr_db = nan", "augment_gain_low = -inf",
-                                  "augment_gain_high = nan", "augment_rotation = inf",
                                   "standardize = 5", "seed = -1", "augment_factor = 0",
                                   "momentum = -5", "momentum = 1"])
 def test_bad_config_values_are_contract_error_before_data_loads(tmp_path, capsys, line):
@@ -465,6 +525,22 @@ def test_bad_config_values_are_contract_error_before_data_loads(tmp_path, capsys
                  "--out", str(tmp_path / "o.divf")])
     assert code == 7
     assert "error=contract-error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["augment_snr_db = nan", "augment_gain_low = -inf",
+                                  "augment_gain_high = nan", "augment_rotation = inf"])
+def test_removed_augment_keys_are_parse_error(tmp_path, capsys, line):
+    # the gain range, SNR and rotation are fixed: their keys are unknown
+    model_path = tmp_path / "model.spec"
+    model_path.write_text(MODEL_SPEC)
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text(line + "\n")
+    code = main(["train", "--model", str(model_path), "--data", str(tmp_path / "nope.csv"),
+                 "--format", "csv", "--config", str(config_path),
+                 "--out", str(tmp_path / "o.divf")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "error=parse-error" in err and "unknown config key" in err
 
 
 @pytest.mark.parametrize("fmt", ["csv", "iris"])
