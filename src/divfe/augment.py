@@ -94,7 +94,10 @@ def expand_training_set(dataset, config: AugmentConfig):
         return dataset
 
     n = samples.shape[0]
-    out = np.empty((n * config.factor, samples.shape[1]))
+    try:
+        out = np.empty((n * config.factor, samples.shape[1]))
+    except ValueError as exc:   # numpy's refusal of a byte count beyond any address space
+        raise MemoryError(str(exc)) from exc
     labels = np.tile(dataset.labels, config.factor)
     out[:n] = samples
     for j in range(n * (config.factor - 1)):

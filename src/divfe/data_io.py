@@ -70,10 +70,13 @@ class SplitSpec:
 
 def _finite_floats(fields):
     """The fields as floats; ``ValueError`` for a field that is not a finite number."""
-    values = [float(v) for v in fields]
-    for field, value in zip(fields, values):
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite value {field.strip()!r}")
+    values = list(map(float, fields))
+    # one C-level pass per row; a sum of finite values can still overflow, so
+    # the loop only looks for the culprit and may find none
+    if not math.isfinite(sum(values)):
+        for field, value in zip(fields, values):
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite value {field.strip()!r}")
     return values
 
 
@@ -184,10 +187,11 @@ def save_signals_csv(path, dataset: LabeledDataset):
         raise ContractError("signal CSV holds 1D samples only")
     if not np.isfinite(samples).all():   # the loader would reject the file
         raise ContractError("signal CSV samples must be finite")
+    # the bytes csv.writer would write: finite reprs never need quoting, and
+    # its lines end in \r\n; one row at a time keeps no copy of the whole set
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        for label, signal in zip(dataset.labels, samples):
-            writer.writerow([int(label)] + [repr(float(v)) for v in signal])
+        for label, signal in zip(dataset.labels.tolist(), samples):
+            fh.write(f"{label},{','.join(map(repr, signal.tolist()))}\r\n")
 
 
 def _stratified_pick(labels, fraction, rng):

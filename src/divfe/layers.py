@@ -104,7 +104,10 @@ class Layer:
 
 
 def _he_init(rng, shape, fan_in):
-    return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
+    try:
+        return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
+    except ValueError as exc:   # numpy's refusal of a size beyond any address space
+        raise MemoryError(str(exc)) from exc
 
 
 def _windows(xp, fw):

@@ -441,15 +441,17 @@ def test_removed_augment_flags_are_usage_errors(tmp_path, capsys, flag, value):
 
 def test_huge_augment_factor_is_out_of_memory_at_once(tmp_path, signal_csv, capsys):
     # 120 rows * 10**13 * 8 doubles is beyond any address space: the output
-    # allocation fails before a single variant is drawn
+    # allocation fails before a single variant is drawn; at 10**16 the byte
+    # count overflows numpy's size type, and at 10**17 the row count does
     out = tmp_path / "augmented.csv"
-    start = time.perf_counter()
-    code = main(["augment", "--data", str(signal_csv), "--out", str(out),
-                 "--factor", str(10 ** 13)])
-    assert time.perf_counter() - start < 1.0
-    assert code == 9
-    assert "error=out-of-memory" in capsys.readouterr().err
-    assert not out.exists()
+    for factor in (10 ** 13, 10 ** 16, 10 ** 17):
+        start = time.perf_counter()
+        code = main(["augment", "--data", str(signal_csv), "--out", str(out),
+                     "--factor", str(factor)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 9
+        assert "error=out-of-memory" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_augment_refuses_to_write_samples_its_loader_rejects(tmp_path, capsys):
@@ -472,21 +474,23 @@ def test_augment_refuses_to_write_samples_its_loader_rejects(tmp_path, capsys):
 def test_weights_beyond_any_address_space_are_out_of_memory(tmp_path, signal_csv, capsys,
                                                             command):
     # 10**14 planes: petabytes of weights, so the allocation fails at once
-    # under every overcommit setting
+    # under every overcommit setting; 10**20 planes is more than numpy can
+    # even index
     config_path = tmp_path / "run.cfg"
     config_path.write_text("epochs = 1\n")
     spec = tmp_path / "model.txt"
-    if command == "train":
-        spec.write_text("input 8\nwalsh_rank 4\nconv1d 3 100000000000000\nflatten\ndense 4\n")
-        args = ["train", "--model", str(spec), "--out", str(tmp_path / "o.divf")]
-    else:
-        # depth 2 holds the huge layer; a threshold of 1 is never cleared at depth 1
-        spec.write_text("input 8\nwalsh_rank 4\nplanes 100000000000000\nfilters 3\n")
-        args = ["grow", "--template", str(spec), "--threshold", "1.0", "--max-depth", "2"]
-    code = main(args + ["--data", str(signal_csv), "--format", "csv",
-                        "--config", str(config_path)])
-    assert code == 9
-    assert "error=out-of-memory" in capsys.readouterr().err
+    for planes in (10 ** 14, 10 ** 20):
+        if command == "train":
+            spec.write_text(f"input 8\nwalsh_rank 4\nconv1d 3 {planes}\nflatten\ndense 4\n")
+            args = ["train", "--model", str(spec), "--out", str(tmp_path / "o.divf")]
+        else:
+            # depth 2 holds the huge layer; a threshold of 1 is never cleared at depth 1
+            spec.write_text(f"input 8\nwalsh_rank 4\nplanes {planes}\nfilters 3\n")
+            args = ["grow", "--template", str(spec), "--threshold", "1.0", "--max-depth", "2"]
+        code = main(args + ["--data", str(signal_csv), "--format", "csv",
+                            "--config", str(config_path)])
+        assert code == 9
+        assert "error=out-of-memory" in capsys.readouterr().err
 
 
 def test_idx_dimensions_overflowing_int64_are_format_error(tmp_path, capsys):

@@ -4,6 +4,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from divfe.data_io import (FormatError, LabeledDataset, ParseError, SplitSpec,
                            Standardizer, load_iris, load_mnist_idx,
@@ -137,6 +140,37 @@ def test_signals_csv_round_trip(tmp_path):
     assert back.class_count == 3
 
 
+def test_signals_csv_writes_shortest_reprs_with_crlf(tmp_path):
+    # the last row's finite values overflow a row sum, which the loader must accept
+    samples = np.array([[-0.0, 5e-324, 1 / 3],
+                        [1e300, 2.0, -1.5],
+                        [1e308, 1e308, -2.5e-310]])
+    ds = LabeledDataset(samples=samples, labels=np.array([0, 12, 3]), class_count=13)
+    path = tmp_path / "sig.csv"
+    save_signals_csv(path, ds)
+    assert path.read_bytes() == (b"0,-0.0,5e-324,0.3333333333333333\r\n"
+                                 b"12,1e+300,2.0,-1.5\r\n"
+                                 b"3,1e+308,1e+308,-2.5e-310\r\n")
+    back = load_signals_csv(path)
+    assert back.samples.tobytes() == samples.tobytes()
+    np.testing.assert_array_equal(back.labels, ds.labels)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_signals_csv_round_trip_is_bit_exact(tmp_path, data):
+    shape = (data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6)))
+    samples = data.draw(arrays(np.float64, shape,
+                               elements=st.floats(allow_nan=False, allow_infinity=False)))
+    labels = data.draw(arrays(np.int64, shape[0], elements=st.integers(0, 20)))
+    path = tmp_path / "sig.csv"
+    save_signals_csv(path, LabeledDataset(samples=samples, labels=labels, class_count=21))
+    back = load_signals_csv(path)
+    assert back.samples.tobytes() == samples.tobytes()   # the sign of zero and subnormals too
+    np.testing.assert_array_equal(back.labels, labels)
+
+
 def test_signals_csv_rejects_ragged_and_negative(tmp_path):
     path = tmp_path / "sig.csv"
     path.write_text("0,1.0,2.0\n1,3.0\n")
@@ -147,12 +181,23 @@ def test_signals_csv_rejects_ragged_and_negative(tmp_path):
         load_signals_csv(path)
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
-def test_signals_csv_rejects_non_finite_samples(tmp_path, value):
+@pytest.mark.parametrize("text, lineno, field", [
+    pytest.param("0,1.0,2.0\n\n1,nan,3.0\n", 3, "nan", id="nan"),
+    pytest.param("0,1.0,2.0\n\n1,inf,3.0\n", 3, "inf", id="inf"),
+    pytest.param("0,1.0,2.0\n\n1,-Infinity,3.0\n", 3, "-Infinity", id="-Infinity"),
+    pytest.param("0,nan,2.0\n1,1.0,3.0\n", 1, "nan", id="first-row"),
+    pytest.param("0,1.0,2.0\n\n1,2.0,3.0\n\n1,4.0,-inf\n", 5, "-inf", id="last-row"),
+    pytest.param("0,1.0,2.0\n\n1,1e400,3.0\n", 3, "1e400", id="overflow"),
+    pytest.param("0,1.0,2.0\n\n1,2.0, inf \n", 3, "inf", id="spaces"),
+    # file order: a bad value is reported before a later row's fault
+    pytest.param("0,1.0,2.0\n1,NaN,3.0\n1,x\n", 2, "NaN", id="before-a-ragged-row"),
+])
+def test_signals_csv_rejects_non_finite_samples(tmp_path, text, lineno, field):
     path = tmp_path / "sig.csv"
-    path.write_text(f"0,1.0,2.0\n\n1,{value},3.0\n")
-    with pytest.raises(ParseError, match=r"sig.csv:3: non-finite"):
+    path.write_text(text)
+    with pytest.raises(ParseError) as excinfo:
         load_signals_csv(path)
+    assert str(excinfo.value) == f"{path}:{lineno}: non-finite value {field!r}"
 
 
 # ---------------------------------------------------------------- dataset contract
