@@ -165,20 +165,17 @@ def load_signals_csv(path) -> LabeledDataset:
                 raise ParseError(f"{path}:{lineno}: ragged row ({len(row)} fields, "
                                  f"expected {width})")
             try:
-                labels.append(int(row[0]))
+                label = int(row[0])
+                if not 0 <= label <= np.iinfo(np.int64).max:
+                    raise ValueError(f"class label {label} is negative or beyond int64")
+                labels.append(label)
                 signals.append(_finite_floats(row[1:]))
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
     if not signals:
         raise ParseError(f"{path}: no data rows")
-    labels = np.asarray(labels)
-    if labels.min() < 0:
-        raise ParseError(f"{path}: negative class label")
-    return LabeledDataset(
-        samples=np.asarray(signals),
-        labels=labels,
-        class_count=int(labels.max()) + 1,
-    )
+    return LabeledDataset(samples=np.asarray(signals), labels=labels,
+                          class_count=max(labels) + 1)
 
 
 def save_signals_csv(path, dataset: LabeledDataset):

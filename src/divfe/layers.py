@@ -3,7 +3,7 @@
 All layers operate on batched channels-first arrays: ``(N, C, L)`` for 1D
 signals, ``(N, C, H, W)`` for images, ``(N, D)`` after flattening. Each
 layer computes ``(y, bwd)`` in :meth:`Layer._apply`, where ``bwd(dy)``
-returns ``(dx, *parameter gradients)`` and is ``None`` for a pass-through.
+returns ``(dx, *parameter gradients)``.
 :meth:`Layer.forward` is the one place that records on a
 :class:`~divfe.numerics.GradientTape`: one entry per layer, named by its spec
 keyword (the lowercased class name), whose inputs are the layer's input
@@ -35,7 +35,6 @@ least doubles the GEMM; a spanning filter takes one GEMM in all. The result
 is a ``(N, P, H, W)`` view of a channels-last array. BatchNorm, which works
 on that memory as an ``(M, C)`` matrix, and ReLU keep its order both ways,
 so a following convolution reads its input without a copy.
-MaxPool likewise pools 1D and 2D maps through one window reshape.
 
 Each layer names its trainable arrays in ``param_names``. After
 initialisation :class:`FeatureExtractor` holds them all in one flat vector,
@@ -77,13 +76,12 @@ class Layer:
     def forward(self, x: np.ndarray, mode: str = "infer",
                 tape: GradientTape | None = None) -> np.ndarray:
         y, bwd = self._apply(x, mode)
-        if tape is not None and bwd is not None:
+        if tape is not None:
             tape.record(y, (x, *self.trainable_params), bwd, self.kind)
         return y
 
     def _apply(self, x, mode):
-        """``(y, bwd)``: the output and ``bwd(dy) -> (dx, *parameter grads)``,
-        or ``None`` in place of ``bwd`` when ``y`` is ``x`` itself."""
+        """``(y, bwd)``: the output and ``bwd(dy) -> (dx, *parameter grads)``."""
         raise NotImplementedError
 
     @property
@@ -313,52 +311,6 @@ class Conv1D(Layer):
     weight_count, spec_line, _apply = Conv2D.weight_count, Conv2D.spec_line, Conv2D._apply
 
 
-class MaxPool(Layer):
-    """Non-overlapping max pooling over every spatial dimension.
-
-    Spatial extents must be divisible by the window. Gradient flows to the
-    first maximal position of each window in row-major order.
-    """
-
-    def __init__(self, window: int):
-        if window < 1:
-            raise ContractError("window must be >= 1")
-        self.window = window
-
-    def wire(self, in_shape):
-        if len(in_shape) not in (2, 3):
-            raise ShapeError(f"MaxPool expects spatial input, got {in_shape}")
-        spatial = in_shape[1:]
-        for ext in spatial:
-            if ext % self.window != 0:
-                raise ShapeError(f"extent {ext} not divisible by window {self.window}")
-        return (in_shape[0],) + tuple(ext // self.window for ext in spatial)
-
-    def spec_line(self):
-        return f"maxpool {self.window}"
-
-    def _apply(self, x, mode):
-        k = self.window
-        outer = x.shape[:2] + tuple(ext // k for ext in x.shape[2:])
-        d = x.ndim - 2
-        # split every spatial axis into (blocks, k) and move the window axes
-        # last in row-major order, so argmax ties resolve row-major
-        split = x.reshape(outer[:2] + tuple(v for o in outer[2:] for v in (o, k)))
-        order = (0, 1) + tuple(range(2, 2 + 2 * d, 2)) + tuple(range(3, 3 + 2 * d, 2))
-        moved = split.transpose(order)
-        win = moved.reshape(outer + (k ** d,))
-        idx = win.argmax(axis=-1)
-        y = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
-
-        def bwd(dy):
-            dwin = np.zeros_like(win)
-            np.put_along_axis(dwin, idx[..., None], dy[..., None], axis=-1)
-            dx = dwin.reshape(moved.shape).transpose(np.argsort(order)).reshape(x.shape)
-            return (dx,)
-
-        return y, bwd
-
-
 class BatchNorm(Layer):
     """Per-plane batch normalization with learnable scale and shift.
 
@@ -437,35 +389,6 @@ class BatchNorm(Layer):
         return ym.reshape(xt.shape).transpose(to_first), bwd
 
 
-class Dropout(Layer):
-    """Inverted dropout: zero with probability ``rate`` in training, scale
-    survivors by 1/(1-rate); identity at inference. Masks come from seed 0
-    until :meth:`reseed`; ``fit`` reseeds every Dropout from the run seed."""
-
-    def __init__(self, rate: float):
-        if not 0.0 <= rate < 1.0:
-            raise ContractError(f"dropout rate must be in [0, 1), got {rate}")
-        self.rate = rate
-        self.rng = np.random.default_rng(0)
-
-    def reseed(self, seed):
-        self.rng = np.random.default_rng(seed)
-
-    def wire(self, in_shape):
-        return tuple(in_shape)
-
-    def spec_line(self):
-        return f"dropout {self.rate}"
-
-    def _apply(self, x, mode):
-        if mode != "train" or self.rate == 0.0:
-            # identity: the next entry is called on x itself, so the chain
-            # needs no record here
-            return x, None
-        mask = (self.rng.random(x.shape) >= self.rate) / (1.0 - self.rate)
-        return x * mask, lambda g: (g * mask,)
-
-
 class ReLU(Layer):
     """Elementwise max(0, x); gradient is 1 where x > 0, else 0."""
 
@@ -481,7 +404,7 @@ class Flatten(Layer):
     """Row-major linearization of each sample."""
 
     def wire(self, in_shape):
-        return (int(np.prod(in_shape)),)
+        return (math.prod(in_shape),)
 
     def _apply(self, x, mode):
         return x.reshape(x.shape[0], -1), lambda g: (g.reshape(x.shape),)
@@ -607,11 +530,6 @@ class FeatureExtractor:
     def weight_count(self) -> int:
         """Connection weights only: filter and dense-matrix coefficients."""
         return sum(layer.weight_count() for layer in self.layers)
-
-    def reseed_dropout(self, seed: int):
-        for i, layer in enumerate(self.layers):
-            if isinstance(layer, Dropout):
-                layer.reseed((seed, i))
 
     def check_sample_shape(self, shape):
         """Raise ``ShapeError`` unless ``shape`` is the model's input shape or,

@@ -21,8 +21,7 @@ arguments and a header or template key appears at most once. The parsed
 stack must wire to a flat output of length walsh_rank.
 """
 
-from .layers import (BatchNorm, Conv1D, Conv2D, Dense, Dropout, FeatureExtractor,
-                     Flatten, MaxPool, ReLU)
+from .layers import BatchNorm, Conv1D, Conv2D, Dense, FeatureExtractor, Flatten, ReLU
 from .trainer import GrowthTemplate
 
 
@@ -33,8 +32,7 @@ class SpecError(ValueError):
 _CONVOLUTIONS = {cls.kind: cls for cls in (Conv1D, Conv2D)}
 # every other layer keyword -> (its class, the type of each argument)
 _LAYERS = {cls.kind: (cls, types) for cls, types in (
-    (MaxPool, (int,)), (Dropout, (float,)), (Dense, (int,)),
-    (BatchNorm, ()), (ReLU, ()), (Flatten, ()))}
+    (Dense, (int,)), (BatchNorm, ()), (ReLU, ()), (Flatten, ()))}
 _TEMPLATE_KEYS = ("input", "walsh_rank", "planes", "filters", "relu", "batchnorm")
 
 

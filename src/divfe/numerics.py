@@ -4,11 +4,11 @@ Tensors are plain numpy float64 arrays. Gradient shapes are checked
 explicitly and never broadcast implicitly: in a hand-wired network a silent
 broadcast is almost always a wiring bug.
 
-The model is a plain chain: in training mode every layer that computes
-something records one entry on a :class:`GradientTape`, called on the
-previous entry's output, and the loss records the last one. :func:`backward`
-walks the chain once in reverse, passing each entry's input gradient on as
-the upstream gradient of the entry before it.
+The model is a plain chain: in training mode every layer records one entry
+on a :class:`GradientTape`, called on the previous entry's output, and the
+loss records the last one. :func:`backward` walks the chain once in reverse,
+passing each entry's input gradient on as the upstream gradient of the entry
+before it.
 """
 
 import numpy as np

@@ -24,7 +24,6 @@ from .walsh import WalshCodebook
 STREAM_SPLIT = 0
 STREAM_INIT = 1
 STREAM_SHUFFLE = 2
-STREAM_DROPOUT = 3
 
 # Samples per forward pass when scoring a dataset (evaluate, divergence).
 EVAL_BATCH_SIZE = 256
@@ -128,7 +127,6 @@ def fit(model: FeatureExtractor, train_set: LabeledDataset,
                             "2 samples")
 
     shuffle_rng = derive_rng(config.seed, trial, STREAM_SHUFFLE)
-    model.reseed_dropout(int(derive_rng(config.seed, trial, STREAM_DROPOUT).integers(2 ** 31)))
 
     targets = codebook.targets()[train_set.labels]
     params = model.trainable_params

@@ -15,15 +15,19 @@ class WalshError(ValueError):
     pass
 
 
+def _check_rank(rank):
+    if (not isinstance(rank, (int, np.integer)) or rank < 2
+            or (int(rank) & (int(rank) - 1)) != 0):
+        raise WalshError(f"rank must be a power of 2 and >= 2, got {rank!r}")
+
+
 def build_modified_walsh(rank: int) -> np.ndarray:
     """0/1 Walsh matrix of the Sylvester-ordered Hadamard matrix.
 
     H(2n) = [[H(n), H(n)], [H(n), -H(n)]] from H(2) = [[1, 1], [1, -1]],
     with +1 -> 1 and -1 -> 0.
     """
-    if (not isinstance(rank, (int, np.integer)) or rank < 2
-            or (int(rank) & (int(rank) - 1)) != 0):
-        raise WalshError(f"rank must be a power of 2 and >= 2, got {rank!r}")
+    _check_rank(rank)
     h = np.array([[1, 1], [1, -1]], dtype=np.int64)
     while h.shape[0] < rank:
         h = np.block([[h, h], [h, -h]])
@@ -32,7 +36,7 @@ def build_modified_walsh(rank: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WalshCodebook:
-    """A 0/1 Walsh matrix whose rows 1..class_count are the class targets.
+    """Rows 0..class_count of a 0/1 Walsh matrix: row 0 and the class targets.
 
     Class k (0-based) maps to matrix row k+1; the all-ones row 0 is reserved
     and never assigned.
@@ -52,14 +56,22 @@ class WalshCodebook:
 
 
 def make_codebook(class_count: int, rank: int) -> WalshCodebook:
-    """Build the rank-``rank`` modified Walsh matrix and assign rows
-    1..class_count as class targets, so a codebook holds at most rank-1
-    classes."""
-    matrix = build_modified_walsh(rank)
+    """Assign rows 1..class_count of the rank-``rank`` modified Walsh matrix as
+    class targets (at most rank-1 classes). Only rows 0..class_count are built:
+    entry (k, j) is 1 iff k & j has an even number of set bits."""
+    _check_rank(rank)
     if class_count > rank - 1:
         raise WalshError(
             f"{class_count} classes exceed capacity {rank - 1} of a rank-{rank} codebook"
         )
     if class_count < 1:
         raise WalshError("class_count must be >= 1")
-    return WalshCodebook(rank=matrix.shape[0], matrix=matrix, class_count=class_count)
+    try:
+        matrix = np.empty((class_count + 1, rank), dtype=np.int64)
+    except ValueError as exc:   # numpy's refusal of a size beyond any address space
+        raise MemoryError(str(exc)) from exc
+    np.bitwise_and(np.arange(class_count + 1)[:, None], np.arange(rank), out=matrix)
+    for shift in (32, 16, 8, 4, 2, 1):   # fold the bits of k & j onto bit 0 by xor
+        matrix ^= matrix >> shift
+    matrix = (matrix & 1) ^ 1
+    return WalshCodebook(rank=int(rank), matrix=matrix, class_count=class_count)

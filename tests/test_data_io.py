@@ -176,9 +176,15 @@ def test_signals_csv_rejects_ragged_and_negative(tmp_path):
     path.write_text("0,1.0,2.0\n1,3.0\n")
     with pytest.raises(ParseError, match="ragged"):
         load_signals_csv(path)
-    path.write_text("-1,1.0,2.0\n")
-    with pytest.raises(ParseError, match="negative"):
-        load_signals_csv(path)
+    # a label's range is checked on its own line, before numpy sees it
+    for label in ("-1", "99999999999999999999", "9223372036854775808"):
+        path.write_text(f"0,1.0,2.0\n{label},3.0,4.0\n")
+        with pytest.raises(ParseError) as excinfo:
+            load_signals_csv(path)
+        assert str(excinfo.value) == (f"{path}:2: class label {label} "
+                                      "is negative or beyond int64")
+    path.write_text("9223372036854775807,1.0,2.0\n")
+    assert load_signals_csv(path).labels[0] == 2 ** 63 - 1
 
 
 @pytest.mark.parametrize("text, lineno, field", [

@@ -11,8 +11,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from divfe import layers
 from divfe.checkpoint import load_checkpoint, save_checkpoint
-from divfe.layers import (BN_EPSILON, BN_MOMENTUM, BatchNorm, Conv1D, Conv2D, Dense, Dropout,
-                          FeatureExtractor, Flatten, MaxPool, ReLU, mse_loss)
+from divfe.layers import (BN_EPSILON, BN_MOMENTUM, BatchNorm, Conv1D, Conv2D, Dense,
+                          FeatureExtractor, Flatten, ReLU, mse_loss)
 from divfe.modelspec import load_model_spec, parse_model_spec
 from divfe.numerics import ContractError, GradientTape, ShapeError, backward
 from divfe.walsh import make_codebook
@@ -350,48 +350,6 @@ def test_batched_stack_matches_per_sample(seed, n, fh, fw, same, budget):
     np.testing.assert_allclose(batched, per_sample, rtol=1e-9, atol=1e-9)
 
 
-# ---------------------------------------------------------------- maxpool
-
-def test_maxpool_forward_and_tie_rule():
-    layer = MaxPool(2)
-    layer.wire((1, 4))
-    y = layer.forward(np.array([[[1.0, 4.0, 2.0, 2.0]]]))
-    np.testing.assert_array_equal(y, [[[4.0, 2.0]]])
-    # on a tie the gradient goes to the first position in row-major order,
-    # in 1D and in 2D, where (0, 1) comes before (1, 0)
-    ties = [(np.array([[[3.0, 3.0, 1.0, 0.0]]]), [[[1.0, 0.0, 1.0, 0.0]]]),
-            (np.array([[[[0.0, 3.0], [3.0, 1.0]]]]), [[[[0.0, 1.0], [0.0, 0.0]]]])]
-    for x, expected in ties:
-        tape = GradientTape()
-        out = layer.forward(x, mode="train", tape=tape)
-        loss = np.asarray(out.sum())
-        tape.record(loss, (out,), lambda g: (g * np.ones_like(out),), "proj")
-        np.testing.assert_array_equal(backward(tape, loss)[0], expected)
-
-
-def test_maxpool_window_must_divide():
-    with pytest.raises(ShapeError):
-        MaxPool(3).wire((1, 4))
-
-
-def test_maxpool_gradients():
-    rng = np.random.default_rng(12)
-    for i in range(N_CONFIGS):
-        k = int(rng.integers(1, 4))
-        if i % 2:
-            c, length = int(rng.integers(1, 4)), k * int(rng.integers(1, 4))
-            layer = MaxPool(k)
-            layer.wire((c, length))
-            x = rng.normal(size=(int(rng.integers(1, 4)), c, length))
-        else:
-            c = int(rng.integers(1, 3))
-            h, w = k * int(rng.integers(1, 4)), k * int(rng.integers(1, 4))
-            layer = MaxPool(k)
-            layer.wire((c, h, w))
-            x = rng.normal(size=(int(rng.integers(1, 3)), c, h, w))
-        _check_all_grads(layer, x, rng)
-
-
 # ---------------------------------------------------------------- batchnorm
 
 def test_batchnorm_normalizes_batch_in_training():
@@ -582,59 +540,6 @@ def test_batchnorm_and_relu_keep_convolution_memory_channels_last(mode):
             assert grad.transpose(0, 2, 3, 1).flags.c_contiguous, kind
 
 
-# ---------------------------------------------------------------- dropout
-
-def test_dropout_identity_at_inference():
-    layer = Dropout(0.5)
-    layer.wire((4,))
-    x = np.ones((3, 4))
-    assert layer.forward(x, mode="infer") is x
-
-
-def test_dropout_inverted_scaling():
-    layer = Dropout(0.25)
-    layer.reseed(1)
-    layer.wire((1000,))
-    x = np.ones((4, 1000))
-    y = layer.forward(x, mode="train")
-    survivors = y[y != 0.0]
-    np.testing.assert_allclose(survivors, 1.0 / 0.75)
-    # survival rate close to 1 - rate
-    assert abs(survivors.size / y.size - 0.75) < 0.05
-
-
-def test_dropout_reseed_reproduces_masks():
-    x = np.ones((2, 50))
-    a, b = Dropout(0.5), Dropout(0.5)
-    a.reseed(3)
-    b.reseed(3)
-    np.testing.assert_array_equal(a.forward(x, mode="train"),
-                                  b.forward(x, mode="train"))
-
-
-def test_dropout_gradient_matches_mask():
-    rng = np.random.default_rng(17)
-    x = rng.normal(size=(3, 20))
-    layer = Dropout(0.4)
-    layer.reseed(9)
-    layer.wire((20,))
-    tape = GradientTape()
-    y = layer.forward(x, mode="train", tape=tape)
-    mask = np.where(y != 0.0, 1.0 / 0.6, 0.0)
-    proj = rng.normal(size=y.shape)
-    loss = np.asarray(np.sum(y * proj))
-    tape.record(loss, (y,), lambda g: (g * proj,), "proj")
-    dx, _ = backward(tape, loss)
-    np.testing.assert_allclose(dx, proj * mask)
-
-
-def test_dropout_rate_validation():
-    with pytest.raises(ContractError):
-        Dropout(1.0)
-    with pytest.raises(ContractError):
-        Dropout(-0.1)
-
-
 # ---------------------------------------------------------------- relu / flatten / dense
 
 def test_relu_forward_and_gradient_gate():
@@ -708,8 +613,7 @@ def test_mse_loss_shape_mismatch():
 # ---------------------------------------------------------------- model stack
 
 def _small_model():
-    layers = [Conv1D(3, 4), BatchNorm(), ReLU(), MaxPool(2),
-              Flatten(), Dense(8)]
+    layers = [Conv1D(3, 4), BatchNorm(), ReLU(), Flatten(), Dense(8)]
     return FeatureExtractor(layers, (1, 10), 8)
 
 
@@ -717,7 +621,7 @@ def test_layer_forward_is_the_only_record_site():
     # each layer computes (y, bwd) in _apply; Layer.forward records its entry
     kinds = [obj for obj in vars(layers).values()
              if isinstance(obj, type) and issubclass(obj, layers.Layer) and obj is not layers.Layer]
-    assert len(kinds) == 8
+    assert len(kinds) == 6
     for cls in kinds:
         assert cls.forward is layers.Layer.forward, cls
         assert "_apply" in vars(cls) and ".record(" not in inspect.getsource(cls), cls
@@ -758,8 +662,8 @@ def test_model_snapshot_restore_roundtrip():
 
 def test_model_weight_count_excludes_biases():
     model = _small_model()
-    # conv: 4*1*3 = 12; dense: 8 * (4 planes * 4 pooled) = 128; bn and biases excluded
-    assert model.weight_count() == 12 + 128
+    # conv: 4*1*3 = 12; dense: 8 * (4 planes * 8 positions) = 256; bn and biases excluded
+    assert model.weight_count() == 12 + 256
 
 
 def test_model_accepts_channelless_input():

@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 
 from divfe import modelspec
 from divfe.checkpoint import load_checkpoint, save_checkpoint
-from divfe.layers import (BatchNorm, Conv1D, Conv2D, Dense, Dropout, FeatureExtractor,
-                          Flatten, Layer, MaxPool, ReLU)
+from divfe.layers import (BatchNorm, Conv1D, Conv2D, Dense, FeatureExtractor, Flatten,
+                          Layer, ReLU, mse_loss)
 from divfe.modelspec import (SpecError, format_model_spec, load_model_spec,
                              parse_growth_template, parse_model_spec)
-from divfe.numerics import GradientTape, ShapeError
+from divfe.numerics import GradientTape, ShapeError, backward
 from divfe.walsh import make_codebook
+
+from _gradcheck import STEP, TOL, relative_error
 
 SPECS = sorted((Path(__file__).resolve().parent.parent / "specs").glob("*.spec"))
 
@@ -39,9 +41,7 @@ walsh_rank 4
 conv2d 3x3 5
 batchnorm
 relu
-maxpool 2
-dropout 0.25
-conv2d 2x2 4
+conv2d 4x4 4
 flatten
 """
 
@@ -85,8 +85,9 @@ def test_missing_headers():
 
 
 def test_unknown_layer_and_bad_tokens():
-    with pytest.raises(SpecError, match="unknown layer"):
-        parse_model_spec("input 4\nwalsh_rank 4\nsoftmax\n")
+    for line in ("softmax", "maxpool 2", "dropout 0.5"):
+        with pytest.raises(SpecError, match="unknown layer"):
+            parse_model_spec(f"input 4\nwalsh_rank 4\n{line}\n")
     with pytest.raises(SpecError, match="malformed"):
         parse_model_spec("input 4\nwalsh_rank 4\nconv1d two 10\n")
     with pytest.raises(SpecError):
@@ -95,7 +96,7 @@ def test_unknown_layer_and_bad_tokens():
         parse_model_spec("input 0x4\nwalsh_rank 4\nflatten\n")
     # wrong extent counts, a bad or zero extent, and wrong argument counts
     for line in ("conv1d 3x3 4", "conv2d 3 4", "conv2d 3x3x3 4", "conv2d 3xq 4",
-                 "conv2d 0x3 4", "maxpool 2 2", "relu 1", "dense"):
+                 "conv2d 0x3 4", "dense 4 4", "relu 1", "dense"):
         with pytest.raises(SpecError):
             parse_model_spec(f"input 6x6\nwalsh_rank 4\n{line}\n")
 
@@ -119,8 +120,8 @@ ROUND_TRIP_MODELS = {
     "spec-1d": lambda: parse_model_spec(SPEC_1D),
     "spec-2d": lambda: parse_model_spec(SPEC_2D),
     "multi-plane-image": lambda: FeatureExtractor(
-        [Conv2D(2, 3, 4, padding="same"), BatchNorm(), ReLU(), MaxPool(2), Dropout(0.1),
-         Flatten(), Dense(8)], (3, 4, 6), 8),
+        [Conv2D(2, 3, 4, padding="same"), BatchNorm(), ReLU(), Flatten(), Dense(8)],
+        (3, 4, 6), 8),
     "plain-1d": lambda: FeatureExtractor([Conv1D(3, 2), Flatten(), Dense(4)], (1, 5), 4),
 }
 
@@ -142,7 +143,7 @@ def test_every_layer_kind_is_traceable_by_its_spec_keyword():
     # profilers wrap Layer.__subclasses__() and name backward spans by tape
     # entry, so every layer a spec can build must be a direct Layer subclass
     # whose single tape entry carries its spec keyword
-    specs = (SPEC_2D, "input 8\nwalsh_rank 4\nconv1d 3 2 same\nmaxpool 2\nflatten\ndense 4\n")
+    specs = (SPEC_2D, "input 8\nwalsh_rank 4\nconv1d 3 2 same\nflatten\ndense 4\n")
     seen = set()
     for text in specs:
         model = parse_model_spec(text).initialize(np.random.default_rng(0))
@@ -193,9 +194,7 @@ def _spec_texts(draw):
         extent = "x".join(str(draw(st.integers(1, 3))) for _ in range(conv))
         pad = draw(st.sampled_from(("", " same")))
         lines.append(f"conv{conv}d {extent} {draw(st.integers(1, 3))}{pad}")
-        lines += draw(st.lists(st.sampled_from(
-            ("batchnorm", "relu", "maxpool 1", "maxpool 2", "dropout 0.1", "dropout 0.5")),
-            max_size=2))
+        lines += draw(st.lists(st.sampled_from(("batchnorm", "relu")), max_size=2))
     lines.append("flatten")
     if draw(st.sampled_from((True, True, True, False))):
         lines.append(f"dense {draw(st.sampled_from((rank, rank, rank, 4, 8, 16)))}")
@@ -228,6 +227,45 @@ def test_random_spec_chains(text, seed):
         save_checkpoint(model, make_codebook(2, model.rank), path)
         loaded, _, _ = load_checkpoint(path)
     np.testing.assert_array_equal(loaded.forward(x), batched)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_spec_texts(), seed=st.integers(0, 2**32 - 1))
+def test_random_spec_chain_gradients(text, seed):
+    # one backward over the whole model's tape gives the gradient of mse_loss
+    # for the input and every parameter array; central differences check a
+    # seeded sample of at most 20 coordinates of each
+    try:
+        model = parse_model_spec(text)
+    except ShapeError:
+        return
+    rng = np.random.default_rng(seed)
+    model.initialize(rng)
+    model.params += rng.normal(scale=0.1, size=model.params.size)   # nonzero biases too
+    x = rng.normal(size=(int(rng.integers(4, 7)),) + model.input_shape)
+    target = rng.normal(size=(len(x), model.rank))
+
+    def loss_at(_):
+        return float(mse_loss(model.forward(x, mode="train"), target))
+
+    tape = GradientTape()
+    loss = mse_loss(model.forward(x, mode="train", tape=tape), target, tape=tape)
+    # a ReLU input near 0 could cross the kink under a step; an exact 0 is the
+    # output of a ReLU before it, and stays 0
+    for _, (relu_in, *_), _, name in tape.entries:
+        if name == "relu" and np.any((relu_in != 0) & (np.abs(relu_in) < 1e-3)):
+            return
+    dx, grads = backward(tape, loss)
+    for array, grad in [(x, dx)] + grads:
+        for k in rng.choice(array.size, size=min(array.size, 20), replace=False):
+            at = np.unravel_index(k, array.shape)
+            orig = array[at]
+            array[at] = orig + STEP
+            plus = loss_at(x)
+            array[at] = orig - STEP
+            minus = loss_at(x)
+            array[at] = orig
+            assert relative_error(grad[at], (plus - minus) / (2 * STEP)) < TOL, (text, at)
 
 
 # ---------------------------------------------------------------- growth templates

@@ -1,5 +1,7 @@
 """Walsh codebook construction and class-target assignment."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,27 @@ def test_targets_are_float64_matrix_rows():
     assert t.shape == (4, 16) and t.dtype == np.float64
     np.testing.assert_array_equal(t, cb.matrix[1:5].astype(np.float64))
     np.testing.assert_array_equal(t, cb.matrix[list(cb.class_rows)])
+
+
+def test_codebook_rows_are_the_walsh_matrix_rows():
+    for rank in (2 ** k for k in range(1, 9)):
+        w = build_modified_walsh(rank)
+        for class_count in range(1, rank):
+            cb = make_codebook(class_count, rank)
+            assert cb.rank == rank and cb.matrix.dtype == np.int64
+            np.testing.assert_array_equal(cb.matrix, w[:class_count + 1])
+            np.testing.assert_array_equal(cb.targets(), w[1:class_count + 1])
+
+
+def test_codebook_builds_only_its_class_rows():
+    # the whole rank-4096 matrix would be 128 MiB; three of its rows are 96 KiB
+    tracemalloc.start()
+    try:
+        make_codebook(2, 4096)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_capacity_limit_is_rank_minus_one():
