@@ -14,27 +14,31 @@ Convolution is implemented as cross-correlation (the usual CNN convention),
 stride 1. Padding is ``valid`` by default; ``same`` zero-padding is available
 for architectures whose filters would otherwise outgrow the map.
 
-Conv1D is Conv2D's code on one filter extent. Both run one channels-last
-kernel, :func:`_conv2d`, which takes a length-L signal as a 1×L image. In
+Conv1D is Conv2D's code on one filter extent. Both run one of two
+channels-last kernels, each taking a length-L signal as a 1×L image. A layer
+whose dense (doubly Toeplitz) matrix ``T``, ``Ho·Wo·P`` by ``H·W·C``, has at
+most ``_DENSE_MAX`` entries, or that has one output position per sample (``T``
+is then the weights), runs :func:`_dense_conv`: each pass is one GEMM against
+``T``, gathered from the weights through an index built once per geometry.
+Every other one runs :func:`_conv2d`, so no spanning filter reaches it. In
 blocks of whole samples of at most about 1 MiB it copies only the fw-wide
 windows of each padded row (MEC, Cho & Brand 2017): a ``(Hp·Wo, fw·C)``
 matrix per sample, so each input element is copied fw times, not fh·fw.
 Filter row u meets the window rows from ``u·Wo`` on, and the output is the
 sum over u of their GEMMs with its ``(fw·C, P)`` weight slab. With one
-filter row (every Conv1D, or a filter spanning the padded map, fh·fw·C wide)
-a block is one matrix, and its output and weight gradient one GEMM each. The
-weight gradient comes from the same windows, still in the buffer when a
-batch fits in one block. The input gradient, a full correlation of ``dy``
-with the flipped filter, takes the same scheme transposed: ``dy`` padded by
-fw-1 columns each side has Wp windows per row, a ``(Ho·Wp, fw·P)`` matrix
-per sample, and filter row u, reversed, adds one GEMM into padded input rows
-u..u+Ho, which are contiguous. It stays one GEMM per filter tap where the
-windows do not pay for their copy: on one input plane, for a filter of one
-or two taps, and on an output narrower than the filter, whose padding at
-least doubles the GEMM; a spanning filter takes one GEMM in all. The result
-is a ``(N, P, H, W)`` view of a channels-last array. BatchNorm, which works
-on that memory as an ``(M, C)`` matrix, and ReLU keep its order both ways,
-so a following convolution reads its input without a copy.
+filter row (every Conv1D) a block is one matrix, and its output and weight
+gradient one GEMM each. The weight gradient comes from the same windows,
+still in the buffer when a batch fits in one block. The input gradient, a
+full correlation of ``dy`` with the flipped filter, takes the same scheme
+transposed: ``dy`` padded by fw-1 columns each side has Wp windows per row,
+a ``(Ho·Wp, fw·P)`` matrix per sample, and filter row u, reversed, adds one
+GEMM into padded input rows u..u+Ho, which are contiguous. It stays one GEMM
+per filter tap where the windows do not pay for their copy: on one input
+plane, for a filter of one or two taps, and on an output narrower than the
+filter, whose padding at least doubles the GEMM. Either kernel's result is a
+``(N, P, H, W)`` view of a channels-last array. BatchNorm, which works on
+that memory as an ``(M, C)`` matrix, and ReLU keep its order both ways, so a
+following convolution reads its input without a copy.
 
 Each layer names its trainable arrays in ``param_names``. After
 initialisation :class:`FeatureExtractor` holds them all in one flat vector,
@@ -42,6 +46,7 @@ initialisation :class:`FeatureExtractor` holds them all in one flat vector,
 SGD step is three whole-vector operations.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -50,11 +55,18 @@ from .numerics import ContractError, GradientTape, ShapeError
 
 BN_EPSILON = 1e-5
 BN_MOMENTUM = 0.9
-# The convolution kernel copies its row windows in blocks of whole samples of
+# The row-window kernel copies its row windows in blocks of whole samples of
 # at most this many bytes, so a block's windows and its output stay in a 2 MiB
 # per-core L2 cache (4 MiB blocks ran the mnist.spec convolutions about 1.4x
 # slower at batch 256).
 _IM2COL_BLOCK_BYTES = 1 << 20
+# The largest dense matrix a non-spanning convolution runs on. On 1D and 2D
+# convolutions of 2-8 planes (forward and backward, batch 8 and 32, one BLAS
+# thread, 2-core Xeon) the dense kernel took 0.5-0.8 of the row-window one's
+# time below 6,400 entries, 1.01-1.08 at 6,400-12,800 (geometric means) and
+# 1.5-3.4x at 12,800-51,200, where its GEMMs do many times the arithmetic.
+_DENSE_MAX = 1 << 13
+_ZERO = np.zeros(1)   # appended to the weights: the dense matrix's structural zero
 
 
 class Layer:
@@ -157,10 +169,9 @@ def _conv2d(x, weights, bias, padding):
     as a 1×L image, plus ``bias (P,)`` under ``valid`` or ``same`` padding.
 
     Returns ``(y, bwd)``: ``y (N, P, Ho, Wo)`` and ``bwd(dy) -> (dx, dW, db)``,
-    each in its argument's rank. ``dx`` comes from one GEMM for a filter
-    spanning the padded map, from :func:`_transposed_rows` for several input
-    planes, more than two taps and an output at least fw wide, and from one
-    GEMM per filter tap otherwise.
+    each in its argument's rank. ``dx`` comes from :func:`_transposed_rows`
+    for several input planes, more than two taps and an output at least fw
+    wide, and from one GEMM per filter tap otherwise.
     """
     signal = x.ndim == 3
     if signal:
@@ -177,12 +188,10 @@ def _conv2d(x, weights, bias, padding):
         xp = np.ascontiguousarray(xt)
     ho = xp.shape[1] - fh + 1
     wo = xp.shape[2] - fw + 1
-    # a filter spanning the padded map has one window per sample, whose rows
-    # are its whole im2col row: one filter row fh*fw*C wide
-    fh_rows, width = (1, fh * fw * c) if ho * wo == 1 else (fh, fw * c)
+    width = fw * c
     # a block's windows and outputs: one matrix per sample, or with one filter
     # row one matrix for the whole block
-    rows_shape, out_shape = (((-1, width), (-1, planes)) if fh_rows == 1 else
+    rows_shape, out_shape = (((-1, width), (-1, planes)) if fh == 1 else
                              ((-1, xp.shape[1] * wo, width), (-1, ho * wo, planes)))
     windows = _windows(xp, fw)                             # (N, Hp, Wo, fw, C)
     step = max(1, min(n, _IM2COL_BLOCK_BYTES // (8 * xp.shape[1] * wo * fw * c)))
@@ -196,16 +205,15 @@ def _conv2d(x, weights, bias, padding):
         m = min(step, n - s)
         np.copyto(buf[:m], windows[s:s + m])
         rows = buf[:m].reshape(rows_shape)
-        return [rows] if fh_rows == 1 else [rows[:, u * wo:u * wo + ho * wo]
-                                            for u in range(fh_rows)]
+        return [rows] if fh == 1 else [rows[:, u * wo:u * wo + ho * wo] for u in range(fh)]
 
-    slabs = np.ascontiguousarray(weights.transpose(2, 3, 1, 0)).reshape(fh_rows, width, planes)
+    slabs = np.ascontiguousarray(weights.transpose(2, 3, 1, 0)).reshape(fh, width, planes)
     y_nhwc = np.empty((n, ho, wo, planes))
     for s in starts:
         taps = fill(s)
         yb = y_nhwc[s:s + step].reshape(out_shape)
         np.matmul(taps[0], slabs[0], out=yb)
-        for u in range(1, fh_rows):
+        for u in range(1, fh):
             yb += taps[u] @ slabs[u]
         yb += bias
 
@@ -214,21 +222,19 @@ def _conv2d(x, weights, bias, padding):
             dy = dy[:, :, None]
         dy_n = np.ascontiguousarray(dy.transpose(0, 2, 3, 1))        # (N, Ho, Wo, P)
         dy_m = dy_n.reshape(-1, planes)
-        db = dy_m.sum(axis=0)
+        db = np.ones(len(dy_m)) @ dy_m
         dw = None
         for s in starts:
             # with one block, buf still holds the forward's row windows
             block_taps = taps if len(starts) == 1 else fill(s)
             dyb = dy_n[s:s + step].reshape(out_shape).swapaxes(-1, -2)
-            if fh_rows == 1:
+            if fh == 1:
                 g = dyb @ block_taps[0]
             else:   # stacked per sample: summed over the block's samples
                 g = np.concatenate([dyb @ a for a in block_taps], axis=-1).sum(axis=0)
-            dw = g if dw is None else dw + g                     # (P, fh_rows*width)
+            dw = g if dw is None else dw + g                     # (P, fh*width)
         dw = dw.reshape(planes, fh, fw, c).transpose(0, 3, 1, 2)
-        if ho * wo == 1:
-            dxp = (dy_m @ weights.transpose(0, 2, 3, 1).reshape(planes, -1)).reshape(xp.shape)
-        elif c > 1 and fh * fw > 2 and wo >= fw:
+        if c > 1 and fh * fw > 2 and wo >= fw:
             dxp = _transposed_rows(dy_n, weights, xp.shape)
         else:
             # per tap where row windows do not pay for their copy: on one input
@@ -250,6 +256,46 @@ def _conv2d(x, weights, bias, padding):
     return (y[:, :, 0] if signal else y), bwd
 
 
+@functools.lru_cache(maxsize=64)
+def _dense_index(c, size, planes, extents, padding):
+    """``(idx, out)`` for C planes of spatial ``size`` and ``(P, C, *extents)``
+    weights: the output's spatial size ``out``, and the dense matrix ``T =
+    append(weights, 0)[idx]``, rows (output position, plane) and columns
+    (input position, plane), the zero where no tap joins the two."""
+    (h, w), (fh, fw) = (1, *size)[-2:], (1, *extents)[-2:]
+    top, left = ((fh - 1) // 2, (fw - 1) // 2) if padding == "same" else (0, 0)
+    ho, wo = (h, w) if padding == "same" else (h - fh + 1, w - fw + 1)
+    i, j, p, r, s, k = np.ix_(range(ho), range(wo), range(planes), range(h), range(w), range(c))
+    u, v = r - i + top, s - j + left
+    inside = (u >= 0) & (u < fh) & (v >= 0) & (v < fw)
+    idx = np.where(inside, ((p * c + k) * fh + u) * fw + v, planes * c * fh * fw)
+    idx = idx.reshape(ho * wo * planes, h * w * c)
+    idx.flags.writeable = False
+    return idx, (ho, wo)[-len(size):]
+
+
+def _dense_conv(x, weights, bias, padding):
+    """:func:`_conv2d`'s ``(y, bwd)`` by GEMMs against the dense matrix ``T``:
+    ``x @ T.T + bias``, ``dy @ T``, and ``dy.T @ x`` binned into ``dW``."""
+    n, c, *size = x.shape
+    planes = len(weights)
+    idx, out = _dense_index(c, tuple(size), planes, weights.shape[2:], padding)
+    to_last, to_first = ((0, 2, 1), (0, 2, 1)) if x.ndim == 3 else ((0, 2, 3, 1), (0, 3, 1, 2))
+    x_m = x.transpose(to_last).reshape(n, -1)
+    t = np.concatenate((weights.ravel(), _ZERO))[idx]
+    y = (x_m @ t.T).reshape(n, -1, planes)
+    y += bias
+
+    def bwd(dy):
+        dy_m = dy.transpose(to_last).reshape(n, -1)
+        dx = (dy_m @ t).reshape(n, *size, c).transpose(to_first)
+        dw = np.bincount(idx.ravel(), (dy_m.T @ x_m).ravel(), weights.size + 1)[:-1]
+        dy_p = dy_m.reshape(-1, planes)
+        return dx, dw.reshape(weights.shape), np.ones(len(dy_p)) @ dy_p
+
+    return y.reshape(n, *out, planes).transpose(to_first), bwd
+
+
 class Conv2D(Layer):
     """Cross-correlation over ``ndim`` spatial axes, stride 1, summed over input
     planes, plus bias: ``Conv2D(fh, fw, planes)`` has ``(planes, C, fh, fw)``
@@ -269,7 +315,7 @@ class Conv2D(Layer):
         self.extents = tuple(extents)
         self.planes = planes
         self.padding = padding
-        self.in_planes = None
+        self.in_planes = self.dense_entries = None
         self.weights = None  # (planes, in_planes, *extents)
         self.bias = None     # (planes,)
 
@@ -280,9 +326,12 @@ class Conv2D(Layer):
         if self.padding == "valid" and any(f > n for f, n in zip(self.extents, size)):
             raise ShapeError(f"filter {self.extents} exceeds input {tuple(size)}")
         self.in_planes = c
-        if self.padding == "same":
-            return (self.planes, *size)
-        return (self.planes, *(n - f + 1 for f, n in zip(self.extents, size)))
+        if self.padding == "valid":
+            size = [n - f + 1 for f, n in zip(self.extents, size)]
+        # the dense matrix's entries; 0 with one output position (it is the weights)
+        positions = math.prod(size)
+        self.dense_entries = positions * self.planes * math.prod(in_shape) if positions > 1 else 0
+        return (self.planes, *size)
 
     def init_params(self, rng):
         shape = (self.planes, self.in_planes, *self.extents)
@@ -297,7 +346,8 @@ class Conv2D(Layer):
         return f"{self.kind} {'x'.join(map(str, self.extents))} {self.planes}{pad}"
 
     def _apply(self, x, mode):
-        return _conv2d(x, self.weights, self.bias, self.padding)
+        kernel = _dense_conv if self.dense_entries <= _DENSE_MAX else _conv2d
+        return kernel(x, self.weights, self.bias, self.padding)
 
 
 class Conv1D(Layer):

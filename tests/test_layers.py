@@ -120,8 +120,8 @@ def _direct_conv2d_adjoint(x, weights, dy, padding):
 # (batch, planes in, height, width, fh, fw, planes out, padding): odd batches,
 # C > 1 and non-square filters, under both paddings; height-1 cases with
 # 1-high filters run through Conv1D as length-``width`` signals. The input
-# gradient takes row windows in the first five, one GEMM per tap in the next
-# four and one GEMM in the spanning cases (one output position per sample)
+# gradient takes row windows in the first five and one GEMM per tap in the
+# rest, the spanning cases (one output position per sample) among them
 BLOCKED_CONFIGS = [
     (5, 3, 7, 6, 3, 2, 4, "valid"),
     (7, 2, 6, 8, 2, 5, 3, "same"),
@@ -146,8 +146,8 @@ def _blocked_conv(monkeypatch, config, samples_per_block):
     for the backward's row windows of the padded ``dy`` and then for the
     forward's: each pass copies its windows in several blocks of at most the
     budget, the last one partial when a block holds several samples. ``dy``
-    windows are copied only on several input planes, for more than two taps,
-    an output at least fw wide and a filter not spanning the map."""
+    windows are copied only on several input planes, for more than two taps
+    and an output at least fw wide."""
     n, c, h, w, fh, fw, planes, padding = config
     rng = np.random.default_rng(sum(config[:-1]) + samples_per_block)
     if h == fh == 1:
@@ -177,12 +177,18 @@ def _blocked_conv(monkeypatch, config, samples_per_block):
         assert all(b.nbytes <= budget for b in copied if len(b) > 1)
         return [len(b) for b in copied if b.shape[1:] == sample]
 
-    y, bwd = layer._apply(x, "train")
+    y, bwd = _row_window_conv(layer, x)
     dy = rng.normal(size=y.shape)
-    row_window_dx = c > 1 and fh * fw > 2 and wo >= fw and ho * wo > 1
+    row_window_dx = c > 1 and fh * fw > 2 and wo >= fw
     assert block_sizes((ho, wp, fw, planes), lambda: bwd(dy)) == blocks * row_window_dx
-    assert block_sizes((hp, wo, fw, c), lambda: layer.forward(x)) == blocks
+    assert block_sizes((hp, wo, fw, c), lambda: _row_window_conv(layer, x)) == blocks
     return layer, x, rng
+
+
+def _row_window_conv(layer, x):
+    """The row-window kernel's ``(y, bwd)`` on the layer's arrays, whichever
+    kernel the layer would take."""
+    return layers._conv2d(x, layer.weights, layer.bias, layer.padding)
 
 
 def _copied_blocks(run):
@@ -209,13 +215,22 @@ def test_conv2d_blocked_forward_matches_direct_sum(monkeypatch, config, samples_
                                   layer.padding)[:, :, 0]
     else:
         expected = _direct_conv2d(x, layer.weights, layer.bias, layer.padding)
-    np.testing.assert_allclose(layer.forward(x), expected, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(_row_window_conv(layer, x)[0], expected, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("config", BLOCKED_CONFIGS)
 def test_conv2d_blocked_gradients(monkeypatch, config):
     layer, x, rng = _blocked_conv(monkeypatch, config, 2)
-    _check_all_grads(layer, x, rng)
+    y, bwd = _row_window_conv(layer, x)
+    proj = rng.normal(size=y.shape)
+    grads = bwd(proj)
+    assert len(grads) == 1 + len(layer.trainable_params)
+
+    def loss(_):
+        return float(np.sum(_row_window_conv(layer, x)[0] * proj))
+
+    for arg, g in zip([x] + layer.trainable_params, grads):
+        assert relative_error(g, numeric_gradient(loss, arg, step=STEP)) < TOL
 
 
 @settings(max_examples=30, deadline=None)
@@ -223,17 +238,22 @@ def test_conv2d_blocked_gradients(monkeypatch, config):
        h=st.integers(1, 5), w=st.integers(1, 5), fh=st.integers(1, 4), fw=st.integers(1, 4),
        planes=st.integers(1, 3), same=st.booleans(), shape=st.sampled_from(["free", "spanning",
                                                                              "signal"]),
-       budget=st.floats(0.0, 1.0))
+       budget=st.floats(0.0, 1.0), kernel=st.sampled_from(["_conv2d", "_dense_conv"]))
 # each side of the one-plane selection, for a 2D filter and for a signal
-@example(seed=1, n=3, c=1, h=5, w=5, fh=3, fw=2, planes=2, same=False, shape="free", budget=0.4)
-@example(seed=2, n=3, c=2, h=5, w=5, fh=3, fw=2, planes=2, same=True, shape="free", budget=0.4)
-@example(seed=3, n=3, c=1, h=1, w=5, fh=1, fw=3, planes=2, same=True, shape="signal", budget=0.4)
+@example(seed=1, n=3, c=1, h=5, w=5, fh=3, fw=2, planes=2, same=False, shape="free", budget=0.4,
+         kernel="_conv2d")
+@example(seed=2, n=3, c=2, h=5, w=5, fh=3, fw=2, planes=2, same=True, shape="free", budget=0.4,
+         kernel="_conv2d")
+@example(seed=3, n=3, c=1, h=1, w=5, fh=1, fw=3, planes=2, same=True, shape="signal", budget=0.4,
+         kernel="_conv2d")
 @example(seed=4, n=3, c=3, h=1, w=5, fh=1, fw=3, planes=2, same=False, shape="signal",
-         budget=0.4)
-def test_conv2d_matches_direct_sum(seed, n, c, h, w, fh, fw, planes, same, shape, budget):
-    """The kernel against the tap-by-tap sum and its adjoint at 1e-12, and its
-    gradients against finite differences, under any block budget from 1 byte
-    to the whole batch of either pass's row windows."""
+         budget=0.4, kernel="_conv2d")
+def test_conv2d_matches_direct_sum(seed, n, c, h, w, fh, fw, planes, same, shape, budget, kernel):
+    """Either kernel, the row-window one or the dense matrix, against the
+    tap-by-tap sum and its adjoint at 1e-12, and its gradients against finite
+    differences; the row-window kernel under any block budget from 1 byte to
+    the whole batch of either pass's row windows."""
+    conv = getattr(layers, kernel)
     if shape == "signal":
         h = fh = 1
     elif shape == "spanning":      # one output position per sample
@@ -256,13 +276,13 @@ def test_conv2d_matches_direct_sum(seed, n, c, h, w, fh, fw, planes, same, shape
         adjoint = adjoint[0][:, :, 0], adjoint[1][:, :, 0], adjoint[2]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(layers, "_IM2COL_BLOCK_BYTES", max(1, round(budget * whole_batch)))
-        y, bwd = layers._conv2d(x, weights, bias, padding)
+        y, bwd = conv(x, weights, bias, padding)
         np.testing.assert_allclose(y, expected, rtol=1e-12, atol=1e-12)
         grads = bwd(proj)
         assert [g.shape for g in grads] == [x.shape, weights.shape, bias.shape]
 
         def loss(_):
-            return float(np.sum(layers._conv2d(x, weights, bias, padding)[0] * proj))
+            return float(np.sum(conv(x, weights, bias, padding)[0] * proj))
 
         for arg, g, exact in zip((x, weights, bias), grads, adjoint):
             np.testing.assert_allclose(g, exact, rtol=1e-12, atol=1e-12)
@@ -348,6 +368,26 @@ def test_batched_stack_matches_per_sample(seed, n, fh, fw, same, budget):
         batched = run(x)
         per_sample = np.concatenate([run(x[i:i + 1]) for i in range(n)])
     np.testing.assert_allclose(batched, per_sample, rtol=1e-9, atol=1e-9)
+
+
+@pytest.mark.parametrize("make, taken", [
+    # every iris convolution has a dense matrix of at most 1,600 entries
+    (lambda: load_model_spec(SPECS / "iris.spec"), ["_dense_conv"] * 4),
+    # only mnist's last convolution, which spans its 8x8 map, is small
+    (lambda: load_model_spec(SPECS / "mnist.spec"), ["_conv2d"] * 4 + ["_dense_conv"]),
+    # a grown signal model: 245,760 and 3,440,640 entries, then a spanning one
+    (lambda: FeatureExtractor([Conv1D(9, 16), ReLU(), Conv1D(9, 16), ReLU(), Conv1D(112, 8),
+                               Flatten()], (1, 128), 8), ["_conv2d"] * 2 + ["_dense_conv"]),
+], ids=["iris", "mnist", "signal"])
+def test_convolutions_take_the_kernel_their_dense_matrix_size_picks(monkeypatch, make, taken):
+    model = make().initialize(0)
+    calls = []
+    for name in ("_conv2d", "_dense_conv"):
+        kernel = getattr(layers, name)
+        monkeypatch.setattr(layers, name,
+                            lambda *args, name=name, kernel=kernel: calls.append(name) or kernel(*args))
+    model.forward(np.zeros((2,) + model.input_shape))
+    assert calls == taken
 
 
 # ---------------------------------------------------------------- batchnorm

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divfe import modelspec
+from divfe import layers, modelspec
 from divfe.checkpoint import load_checkpoint, save_checkpoint
 from divfe.layers import (BatchNorm, Conv1D, Conv2D, Dense, FeatureExtractor, Flatten,
                           Layer, ReLU, mse_loss)
@@ -201,9 +201,21 @@ def _spec_texts(draw):
     return "\n".join(lines) + "\n"
 
 
+# _DENSE_MAX as it is, or 0 so that every convolution but a spanning one takes
+# the row-window kernel: at the default most drawn convolutions take the dense
+# matrix (the largest one drawn has 36,864 entries)
+_dense_maxes = st.sampled_from((layers._DENSE_MAX, 0))
+
+
 @settings(max_examples=300, deadline=None)
-@given(text=_spec_texts(), seed=st.integers(0, 2**32 - 1))
-def test_random_spec_chains(text, seed):
+@given(text=_spec_texts(), seed=st.integers(0, 2**32 - 1), dense_max=_dense_maxes)
+def test_random_spec_chains(text, seed, dense_max):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(layers, "_DENSE_MAX", dense_max)
+        _check_spec_chain(text, seed)
+
+
+def _check_spec_chain(text, seed):
     # a spec wires or raises ShapeError; a wired one formats back to its text,
     # infers the same batched as per sample, and the same after a checkpoint
     try:
@@ -230,8 +242,14 @@ def test_random_spec_chains(text, seed):
 
 
 @settings(max_examples=200, deadline=None)
-@given(text=_spec_texts(), seed=st.integers(0, 2**32 - 1))
-def test_random_spec_chain_gradients(text, seed):
+@given(text=_spec_texts(), seed=st.integers(0, 2**32 - 1), dense_max=_dense_maxes)
+def test_random_spec_chain_gradients(text, seed, dense_max):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(layers, "_DENSE_MAX", dense_max)
+        _check_spec_chain_gradient(text, seed)
+
+
+def _check_spec_chain_gradient(text, seed):
     # one backward over the whole model's tape gives the gradient of mse_loss
     # for the input and every parameter array; central differences check a
     # seeded sample of at most 20 coordinates of each
