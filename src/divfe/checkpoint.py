@@ -25,7 +25,7 @@ import zlib
 import numpy as np
 
 from .data_io import FormatError, Standardizer
-from .layers import BatchNorm, FeatureExtractor
+from .layers import BatchNorm, Dense, FeatureExtractor
 from .modelspec import SpecError, format_model_spec, parse_model_spec
 from .numerics import ContractError, ShapeError
 from .walsh import WalshCodebook, WalshError, make_codebook
@@ -65,6 +65,17 @@ class _Reader:
         return arr.reshape(shape)
 
 
+def _state_size(model: FeatureExtractor) -> int:
+    """The values ``model.state_arrays`` will hold, from its wired layers:
+    weights, a bias per convolution plane or Dense unit, and BatchNorm's
+    scale, shift and running statistics per plane."""
+    return model.weight_count() + sum(
+        4 * layer.planes if isinstance(layer, BatchNorm)
+        else layer.out_dim if isinstance(layer, Dense)
+        else getattr(layer, "planes", 0)          # a convolution's; ReLU and Flatten have none
+        for layer in model.layers)
+
+
 def save_checkpoint(model: FeatureExtractor, codebook: WalshCodebook, path,
                     normalizer: Standardizer | None = None):
     spec = format_model_spec(model).encode("utf-8")
@@ -100,10 +111,10 @@ def load_checkpoint(path):
     class_count, spec_len = r.take("<II")
     try:
         model = parse_model_spec(r.raw(spec_len).decode("utf-8"))
-        # every stored weight takes 8 bytes: refuse a spec the file cannot hold
-        # before allocating its parameters
-        if 8 * model.weight_count() > len(payload):
-            raise FormatError(f"{path}: the model spec needs more weights than the file holds")
+        # every stored value takes 8 bytes: refuse a spec the file cannot hold
+        # before allocating its state
+        if 8 * _state_size(model) > len(payload):
+            raise FormatError(f"{path}: the model spec needs more values than the file holds")
         model.initialize(0)
         model.restore([r.array(a.shape) for a in model.state_arrays])
         if any((layer.running_var < 0).any() for layer in model.layers

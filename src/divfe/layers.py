@@ -24,18 +24,17 @@ Every other one runs :func:`_conv2d`, so no spanning filter reaches it. In
 blocks of whole samples of at most about 1 MiB it copies only the fw-wide
 windows of each padded row (MEC, Cho & Brand 2017): a ``(Hp·Wo, fw·C)``
 matrix per sample, so each input element is copied fw times, not fh·fw.
-Filter row u meets the window rows from ``u·Wo`` on, and the output is the
-sum over u of their GEMMs with its ``(fw·C, P)`` weight slab. With one
-filter row (every Conv1D) a block is one matrix, and its output and weight
-gradient one GEMM each. The weight gradient comes from the same windows,
+Every block is a stack of these per-sample matrices. Filter row u meets the
+window rows from ``u·Wo`` on (with one filter row, every Conv1D, all of
+them), and the output is the sum over u of their stacked GEMMs with its
+``(fw·C, P)`` weight slab. The weight gradient comes from the same windows,
 still in the buffer when a batch fits in one block. The input gradient, a
 full correlation of ``dy`` with the flipped filter, takes the same scheme
-transposed: ``dy`` padded by fw-1 columns each side has Wp windows per row,
-a ``(Ho·Wp, fw·P)`` matrix per sample, and filter row u, reversed, adds one
-GEMM into padded input rows u..u+Ho, which are contiguous. It stays one GEMM
-per filter tap where the windows do not pay for their copy: on one input
-plane, for a filter of one or two taps, and on an output narrower than the
-filter, whose padding at least doubles the GEMM. Either kernel's result is a
+transposed on several input planes: ``dy`` padded by fw-1 columns each side
+has Wp windows per row, a ``(Ho·Wp, fw·P)`` matrix per sample, and filter
+row u, reversed, adds one GEMM into padded input rows u..u+Ho, which are
+contiguous. On one input plane the windows would copy fw·P doubles per input
+element, so there it is one GEMV per filter tap. Either kernel's result is a
 ``(N, P, H, W)`` view of a channels-last array. BatchNorm, which works on
 that memory as an ``(M, C)`` matrix, and ReLU keep its order both ways, so a
 following convolution reads its input without a copy.
@@ -156,10 +155,10 @@ def _transposed_rows(dy_n, weights, xp_shape):
     for s in range(0, n, step):
         m = min(step, n - s)
         np.copyto(buf[:m], windows[s:s + m])
-        rows = buf[:m].reshape(-1, width)
+        rows = buf[:m].reshape(m, -1, width)
         dxb = dxp[s:s + m].reshape(m, hp * wp, c)
         for u in range(fh):
-            dxb[:, u * wp:(u + ho) * wp] += (rows @ slabs[u]).reshape(m, ho * wp, c)
+            dxb[:, u * wp:(u + ho) * wp] += rows @ slabs[u]
     return dxp
 
 
@@ -170,8 +169,7 @@ def _conv2d(x, weights, bias, padding):
 
     Returns ``(y, bwd)``: ``y (N, P, Ho, Wo)`` and ``bwd(dy) -> (dx, dW, db)``,
     each in its argument's rank. ``dx`` comes from :func:`_transposed_rows`
-    for several input planes, more than two taps and an output at least fw
-    wide, and from one GEMM per filter tap otherwise.
+    on several input planes, and from one GEMV per filter tap on one.
     """
     signal = x.ndim == 3
     if signal:
@@ -186,32 +184,27 @@ def _conv2d(x, weights, bias, padding):
     else:
         top = left = 0
         xp = np.ascontiguousarray(xt)
-    ho = xp.shape[1] - fh + 1
-    wo = xp.shape[2] - fw + 1
+    ho, wo = xp.shape[1] - fh + 1, xp.shape[2] - fw + 1
     width = fw * c
-    # a block's windows and outputs: one matrix per sample, or with one filter
-    # row one matrix for the whole block
-    rows_shape, out_shape = (((-1, width), (-1, planes)) if fh == 1 else
-                             ((-1, xp.shape[1] * wo, width), (-1, ho * wo, planes)))
     windows = _windows(xp, fw)                             # (N, Hp, Wo, fw, C)
-    step = max(1, min(n, _IM2COL_BLOCK_BYTES // (8 * xp.shape[1] * wo * fw * c)))
+    step = max(1, min(n, _IM2COL_BLOCK_BYTES // (8 * xp.shape[1] * wo * width)))
     starts = range(0, n, step)
     buf = np.empty((step,) + windows.shape[1:])
 
     def fill(s):
         """Copy the row windows of the block from sample s into buf and return,
         per filter row u, the windows it meets: rows u*Wo onwards, Ho*Wo of them
-        for each sample; with one filter row, all of the block's rows."""
+        for each sample."""
         m = min(step, n - s)
         np.copyto(buf[:m], windows[s:s + m])
-        rows = buf[:m].reshape(rows_shape)
-        return [rows] if fh == 1 else [rows[:, u * wo:u * wo + ho * wo] for u in range(fh)]
+        rows = buf[:m].reshape(m, -1, width)
+        return [rows[:, u * wo:(u + ho) * wo] for u in range(fh)]
 
     slabs = np.ascontiguousarray(weights.transpose(2, 3, 1, 0)).reshape(fh, width, planes)
     y_nhwc = np.empty((n, ho, wo, planes))
     for s in starts:
         taps = fill(s)
-        yb = y_nhwc[s:s + step].reshape(out_shape)
+        yb = y_nhwc[s:s + step].reshape(-1, ho * wo, planes)
         np.matmul(taps[0], slabs[0], out=yb)
         for u in range(1, fh):
             yb += taps[u] @ slabs[u]
@@ -227,28 +220,17 @@ def _conv2d(x, weights, bias, padding):
         for s in starts:
             # with one block, buf still holds the forward's row windows
             block_taps = taps if len(starts) == 1 else fill(s)
-            dyb = dy_n[s:s + step].reshape(out_shape).swapaxes(-1, -2)
-            if fh == 1:
-                g = dyb @ block_taps[0]
-            else:   # stacked per sample: summed over the block's samples
-                g = np.concatenate([dyb @ a for a in block_taps], axis=-1).sum(axis=0)
+            dyb = dy_n[s:s + step].reshape(-1, ho * wo, planes).swapaxes(-1, -2)
+            # stacked per sample: summed over the block's samples
+            g = np.concatenate([dyb @ a for a in block_taps], axis=-1).sum(axis=0)
             dw = g if dw is None else dw + g                     # (P, fh*width)
         dw = dw.reshape(planes, fh, fw, c).transpose(0, 3, 1, 2)
-        if c > 1 and fh * fw > 2 and wo >= fw:
+        if c > 1:
             dxp = _transposed_rows(dy_n, weights, xp.shape)
-        else:
-            # per tap where row windows do not pay for their copy: on one input
-            # plane (fw*P doubles copied per input element), for two taps or
-            # fewer (one GEMM saved at most), and on an output narrower than the
-            # filter (the padding at least doubles the GEMM)
-            w_taps = weights.transpose(2, 3, 0, 1).copy()          # (fh, fw, P, C)
+        else:   # one input plane: row windows would copy fw*P doubles per element
             dxp = np.zeros(xp.shape)
-            dtap = np.empty((n, ho, wo, c))
-            dtap_m = dtap.reshape(-1, c)
-            for u in range(fh):
-                for v in range(fw):
-                    np.matmul(dy_m, w_taps[u, v], out=dtap_m)
-                    dxp[:, u:u + ho, v:v + wo] += dtap
+            for u, v in np.ndindex(fh, fw):
+                dxp[:, u:u + ho, v:v + wo, 0] += (dy_m @ weights[:, 0, u, v]).reshape(n, ho, wo)
         dx = dxp[:, top:top + h, left:left + w].transpose(0, 3, 1, 2)
         return (dx[:, :, 0], dw[:, :, 0], db) if signal else (dx, dw, db)
 

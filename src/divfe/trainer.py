@@ -76,11 +76,18 @@ class EvalResult:
     confusion: np.ndarray
 
 
+def _check_datasets(codebook, *datasets):
+    for dataset in datasets:
+        if len(dataset) == 0:
+            raise ContractError("cannot train on or evaluate an empty dataset")
+        if (dataset.labels >= codebook.class_count).any():
+            raise ContractError("dataset contains labels without an assigned Walsh row")
+
+
 def evaluate(model: FeatureExtractor, dataset: LabeledDataset,
              codebook: WalshCodebook) -> EvalResult:
     """Minimum-distance classification accuracy, mean loss and confusion matrix."""
-    if len(dataset) == 0:
-        raise ContractError("cannot evaluate on an empty dataset")
+    _check_datasets(codebook, dataset)
     c = codebook.class_count
     confusion = np.zeros((c, c), dtype=np.int64)
     total_loss = 0.0
@@ -116,8 +123,7 @@ def fit(model: FeatureExtractor, train_set: LabeledDataset,
         raise ContractError("training requires at least 2 classes")
     if model.rank != codebook.rank:
         raise ShapeError(f"model output dim {model.rank} != codebook rank {codebook.rank}")
-    if train_set.labels.max() >= codebook.class_count:
-        raise ContractError("dataset contains labels without an assigned Walsh row")
+    _check_datasets(codebook, train_set, validation_set)
 
     if config.augment is not None and config.augment.factor > 1:
         train_set = expand_training_set(train_set, config.augment)

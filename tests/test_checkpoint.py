@@ -1,6 +1,7 @@
 """Binary checkpoint persistence: bit-exact round trips and corruption checks."""
 
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -186,6 +187,9 @@ MALFORMED = {
     "dropout-layer": _payload(spec=b"input 4\nwalsh_rank 4\nflatten\ndropout 0.5\n"),
     "spec-larger-than-file": _payload(spec=b"input 100000x100000\nwalsh_rank 4\n"
                                            b"flatten\ndense 4\n"),
+    # BatchNorm state of 2**40 planes (32 TiB), in a file of no arrays
+    "batchnorm-larger-than-file": _payload(spec=b"input 1099511627776x1x1\n"
+                                                b"walsh_rank 1099511627776\nbatchnorm\nflatten\n"),
     # 2**64 flattened features: a product that wraps to 0 in int64
     "flatten-past-int64": _payload(spec=b"input 4294967296x4294967296\nwalsh_rank 4\n"
                                         b"flatten\ndense 4\n"),
@@ -225,6 +229,19 @@ def test_malformed_payload_is_format_error(tmp_path, case, capsys):
                                           class_count=2))
     assert main(["eval", "--checkpoint", str(path), "--data", str(data)]) == 5
     assert "error=format-error" in capsys.readouterr().err
+
+
+def test_state_larger_than_file_is_refused_before_allocation(tmp_path):
+    path = tmp_path / "m.divf"
+    _write(path, _payload(spec=b"input 1048576x1x1\nwalsh_rank 1048576\nbatchnorm\nflatten\n"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="more values than the file holds"):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20      # the four running arrays alone would take 32 MiB
 
 
 @pytest.fixture(scope="module")

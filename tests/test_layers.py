@@ -120,8 +120,9 @@ def _direct_conv2d_adjoint(x, weights, dy, padding):
 # (batch, planes in, height, width, fh, fw, planes out, padding): odd batches,
 # C > 1 and non-square filters, under both paddings; height-1 cases with
 # 1-high filters run through Conv1D as length-``width`` signals. The input
-# gradient takes row windows in the first five and one GEMM per tap in the
-# rest, the spanning cases (one output position per sample) among them
+# gradient takes row windows on every config with C > 1, the two-tap filter,
+# the output narrower than its filter and the spanning cases (one output
+# position per sample) among them, and one GEMV per tap on the three with C = 1
 BLOCKED_CONFIGS = [
     (5, 3, 7, 6, 3, 2, 4, "valid"),
     (7, 2, 6, 8, 2, 5, 3, "same"),
@@ -146,8 +147,7 @@ def _blocked_conv(monkeypatch, config, samples_per_block):
     for the backward's row windows of the padded ``dy`` and then for the
     forward's: each pass copies its windows in several blocks of at most the
     budget, the last one partial when a block holds several samples. ``dy``
-    windows are copied only on several input planes, for more than two taps
-    and an output at least fw wide."""
+    windows are copied only on several input planes."""
     n, c, h, w, fh, fw, planes, padding = config
     rng = np.random.default_rng(sum(config[:-1]) + samples_per_block)
     if h == fh == 1:
@@ -179,7 +179,7 @@ def _blocked_conv(monkeypatch, config, samples_per_block):
 
     y, bwd = _row_window_conv(layer, x)
     dy = rng.normal(size=y.shape)
-    row_window_dx = c > 1 and fh * fw > 2 and wo >= fw
+    row_window_dx = c > 1
     assert block_sizes((ho, wp, fw, planes), lambda: bwd(dy)) == blocks * row_window_dx
     assert block_sizes((hp, wo, fw, c), lambda: _row_window_conv(layer, x)) == blocks
     return layer, x, rng
@@ -247,6 +247,13 @@ def test_conv2d_blocked_gradients(monkeypatch, config):
 @example(seed=3, n=3, c=1, h=1, w=5, fh=1, fw=3, planes=2, same=True, shape="signal", budget=0.4,
          kernel="_conv2d")
 @example(seed=4, n=3, c=3, h=1, w=5, fh=1, fw=3, planes=2, same=False, shape="signal",
+         budget=0.4, kernel="_conv2d")
+# several planes: an output narrower than its filter, and filters of two taps
+@example(seed=5, n=3, c=2, h=5, w=5, fh=2, fw=4, planes=3, same=False, shape="free", budget=0.4,
+         kernel="_conv2d")
+@example(seed=6, n=3, c=3, h=4, w=5, fh=1, fw=2, planes=2, same=True, shape="free", budget=0.4,
+         kernel="_conv2d")
+@example(seed=7, n=3, c=2, h=1, w=5, fh=1, fw=2, planes=2, same=False, shape="signal",
          budget=0.4, kernel="_conv2d")
 def test_conv2d_matches_direct_sum(seed, n, c, h, w, fh, fw, planes, same, shape, budget, kernel):
     """Either kernel, the row-window one or the dense matrix, against the

@@ -125,6 +125,36 @@ def test_fit_validates_rank_and_labels():
         fit(model, train, val, small_cb, cfg)              # needs >= 2 classes
 
 
+def _with_label_2(ds):
+    """``ds`` with its last label moved to class 2."""
+    labels = ds.labels.copy()
+    labels[-1] = 2
+    return LabeledDataset(samples=ds.samples, labels=labels, class_count=3)
+
+
+@pytest.mark.parametrize("fault", ["validation-label-2", "empty-validation", "empty-training"])
+def test_fit_checks_both_datasets_before_training(monkeypatch, fault):
+    train, val = _split_even(_blobs())
+    empty = train.subset(np.array([], dtype=np.int64))
+    train, val = {"validation-label-2": (train, _with_label_2(val)),
+                  "empty-validation": (train, empty), "empty-training": (empty, val)}[fault]
+    model = _linear_model().initialize(np.random.default_rng(7))
+    batches = []
+    monkeypatch.setattr(trainer, "mse_loss", lambda *a, **k: batches.append(1) or mse_loss(*a, **k))
+    with pytest.raises(ContractError):
+        fit(model, train, val, make_codebook(2, 4), TrainConfig(max_epochs=2))
+    assert batches == []
+
+
+def test_evaluate_checks_labels_before_the_first_batch(monkeypatch):
+    model = _linear_model().initialize(np.random.default_rng(8))
+    batches, forward = [], model.forward
+    monkeypatch.setattr(model, "forward", lambda *a, **k: batches.append(1) or forward(*a, **k))
+    with pytest.raises(ContractError, match="without an assigned Walsh row"):
+        evaluate(model, _with_label_2(_blobs()), make_codebook(2, 4))
+    assert batches == []
+
+
 def test_evaluate_confusion_and_accuracy_consistent():
     ds = _blobs()
     cb = make_codebook(2, 4)
