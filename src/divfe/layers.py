@@ -17,27 +17,37 @@ for architectures whose filters would otherwise outgrow the map.
 Conv1D is Conv2D's code on one filter extent. Both run one of two
 channels-last kernels, each taking a length-L signal as a 1×L image. A layer
 whose dense (doubly Toeplitz) matrix ``T``, ``Ho·Wo·P`` by ``H·W·C``, has at
-most ``_DENSE_MAX`` entries, or that has one output position per sample (``T``
-is then the weights), runs :func:`_dense_conv`: each pass is one GEMM against
-``T``, gathered from the weights through an index built once per geometry.
-Every other one runs :func:`_conv2d`, so no spanning filter reaches it. In
-blocks of whole samples of at most about 1 MiB it copies only the fw-wide
-windows of each padded row (MEC, Cho & Brand 2017): a ``(Hp·Wo, fw·C)``
-matrix per sample, so each input element is copied fw times, not fh·fw.
-Every block is a stack of these per-sample matrices. Filter row u meets the
-window rows from ``u·Wo`` on (with one filter row, every Conv1D, all of
-them), and the output is the sum over u of their stacked GEMMs with its
-``(fw·C, P)`` weight slab. The weight gradient comes from the same windows,
-still in the buffer when a batch fits in one block. The input gradient, a
-full correlation of ``dy`` with the flipped filter, takes the same scheme
-transposed on several input planes: ``dy`` padded by fw-1 columns each side
-has Wp windows per row, a ``(Ho·Wp, fw·P)`` matrix per sample, and filter
-row u, reversed, adds one GEMM into padded input rows u..u+Ho, which are
-contiguous. On one input plane the windows would copy fw·P doubles per input
-element, so there it is one GEMV per filter tap. Either kernel's result is a
-``(N, P, H, W)`` view of a channels-last array. BatchNorm, which works on
-that memory as an ``(M, C)`` matrix, and ReLU keep its order both ways, so a
-following convolution reads its input without a copy.
+most ``_DENSE_MAX`` entries, or that has one output position per sample
+(``T`` is then the weights), runs :func:`_dense_conv`: each pass is one GEMM
+against ``T``, gathered from the weights through an index built once per
+geometry. Every other one runs :func:`_conv2d`, so no spanning filter reaches
+it. In blocks of whole samples of at most about 1 MiB it copies only the
+fw-wide windows of each padded row (MEC, Cho & Brand 2017): a
+``(Hp·Wo, fw·C)`` matrix per sample, so each input element is copied fw
+times, not fh·fw. Every block is a stack of these per-sample matrices.
+Filter row u meets the window rows from ``u·Wo`` on (with one filter row,
+every Conv1D, all of them), and the output is the sum over u of their
+stacked GEMMs with its ``(fw·C, P)`` weight slab. On one input plane, where
+those GEMMs would have K = fw, it copies whole fh×fw windows, a
+``(Ho·Wo, fh·fw)`` matrix per sample, for one GEMM per block. The weight
+gradient comes from the same windows, still in the buffer when a batch fits
+in one block. The input gradient, a full correlation of ``dy`` with the
+flipped filter, takes the row-window scheme transposed on several input
+planes: ``dy`` padded by fw-1 columns each side has Wp windows per row, a
+``(Ho·Wp, fw·P)`` matrix per sample, and filter row u, reversed, adds one
+GEMM into padded input rows u..u+Ho, which are contiguous. On one input
+plane the windows would copy fw·P doubles per input element, so there it is
+one GEMV per filter tap. Either kernel's result is a ``(N, P, H, W)`` view
+of a channels-last array. BatchNorm, which works on that memory as an
+``(M, C)`` matrix, and ReLU keep its order both ways, so a following
+convolution reads its input without a copy.
+
+An untaped inference folds a BatchNorm that :class:`FeatureExtractor` wires
+right after a convolution into it (Jacob et al. 2018): the kernel runs with
+weights ``W·a`` and bias ``(b - running_mean)·a + shift``, where
+``a = scale/sqrt(running_var + eps)``, from the current arrays on every
+call, and the BatchNorm returns its input. A taped pass stays unfolded: its
+gradients are with respect to ``W`` and the BatchNorm's arrays, not ``W·a``.
 
 Each layer names its trainable arrays in ``param_names``. After
 initialisation :class:`FeatureExtractor` holds them all in one flat vector,
@@ -72,6 +82,8 @@ class Layer:
     """Base layer: configuration at construction, parameters at wiring."""
 
     param_names = ()   # attributes holding the trainable arrays, in order
+    norm = None        # a convolution's BatchNorm, applied by its kernel in an untaped inference
+    folded = False     # a BatchNorm that its convolution applies there
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -86,7 +98,10 @@ class Layer:
 
     def forward(self, x: np.ndarray, mode: str = "infer",
                 tape: GradientTape | None = None) -> np.ndarray:
-        y, bwd = self._apply(x, mode)
+        """The output in ``mode`` "train" or "infer", recorded on ``tape`` if
+        given. An untaped inference is ``_apply``'s mode "fold": a convolution
+        runs its ``norm`` in its kernel, and that BatchNorm returns its input."""
+        y, bwd = self._apply(x, "fold" if tape is None and mode == "infer" else mode)
         if tape is not None:
             tape.record(y, (x, *self.trainable_params), bwd, self.kind)
         return y
@@ -119,17 +134,17 @@ def _he_init(rng, shape, fan_in):
         raise MemoryError(str(exc)) from exc
 
 
-def _windows(xp, fw):
-    """The ``(N, H, Wo, fw, C)`` view of every fw-wide window of every row of a
+def _windows(xp, fh, fw):
+    """The ``(N, H - fh + 1, Wo, fh, fw, C)`` view of every fh×fw window of a
     C-contiguous ``xp (N, H, W, C)``, built on its buffer.
 
-    Window j of row i is xp[:, i, j:j+fw, :], one run of fw*C contiguous
-    doubles.
+    Window (i, j) is xp[:, i:i+fh, j:j+fw, :]: fh runs of fw*C contiguous
+    doubles, or one with fh = 1, a row window.
     """
     n, h, w, c = xp.shape
     s0, s1, s2, s3 = xp.strides
-    return np.ndarray((n, h, w - fw + 1, fw, c), xp.dtype, buffer=xp,
-                      strides=(s0, s1, s2, s2, s3))
+    return np.ndarray((n, h - fh + 1, w - fw + 1, fh, fw, c), xp.dtype, buffer=xp,
+                      strides=(s0, s1, s2, s1, s2, s3))
 
 
 def _transposed_rows(dy_n, weights, xp_shape):
@@ -146,7 +161,7 @@ def _transposed_rows(dy_n, weights, xp_shape):
     width = fw * planes
     dyp = np.zeros((n, ho, wp + fw - 1, planes))
     dyp[:, :, fw - 1:fw - 1 + wo] = dy_n
-    windows = _windows(dyp, fw)                            # (N, Ho, Wp, fw, P)
+    windows = _windows(dyp, 1, fw)                      # (N, Ho, Wp, 1, fw, P)
     flipped = weights[:, :, :, ::-1].transpose(2, 3, 0, 1)    # (fh, fw, P, C)
     slabs = np.ascontiguousarray(flipped).reshape(fh, width, c)
     step = max(1, min(n, _IM2COL_BLOCK_BYTES // (8 * ho * wp * width)))
@@ -168,8 +183,9 @@ def _conv2d(x, weights, bias, padding):
     as a 1×L image, plus ``bias (P,)`` under ``valid`` or ``same`` padding.
 
     Returns ``(y, bwd)``: ``y (N, P, Ho, Wo)`` and ``bwd(dy) -> (dx, dW, db)``,
-    each in its argument's rank. ``dx`` comes from :func:`_transposed_rows`
-    on several input planes, and from one GEMV per filter tap on one.
+    each in its argument's rank. ``y`` and ``dW`` come from row windows on
+    several input planes and whole filter windows on one; ``dx`` from
+    :func:`_transposed_rows` on several, and from one GEMV per filter tap on one.
     """
     signal = x.ndim == 3
     if signal:
@@ -185,28 +201,31 @@ def _conv2d(x, weights, bias, padding):
         top = left = 0
         xp = np.ascontiguousarray(xt)
     ho, wo = xp.shape[1] - fh + 1, xp.shape[2] - fw + 1
-    width = fw * c
-    windows = _windows(xp, fw)                             # (N, Hp, Wo, fw, C)
-    step = max(1, min(n, _IM2COL_BLOCK_BYTES // (8 * xp.shape[1] * wo * width)))
+    # one plane: whole filter windows and one weight slab (a GEMM of K = fh*fw);
+    # several: row windows and one slab per filter row
+    height = fh if c == 1 else 1
+    width = height * fw * c
+    windows = _windows(xp, height, fw)          # (N, Hp - height + 1, Wo, height, fw, C)
+    step = max(1, min(n, _IM2COL_BLOCK_BYTES // (8 * math.prod(windows.shape[1:]))))
     starts = range(0, n, step)
     buf = np.empty((step,) + windows.shape[1:])
+    slabs = np.ascontiguousarray(weights.transpose(2, 3, 1, 0)).reshape(-1, width, planes)
 
     def fill(s):
-        """Copy the row windows of the block from sample s into buf and return,
-        per filter row u, the windows it meets: rows u*Wo onwards, Ho*Wo of them
-        for each sample."""
+        """Copy the windows of the block from sample s into buf and return, per
+        slab u, the windows it meets: rows u*Wo onwards, Ho*Wo of them for each
+        sample."""
         m = min(step, n - s)
         np.copyto(buf[:m], windows[s:s + m])
         rows = buf[:m].reshape(m, -1, width)
-        return [rows[:, u * wo:(u + ho) * wo] for u in range(fh)]
+        return [rows[:, u * wo:(u + ho) * wo] for u in range(len(slabs))]
 
-    slabs = np.ascontiguousarray(weights.transpose(2, 3, 1, 0)).reshape(fh, width, planes)
     y_nhwc = np.empty((n, ho, wo, planes))
     for s in starts:
         taps = fill(s)
         yb = y_nhwc[s:s + step].reshape(-1, ho * wo, planes)
         np.matmul(taps[0], slabs[0], out=yb)
-        for u in range(1, fh):
+        for u in range(1, len(slabs)):
             yb += taps[u] @ slabs[u]
         yb += bias
 
@@ -218,12 +237,12 @@ def _conv2d(x, weights, bias, padding):
         db = np.ones(len(dy_m)) @ dy_m
         dw = None
         for s in starts:
-            # with one block, buf still holds the forward's row windows
+            # with one block, buf still holds the forward's windows
             block_taps = taps if len(starts) == 1 else fill(s)
             dyb = dy_n[s:s + step].reshape(-1, ho * wo, planes).swapaxes(-1, -2)
             # stacked per sample: summed over the block's samples
             g = np.concatenate([dyb @ a for a in block_taps], axis=-1).sum(axis=0)
-            dw = g if dw is None else dw + g                     # (P, fh*width)
+            dw = g if dw is None else dw + g                    # (P, fh*fw*C)
         dw = dw.reshape(planes, fh, fw, c).transpose(0, 3, 1, 2)
         if c > 1:
             dxp = _transposed_rows(dy_n, weights, xp.shape)
@@ -329,7 +348,12 @@ class Conv2D(Layer):
 
     def _apply(self, x, mode):
         kernel = _dense_conv if self.dense_entries <= _DENSE_MAX else _conv2d
-        return kernel(x, self.weights, self.bias, self.padding)
+        norm = self.norm
+        if norm is None or mode != "fold":
+            return kernel(x, self.weights, self.bias, self.padding)
+        a = norm.scale / np.sqrt(norm.running_var + BN_EPSILON)   # W*a, (b - mean)*a + shift
+        return kernel(x, self.weights * a.reshape(-1, *(1,) * (self.weights.ndim - 1)),
+                      (self.bias - norm.running_mean) * a + norm.shift, self.padding)
 
 
 class Conv1D(Layer):
@@ -377,6 +401,8 @@ class BatchNorm(Layer):
         return self.trainable_params + [self.running_mean, self.running_var]
 
     def _apply(self, x, mode):
+        if mode == "fold" and self.folded:
+            return x, None
         to_last = (0, *range(2, x.ndim), 1)
         to_first = (0, x.ndim - 1, *range(1, x.ndim - 1))
         xt = x.transpose(to_last)
@@ -515,8 +541,12 @@ class FeatureExtractor:
 
     def _wire(self):
         shape = self.input_shape
-        for layer in self.layers:
+        for before, layer in zip([None, *self.layers], self.layers):
             shape = layer.wire(shape)
+            layer.norm = None   # the next iteration links a BatchNorm after a convolution
+            layer.folded = isinstance(layer, BatchNorm) and isinstance(before, (Conv1D, Conv2D))
+            if layer.folded:
+                before.norm = layer
         if shape != (self.rank,):
             raise ShapeError(
                 f"model output shape {shape} must be ({self.rank},) to match the codebook rank"

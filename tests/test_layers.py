@@ -147,7 +147,8 @@ def _blocked_conv(monkeypatch, config, samples_per_block):
     for the backward's row windows of the padded ``dy`` and then for the
     forward's: each pass copies its windows in several blocks of at most the
     budget, the last one partial when a block holds several samples. ``dy``
-    windows are copied only on several input planes."""
+    windows are copied only on several input planes, and on one the forward
+    copies whole fh×fw windows instead of row windows."""
     n, c, h, w, fh, fw, planes, padding = config
     rng = np.random.default_rng(sum(config[:-1]) + samples_per_block)
     if h == fh == 1:
@@ -180,8 +181,10 @@ def _blocked_conv(monkeypatch, config, samples_per_block):
     y, bwd = _row_window_conv(layer, x)
     dy = rng.normal(size=y.shape)
     row_window_dx = c > 1
-    assert block_sizes((ho, wp, fw, planes), lambda: bwd(dy)) == blocks * row_window_dx
-    assert block_sizes((hp, wo, fw, c), lambda: _row_window_conv(layer, x)) == blocks
+    assert block_sizes((ho, wp, 1, fw, planes), lambda: bwd(dy)) == blocks * row_window_dx
+    height = fh if c == 1 else 1
+    assert block_sizes((hp - height + 1, wo, height, fw, c),
+                       lambda: _row_window_conv(layer, x)) == blocks
     return layer, x, rng
 
 
@@ -255,6 +258,11 @@ def test_conv2d_blocked_gradients(monkeypatch, config):
          kernel="_conv2d")
 @example(seed=7, n=3, c=2, h=1, w=5, fh=1, fw=2, planes=2, same=False, shape="signal",
          budget=0.4, kernel="_conv2d")
+# one plane, whole filter windows under same padding: odd and even filter heights
+@example(seed=8, n=3, c=1, h=5, w=5, fh=3, fw=3, planes=2, same=True, shape="free", budget=0.4,
+         kernel="_conv2d")
+@example(seed=9, n=3, c=1, h=4, w=5, fh=4, fw=2, planes=3, same=True, shape="free", budget=0.4,
+         kernel="_conv2d")
 def test_conv2d_matches_direct_sum(seed, n, c, h, w, fh, fw, planes, same, shape, budget, kernel):
     """Either kernel, the row-window one or the dense matrix, against the
     tap-by-tap sum and its adjoint at 1e-12, and its gradients against finite
@@ -273,8 +281,11 @@ def test_conv2d_matches_direct_sum(seed, n, c, h, w, fh, fw, planes, same, shape
     x = rng.normal(size=(n, c, h, w))
     weights = rng.normal(size=(planes, c, fh, fw))
     bias = rng.normal(size=planes)
-    # the forward's windows of x or the backward's of the padded dy
-    whole_batch = 8 * n * fw * max(hp * (wp - fw + 1) * c, (hp - fh + 1) * wp * planes)
+    # the forward's windows of x (whole filter windows on one plane) or the
+    # backward's of the padded dy
+    height = fh if c == 1 else 1
+    whole_batch = 8 * n * fw * max((hp - height + 1) * (wp - fw + 1) * height * c,
+                                   (hp - fh + 1) * wp * planes)
     expected = _direct_conv2d(x, weights, bias, padding)
     proj = rng.normal(size=expected.shape)
     adjoint = _direct_conv2d_adjoint(x, weights, proj, padding)
@@ -299,8 +310,9 @@ def test_conv2d_matches_direct_sum(seed, n, c, h, w, fh, fw, planes, same, shape
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), c=st.integers(1, 3),
        h=st.integers(1, 6), w=st.integers(1, 6), fh=st.integers(1, 4),
-       fw=st.integers(1, 4), same=st.booleans(), one_row=st.booleans())
-def test_window_view_equals_sliding_window_view(seed, n, c, h, w, fh, fw, same, one_row):
+       fw=st.integers(1, 4), same=st.booleans(), one_row=st.booleans(), whole=st.booleans())
+def test_window_view_equals_sliding_window_view(seed, n, c, h, w, fh, fw, same, one_row, whole):
+    """Row windows (height 1) and whole filter windows (height fh)."""
     if one_row:
         h = 1
     rng = np.random.default_rng(seed)
@@ -309,10 +321,11 @@ def test_window_view_equals_sliding_window_view(seed, n, c, h, w, fh, fw, same, 
         xp = np.zeros((n, h + fh - 1, w + fw - 1, c))
         xp[:, (fh - 1) // 2:(fh - 1) // 2 + h, (fw - 1) // 2:(fw - 1) // 2 + w] = xt
     else:
-        fw = min(fw, w)
+        fh, fw = min(fh, h), min(fw, w)
         xp = np.ascontiguousarray(xt)
-    expected = sliding_window_view(xp, fw, axis=2).transpose(0, 1, 2, 4, 3)
-    view = layers._windows(xp, fw)
+    height = fh if whole else 1
+    expected = sliding_window_view(xp, (height, fw), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
+    view = layers._windows(xp, height, fw)
     assert view.shape == expected.shape
     assert np.shares_memory(view, xp)
     np.testing.assert_array_equal(view, expected)
@@ -781,9 +794,11 @@ def test_model_without_parameters_gets_an_empty_vector():
     assert model.trainable_params == []
 
 
-def _randomize_running_stats(model, rng):
+def _randomize_batchnorms(model, rng):
     for layer in model.layers:
         if isinstance(layer, BatchNorm):
+            layer.scale[:] = rng.normal(1.0, 0.5, size=layer.planes)
+            layer.shift[:] = rng.normal(size=layer.planes)
             layer.running_mean[:] = rng.normal(size=layer.planes)
             layer.running_var[:] = rng.uniform(0.5, 2.0, size=layer.planes)
 
@@ -794,8 +809,60 @@ def _randomize_running_stats(model, rng):
 def test_model_batched_inference_matches_per_sample(name, seed, n):
     rng = np.random.default_rng(seed)
     model = load_model_spec(SPECS / f"{name}.spec").initialize(rng)
-    _randomize_running_stats(model, rng)
+    _randomize_batchnorms(model, rng)
     x = rng.normal(size=(n,) + model.input_shape)
     batched = model.forward(x, mode="infer")
     per_sample = np.concatenate([model.forward(x[i:i + 1], mode="infer") for i in range(n)])
     np.testing.assert_allclose(batched, per_sample, rtol=1e-9, atol=1e-9)
+
+
+# ---------------------------------------------------------------- folded BatchNorm
+
+def test_folded_inference_equals_the_unfolded_chain():
+    # an untaped inference runs each BatchNorm after a convolution in its
+    # kernel; a taped one runs every layer as it is
+    rng = np.random.default_rng(40)
+    model = load_model_spec(SPECS / "mnist.spec").initialize(rng)
+    _randomize_batchnorms(model, rng)
+    x = rng.normal(size=(8,) + model.input_shape)
+    folded = model.forward(x)
+    unfolded = model.forward(x, tape=GradientTape())
+    assert np.max(np.abs(folded - unfolded)) <= 1e-12 * np.max(np.abs(unfolded))
+
+
+def test_taped_inference_gradients_are_the_unfolded_layers():
+    # parameter gradients with respect to W and the BatchNorm's own arrays,
+    # not the folded W*a, against central differences of the folded pass
+    rng = np.random.default_rng(41)
+    model = FeatureExtractor([Conv2D(3, 3, 2), BatchNorm(), ReLU(), Flatten()], (2, 4, 4), 8)
+    model.initialize(rng)
+    model.params += rng.normal(scale=0.1, size=model.params.size)
+    _randomize_batchnorms(model, rng)
+    assert model.layers[0].norm is model.layers[1] and model.layers[1].folded
+    x = rng.normal(size=(3, 2, 4, 4))
+    proj = rng.normal(size=(3, 8))
+    tape = GradientTape()
+    out = model.forward(x, mode="infer", tape=tape)
+    loss = np.asarray(np.sum(out * proj))
+    tape.record(loss, (out,), lambda g: (g * proj,), "proj")
+    dx, grads = backward(tape, loss)
+    assert [id(p) for p, _ in grads] == [id(p) for p in model.trainable_params]
+
+    def fn(_):
+        return float(np.sum(model.forward(x, mode="infer") * proj))
+
+    for array, grad in [(x, dx)] + grads:
+        assert relative_error(grad, numeric_gradient(fn, array, step=STEP)) < TOL
+
+
+def test_rewiring_clears_the_fold_links():
+    rng = np.random.default_rng(42)
+    conv, norm = Conv2D(3, 3, 2), BatchNorm()
+    first = FeatureExtractor([conv, norm, ReLU(), Flatten()], (1, 4, 4), 8).initialize(rng)
+    _randomize_batchnorms(first, rng)
+    assert conv.norm is norm and norm.folded
+    # no BatchNorm after the convolution, and the BatchNorm after a ReLU
+    second = FeatureExtractor([conv, ReLU(), norm, Flatten()], (1, 4, 4), 8)
+    assert conv.norm is None and not norm.folded
+    x = rng.normal(size=(3, 1, 4, 4))
+    np.testing.assert_array_equal(second.forward(x), second.forward(x, tape=GradientTape()))

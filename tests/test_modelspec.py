@@ -217,7 +217,9 @@ def test_random_spec_chains(text, seed, dense_max):
 
 def _check_spec_chain(text, seed):
     # a spec wires or raises ShapeError; a wired one formats back to its text,
-    # infers the same batched as per sample, and the same after a checkpoint
+    # infers the same batched as per sample, folded as unfolded (the same pass
+    # on a tape, which keeps every BatchNorm its own layer), and the same after
+    # a checkpoint
     try:
         model = parse_model_spec(text)
     except ShapeError:
@@ -234,6 +236,8 @@ def _check_spec_chain(text, seed):
     batched = model.forward(x)
     per_sample = np.concatenate([model.forward(x[i:i + 1]) for i in range(len(x))])
     np.testing.assert_allclose(batched, per_sample, rtol=1e-9, atol=1e-9)
+    unfolded = model.forward(x, tape=GradientTape())
+    assert np.max(np.abs(batched - unfolded)) <= 1e-12 * np.max(np.abs(unfolded)), text
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.divf"
         save_checkpoint(model, make_codebook(2, model.rank), path)
