@@ -1,24 +1,25 @@
 """Walsh code targets: why every class center is equally far from the rest.
 
-Builds the modified 0/1 Walsh matrix at a few ranks, shows the constant
-pairwise Hamming distance, and assigns class targets the way the trainer
-does (row 0, the all-ones row, is reserved).
+Prints the modified 0/1 Walsh matrix at a few ranks (a codebook holding all
+rank - 1 classes is the whole matrix), shows the constant pairwise Hamming
+distance, and assigns class targets the way the trainer does (row 0, the
+all-ones row, is reserved).
 """
 
 import numpy as np
 
-from divfe import build_modified_walsh, make_codebook
+from divfe import make_codebook
 
 
 def main():
     print("8x8 modified Walsh matrix (entries 0/1):")
-    w = build_modified_walsh(8)
+    w = make_codebook(7, 8).matrix
     for row in w:
         print("   ", " ".join(str(v) for v in row))
 
     print("\nPairwise Hamming distances are always rank/2:")
     for rank in (4, 8, 16):
-        w = build_modified_walsh(rank)
+        w = make_codebook(rank - 1, rank).matrix
         dists = {int(np.count_nonzero(w[i] != w[j]))
                  for i in range(rank) for j in range(i + 1, rank)}
         print(f"    rank {rank:2d}: distinct pairwise distances = {sorted(dists)}")

@@ -10,6 +10,6 @@ from .layers import (BatchNorm, Conv1D, Conv2D, Dense, FeatureExtractor, Flatten
 from .mdn import classify_batch
 from .trainer import (EvalResult, GrowthTemplate, TrainConfig, TrainReport,
                       evaluate, fit, grow_layers, run_trials)
-from .walsh import WalshCodebook, build_modified_walsh, make_codebook
+from .walsh import WalshCodebook, make_codebook
 
 __version__ = "0.1.0"

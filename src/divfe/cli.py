@@ -102,12 +102,12 @@ def _load_dataset(path, fmt, labels_path=None) -> LabeledDataset:
     if fmt == "csv":
         return load_signals_csv(path)
     if fmt == "mnist":
-        if labels_path is None:
-            guess = str(path).replace("images-idx3", "labels-idx1")
-            if guess == str(path):
+        if labels_path is None:   # the images file's name, not its directories, names the labels
+            name = Path(path).name
+            if "images-idx3" not in name:
                 raise ParseError("mnist format needs --labels (cannot derive the "
                                  "labels path from the images path)")
-            labels_path = guess
+            labels_path = Path(path).with_name(name.replace("images-idx3", "labels-idx1"))
         return load_mnist_idx(path, labels_path)
     raise ParseError(f"unknown data format {fmt!r}")
 
@@ -262,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--data", required=True, type=Path)
         p.add_argument("--format", choices=["iris", "mnist", "csv"], default="csv")
         p.add_argument("--labels", type=Path, default=None,
-                       help="labels IDX file (mnist format only)")
+                       help="labels IDX file (mnist format only; default: the --data "
+                            "file with images-idx3 in its name replaced by labels-idx1)")
 
     p = sub.add_parser("train", help="train a model spec and write a checkpoint")
     p.add_argument("--model", required=True, type=Path)

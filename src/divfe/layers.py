@@ -21,23 +21,23 @@ most ``_DENSE_MAX`` entries, or that has one output position per sample
 (``T`` is then the weights), runs :func:`_dense_conv`: each pass is one GEMM
 against ``T``, gathered from the weights through an index built once per
 geometry. Every other one runs :func:`_conv2d`, so no spanning filter reaches
-it. In blocks of whole samples of at most about 1 MiB it copies only the
-fw-wide windows of each padded row (MEC, Cho & Brand 2017): a
-``(Hp·Wo, fw·C)`` matrix per sample, so each input element is copied fw
-times, not fh·fw. Every block is a stack of these per-sample matrices.
-Filter row u meets the window rows from ``u·Wo`` on (with one filter row,
-every Conv1D, all of them), and the output is the sum over u of their
-stacked GEMMs with its ``(fw·C, P)`` weight slab. On one input plane, where
-those GEMMs would have K = fw, it copies whole fh×fw windows, a
-``(Ho·Wo, fh·fw)`` matrix per sample, for one GEMM per block. The weight
-gradient comes from the same windows, still in the buffer when a batch fits
-in one block. The input gradient, a full correlation of ``dy`` with the
-flipped filter, takes the row-window scheme transposed on several input
-planes: ``dy`` padded by fw-1 columns each side has Wp windows per row, a
-``(Ho·Wp, fw·P)`` matrix per sample, and filter row u, reversed, adds one
-GEMM into padded input rows u..u+Ho, which are contiguous. On one input
-plane the windows would copy fw·P doubles per input element, so there it is
-one GEMV per filter tap. Either kernel's result is a ``(N, P, H, W)`` view
+it. It copies only the fw-wide windows of each padded row (MEC, Cho & Brand
+2017): a ``(Hp·Wo, fw·C)`` matrix per sample, so each input element is copied
+fw times, not fh·fw. One walk, :func:`_window_blocks`, copies them in blocks
+of whole samples of at most about 1 MiB, each a stack of these per-sample
+matrices. Filter row u meets the window rows from ``u·Wo`` on (with one
+filter row, every Conv1D, all of them), and the output is the sum over u of
+their stacked GEMMs with its ``(fw·C, P)`` weight slab. On one input plane,
+where those GEMMs would have K = fw, it copies whole fh×fw windows, a
+``(Ho·Wo, fh·fw)`` matrix per sample, for one GEMM per block. The backward
+walks the same windows again for the weight gradient, or reuses the
+forward's when one block held the batch. Its input gradient, a full
+correlation of ``dy`` with the flipped filter, walks row windows too on
+several input planes: ``dy`` padded by fw-1 columns each side has Wp windows
+per row, a ``(Ho·Wp, fw·P)`` matrix per sample, and filter row u, reversed,
+adds one GEMM into padded input rows u..u+Ho, which are contiguous. On one
+input plane the windows would copy fw·P doubles per input element, so there
+it is one GEMV per filter tap. Either kernel's result is a ``(N, P, H, W)`` view
 of a channels-last array. BatchNorm, which works on that memory as an
 ``(M, C)`` matrix, and ReLU keep its order both ways, so a following
 convolution reads its input without a copy.
@@ -147,34 +147,18 @@ def _windows(xp, fh, fw):
                       strides=(s0, s1, s2, s1, s2, s3))
 
 
-def _transposed_rows(dy_n, weights, xp_shape):
-    """The input gradient ``dxp`` of shape ``xp_shape (N, Hp, Wp, C)`` for
-    ``dy_n (N, Ho, Wo, P)``: a full correlation of dy with the flipped filter,
-    by row windows.
-
-    dy padded by fw-1 columns each side has Wp fw-wide windows per row; filter
-    row u, reversed, meets them in output rows u..u+Ho, contiguous per sample.
-    """
-    n, ho, wo, planes = dy_n.shape
-    _, hp, wp, c = xp_shape
-    fh, fw = weights.shape[2:]
-    width = fw * planes
-    dyp = np.zeros((n, ho, wp + fw - 1, planes))
-    dyp[:, :, fw - 1:fw - 1 + wo] = dy_n
-    windows = _windows(dyp, 1, fw)                      # (N, Ho, Wp, 1, fw, P)
-    flipped = weights[:, :, :, ::-1].transpose(2, 3, 0, 1)    # (fh, fw, P, C)
-    slabs = np.ascontiguousarray(flipped).reshape(fh, width, c)
-    step = max(1, min(n, _IM2COL_BLOCK_BYTES // (8 * ho * wp * width)))
+def _window_blocks(windows, width):
+    """Copy the ``windows (N, ...)`` of whole samples, in blocks of at most
+    ``_IM2COL_BLOCK_BYTES`` (one sample if larger), into one reused buffer, and
+    yield ``(start, rows)``: the block's first sample and its windows as an
+    ``(m, -1, width)`` array, valid until the next block."""
+    n = len(windows)
+    step = max(1, min(n, _IM2COL_BLOCK_BYTES // (8 * math.prod(windows.shape[1:]))))
     buf = np.empty((step,) + windows.shape[1:])
-    dxp = np.zeros(xp_shape)
     for s in range(0, n, step):
         m = min(step, n - s)
         np.copyto(buf[:m], windows[s:s + m])
-        rows = buf[:m].reshape(m, -1, width)
-        dxb = dxp[s:s + m].reshape(m, hp * wp, c)
-        for u in range(fh):
-            dxb[:, u * wp:(u + ho) * wp] += rows @ slabs[u]
-    return dxp
+        yield s, buf[:m].reshape(m, -1, width)
 
 
 def _conv2d(x, weights, bias, padding):
@@ -183,9 +167,11 @@ def _conv2d(x, weights, bias, padding):
     as a 1×L image, plus ``bias (P,)`` under ``valid`` or ``same`` padding.
 
     Returns ``(y, bwd)``: ``y (N, P, Ho, Wo)`` and ``bwd(dy) -> (dx, dW, db)``,
-    each in its argument's rank. ``y`` and ``dW`` come from row windows on
-    several input planes and whole filter windows on one; ``dx`` from
-    :func:`_transposed_rows` on several, and from one GEMV per filter tap on one.
+    each in its argument's rank. ``y`` and ``dW`` come from one
+    :func:`_window_blocks` walk each over the padded input's windows: row
+    windows on several input planes, whole filter windows on one. ``dx`` comes
+    from a walk over the row windows of ``dy`` padded by fw-1 columns each side
+    on several, and from one GEMV per filter tap on one.
     """
     signal = x.ndim == 3
     if signal:
@@ -200,34 +186,25 @@ def _conv2d(x, weights, bias, padding):
     else:
         top = left = 0
         xp = np.ascontiguousarray(xt)
-    ho, wo = xp.shape[1] - fh + 1, xp.shape[2] - fw + 1
+    _, hp, wp, _ = xp.shape
+    ho, wo = hp - fh + 1, wp - fw + 1
     # one plane: whole filter windows and one weight slab (a GEMM of K = fh*fw);
-    # several: row windows and one slab per filter row
+    # several: row windows and one slab per filter row u, which meets the
+    # windows from row u*Wo on, Ho*Wo of them per sample
     height = fh if c == 1 else 1
     width = height * fw * c
     windows = _windows(xp, height, fw)          # (N, Hp - height + 1, Wo, height, fw, C)
-    step = max(1, min(n, _IM2COL_BLOCK_BYTES // (8 * math.prod(windows.shape[1:]))))
-    starts = range(0, n, step)
-    buf = np.empty((step,) + windows.shape[1:])
     slabs = np.ascontiguousarray(weights.transpose(2, 3, 1, 0)).reshape(-1, width, planes)
-
-    def fill(s):
-        """Copy the windows of the block from sample s into buf and return, per
-        slab u, the windows it meets: rows u*Wo onwards, Ho*Wo of them for each
-        sample."""
-        m = min(step, n - s)
-        np.copyto(buf[:m], windows[s:s + m])
-        rows = buf[:m].reshape(m, -1, width)
-        return [rows[:, u * wo:(u + ho) * wo] for u in range(len(slabs))]
-
     y_nhwc = np.empty((n, ho, wo, planes))
-    for s in starts:
-        taps = fill(s)
-        yb = y_nhwc[s:s + step].reshape(-1, ho * wo, planes)
-        np.matmul(taps[0], slabs[0], out=yb)
+    whole = None
+    for s, rows in _window_blocks(windows, width):
+        yb = y_nhwc[s:s + len(rows)].reshape(-1, ho * wo, planes)
+        np.matmul(rows[:, :ho * wo], slabs[0], out=yb)
         for u in range(1, len(slabs)):
-            yb += taps[u] @ slabs[u]
+            yb += rows[:, u * wo:(u + ho) * wo] @ slabs[u]
         yb += bias
+        # when one block holds the batch, the weight gradient reuses its windows
+        whole = [(0, rows)] if len(rows) == n else None
 
     def bwd(dy):
         if signal:
@@ -236,18 +213,25 @@ def _conv2d(x, weights, bias, padding):
         dy_m = dy_n.reshape(-1, planes)
         db = np.ones(len(dy_m)) @ dy_m
         dw = None
-        for s in starts:
-            # with one block, buf still holds the forward's windows
-            block_taps = taps if len(starts) == 1 else fill(s)
-            dyb = dy_n[s:s + step].reshape(-1, ho * wo, planes).swapaxes(-1, -2)
+        for s, rows in whole or _window_blocks(windows, width):
+            dyb = dy_n[s:s + len(rows)].reshape(-1, ho * wo, planes).swapaxes(-1, -2)
             # stacked per sample: summed over the block's samples
-            g = np.concatenate([dyb @ a for a in block_taps], axis=-1).sum(axis=0)
+            g = np.concatenate([dyb @ rows[:, u * wo:(u + ho) * wo] for u in range(len(slabs))],
+                               axis=-1).sum(axis=0)
             dw = g if dw is None else dw + g                    # (P, fh*fw*C)
         dw = dw.reshape(planes, fh, fw, c).transpose(0, 3, 1, 2)
+        dxp = np.zeros(xp.shape)
         if c > 1:
-            dxp = _transposed_rows(dy_n, weights, xp.shape)
+            # filter row u, reversed, meets the windows in padded input rows u..u+Ho
+            dyp = np.zeros((n, ho, wp + fw - 1, planes))
+            dyp[:, :, fw - 1:fw - 1 + wo] = dy_n
+            flipped = weights[:, :, :, ::-1].transpose(2, 3, 0, 1)    # (fh, fw, P, C)
+            back = np.ascontiguousarray(flipped).reshape(fh, fw * planes, c)
+            for s, rows in _window_blocks(_windows(dyp, 1, fw), fw * planes):
+                dxb = dxp[s:s + len(rows)].reshape(len(rows), hp * wp, c)
+                for u in range(fh):
+                    dxb[:, u * wp:(u + ho) * wp] += rows @ back[u]
         else:   # one input plane: row windows would copy fw*P doubles per element
-            dxp = np.zeros(xp.shape)
             for u, v in np.ndindex(fh, fw):
                 dxp[:, u:u + ho, v:v + wo, 0] += (dy_m @ weights[:, 0, u, v]).reshape(n, ho, wo)
         dx = dxp[:, top:top + h, left:left + w].transpose(0, 3, 1, 2)

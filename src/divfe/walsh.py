@@ -1,7 +1,8 @@
 """Walsh codebook construction and class-target assignment.
 
-The classifier prototypes are rows of a modified (0/1) Walsh matrix built by
-the Sylvester recursion. Row 0 is all ones and is never handed out as a class
+The classifier prototypes are rows of the modified (0/1) Walsh matrix of the
+Sylvester-ordered Hadamard matrix, whose entry (k, j) is 1 iff k & j has an
+even number of set bits. Row 0 is all ones and is never handed out as a class
 target; any two distinct rows differ in exactly rank/2 positions, so class
 centers sit at equal, maximal Hamming distances from each other.
 """
@@ -19,19 +20,6 @@ def _check_rank(rank):
     if (not isinstance(rank, (int, np.integer)) or rank < 2
             or (int(rank) & (int(rank) - 1)) != 0):
         raise WalshError(f"rank must be a power of 2 and >= 2, got {rank!r}")
-
-
-def build_modified_walsh(rank: int) -> np.ndarray:
-    """0/1 Walsh matrix of the Sylvester-ordered Hadamard matrix.
-
-    H(2n) = [[H(n), H(n)], [H(n), -H(n)]] from H(2) = [[1, 1], [1, -1]],
-    with +1 -> 1 and -1 -> 0.
-    """
-    _check_rank(rank)
-    h = np.array([[1, 1], [1, -1]], dtype=np.int64)
-    while h.shape[0] < rank:
-        h = np.block([[h, h], [h, -h]])
-    return (h > 0).astype(np.int64)
 
 
 @dataclass(frozen=True)

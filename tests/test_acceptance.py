@@ -26,7 +26,7 @@ from divfe.mdn import classify_batch
 from divfe.modelspec import load_model_spec
 from divfe.trainer import (GrowthTemplate, TrainConfig, derive_rng, evaluate, fit,
                            grow_layers, run_trials, STREAM_INIT)
-from divfe.walsh import build_modified_walsh, make_codebook
+from divfe.walsh import make_codebook
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -48,11 +48,11 @@ def _report(num, name):
 
 def test_criterion_01_walsh_structure():
     for rank in (2, 4, 8, 16, 32):
-        w = build_modified_walsh(rank)
+        w = make_codebook(rank - 1, rank).matrix
         for i in range(rank):
             for j in range(i + 1, rank):
                 assert np.count_nonzero(w[i] != w[j]) == rank // 2
-    np.testing.assert_array_equal(build_modified_walsh(8), WALSH_8)
+    np.testing.assert_array_equal(make_codebook(7, 8).matrix, WALSH_8)
     _report(1, "walsh-structure")
 
 

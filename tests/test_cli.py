@@ -377,6 +377,26 @@ def _write_idx_pair(tmp_path, n, h=28, w=28):
     return images, labels
 
 
+@pytest.mark.parametrize("name, code", [("train-images-idx3-ubyte", 0), ("digits-ubyte", 4)])
+def test_mnist_labels_path_is_derived_from_the_images_file_name_only(tmp_path, capsys,
+                                                                     name, code):
+    # the pair sits in a directory named images-idx3, which must not be renamed
+    folder = tmp_path / "images-idx3"
+    folder.mkdir()
+    images, labels = _write_idx_pair(folder, 20, 4, 4)
+    images.rename(folder / name)
+    labels.rename(folder / "train-labels-idx1-ubyte")
+    model_path = tmp_path / "model.spec"
+    model_path.write_text("input 4x4\nwalsh_rank 16\nflatten\ndense 16\n")
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text("epochs = 1\n")
+    out = tmp_path / "o.divf"
+    assert main(["train", "--model", str(model_path), "--data", str(folder / name),
+                 "--format", "mnist", "--config", str(config_path), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert out.exists() if code == 0 else "error=parse-error: mnist format needs --labels" in err
+
+
 @pytest.fixture
 def four_feature_checkpoint(tmp_path):
     """An iris-shaped checkpoint (4 features, stored standardiser)."""

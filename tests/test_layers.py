@@ -1,6 +1,7 @@
 """Layer forward passes and gradient checks against finite differences."""
 
 import inspect
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -148,7 +149,9 @@ def _blocked_conv(monkeypatch, config, samples_per_block):
     forward's: each pass copies its windows in several blocks of at most the
     budget, the last one partial when a block holds several samples. ``dy``
     windows are copied only on several input planes, and on one the forward
-    copies whole fh×fw windows instead of row windows."""
+    copies whole fh×fw windows instead of row windows. The weight gradient
+    copies the forward's windows again in the forward's blocks, and none when
+    one block held the batch."""
     n, c, h, w, fh, fw, planes, padding = config
     rng = np.random.default_rng(sum(config[:-1]) + samples_per_block)
     if h == fh == 1:
@@ -178,13 +181,16 @@ def _blocked_conv(monkeypatch, config, samples_per_block):
         assert all(b.nbytes <= budget for b in copied if len(b) > 1)
         return [len(b) for b in copied if b.shape[1:] == sample]
 
-    y, bwd = _row_window_conv(layer, x)
+    y, bwd = _row_window_conv(layer, x)     # under the default budget: one block
     dy = rng.normal(size=y.shape)
+    height = fh if c == 1 else 1
+    forward = (hp - height + 1, wo, height, fw, c)
+    assert forward not in [b.shape[1:] for b in _copied_blocks(lambda: bwd(dy))]
     row_window_dx = c > 1
     assert block_sizes((ho, wp, 1, fw, planes), lambda: bwd(dy)) == blocks * row_window_dx
-    height = fh if c == 1 else 1
-    assert block_sizes((hp - height + 1, wo, height, fw, c),
-                       lambda: _row_window_conv(layer, x)) == blocks
+    assert block_sizes(forward, lambda: _row_window_conv(layer, x)) == blocks
+    bwd = _row_window_conv(layer, x)[1]
+    assert block_sizes(forward, lambda: bwd(dy)) == blocks
     return layer, x, rng
 
 
@@ -207,6 +213,29 @@ def _copied_blocks(run):
         mp.setattr(np, "copyto", spy)
         run()
     return blocks
+
+
+@pytest.mark.parametrize("c", [1, 4])
+def test_conv2d_frees_its_window_blocks_after_a_forward_of_several(monkeypatch, c):
+    """While ``bwd`` lives, a forward over several blocks leaves only ``y``,
+    the padded input and less than one sample's windows allocated: the weight
+    gradient walks the windows again, so no block buffer is kept for it."""
+    n, h, w, fh, fw, planes = 8, 16, 16, 3, 3, 4
+    rng = np.random.default_rng(c)
+    x = rng.normal(size=(n, c, h, w))
+    weights, bias = rng.normal(size=(planes, c, fh, fw)), rng.normal(size=planes)
+    hp, wp = h + fh - 1, w + fw - 1
+    height = fh if c == 1 else 1     # whole filter windows on one plane, row windows on several
+    sample_windows = 8 * (hp - height + 1) * w * height * fw * c
+    monkeypatch.setattr(layers, "_IM2COL_BLOCK_BYTES", 3 * sample_windows)
+    tracemalloc.start()
+    try:
+        y, bwd = layers._conv2d(x, weights, bias, "same")
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held - y.nbytes - 8 * n * hp * wp * c < sample_windows
+    assert bwd(np.ones_like(y))[0].shape == x.shape
 
 
 @pytest.mark.parametrize("samples_per_block", [0, 2])

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from divfe.walsh import WalshCodebook, WalshError, build_modified_walsh, make_codebook
+from divfe.walsh import WalshCodebook, WalshError, make_codebook
 
 # Known-good 8x8 modified (0/1) Walsh matrix under the Sylvester ordering.
 WALSH_8 = np.array([
@@ -20,23 +20,39 @@ WALSH_8 = np.array([
 ])
 
 
+def _sylvester(rank):
+    """The oracle for :func:`make_codebook`: the 0/1 Walsh matrix by the
+    Sylvester recursion, H(2n) = [[H(n), H(n)], [H(n), -H(n)]] from
+    H(2) = [[1, 1], [1, -1]], with +1 -> 1 and -1 -> 0."""
+    h = np.array([[1, 1], [1, -1]], dtype=np.int64)
+    while h.shape[0] < rank:
+        h = np.block([[h, h], [h, -h]])
+    return (h > 0).astype(np.int64)
+
+
+def _walsh(rank):
+    """The whole rank-``rank`` matrix as :func:`make_codebook` builds it."""
+    return make_codebook(rank - 1, rank).matrix
+
+
 def test_hadamard_base_case():
-    np.testing.assert_array_equal(build_modified_walsh(2), [[1, 1], [1, 0]])
+    np.testing.assert_array_equal(_walsh(2), [[1, 1], [1, 0]])
 
 
 def test_hadamard_orthogonality():
     # mapping 1 -> +1 and 0 -> -1 recovers the Hadamard matrix: H H^T = rank I
     for rank in (2, 4, 8, 16, 32):
-        h = 2 * build_modified_walsh(rank) - 1
+        h = 2 * _walsh(rank) - 1
         np.testing.assert_array_equal(h @ h.T, rank * np.eye(rank, dtype=np.int64))
 
 
 def test_modified_walsh_8x8_matches_reference():
-    np.testing.assert_array_equal(build_modified_walsh(8), WALSH_8)
+    np.testing.assert_array_equal(_walsh(8), WALSH_8)
+    np.testing.assert_array_equal(_sylvester(8), WALSH_8)
 
 
 def test_modified_walsh_rank16_first_rows():
-    w = build_modified_walsh(16)
+    w = _walsh(16)
     np.testing.assert_array_equal(w[0], np.ones(16, dtype=np.int64))
     np.testing.assert_array_equal(w[1], [1, 0] * 8)
     np.testing.assert_array_equal(w[2], [1, 1, 0, 0] * 4)
@@ -44,7 +60,7 @@ def test_modified_walsh_rank16_first_rows():
 
 def test_pairwise_hamming_distance_is_half_rank():
     for rank in (2, 4, 8, 16, 32):
-        w = build_modified_walsh(rank)
+        w = _walsh(rank)
         for i in range(rank):
             for j in range(i + 1, rank):
                 assert np.count_nonzero(w[i] != w[j]) == rank // 2
@@ -52,8 +68,6 @@ def test_pairwise_hamming_distance_is_half_rank():
 
 def test_invalid_ranks_rejected():
     for bad in (0, 1, 3, 6, 12, -4, 2.5, "8"):
-        with pytest.raises(WalshError):
-            build_modified_walsh(bad)
         with pytest.raises(WalshError):
             make_codebook(1, bad)
 
@@ -77,7 +91,7 @@ def test_targets_are_float64_matrix_rows():
 
 def test_codebook_rows_are_the_walsh_matrix_rows():
     for rank in (2 ** k for k in range(1, 9)):
-        w = build_modified_walsh(rank)
+        w = _sylvester(rank)
         for class_count in range(1, rank):
             cb = make_codebook(class_count, rank)
             assert cb.rank == rank and cb.matrix.dtype == np.int64
