@@ -7,8 +7,10 @@ training pool only.
 """
 
 import csv
+import io
 import math
 import struct
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -17,6 +19,9 @@ from .numerics import ContractError
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+# the only bytes of a signal CSV numpy's parser may read: it skips \x1c-\x1e and \x85
+# around a number and str.splitlines breaks lines at them, where the row walk does neither
+_NUMBER_CSV_BYTES = b"0123456789+-.eE,\r\n"
 
 
 class ParseError(ValueError):
@@ -80,6 +85,16 @@ def _finite_floats(fields):
     return values
 
 
+def _read_text(path):
+    """The file's bytes and their UTF-8 text; ``ParseError`` naming the file if undecodable."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw, raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
 def load_iris(path) -> LabeledDataset:
     """CSV of 4 numeric features plus a class-name string per row.
 
@@ -87,7 +102,8 @@ def load_iris(path) -> LabeledDataset:
     """
     rows = []
     names = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    _, text = _read_text(path)
+    with io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
@@ -147,12 +163,34 @@ def load_mnist_idx(images_path, labels_path) -> LabeledDataset:
     )
 
 
+def _number_table(raw, text):
+    """(label, x) records of a file of plain numbers by numpy's parser, or None for the walk."""
+    lines = text.splitlines()
+    samples = next((line for line in lines if line), "").count(",")   # per row
+    if raw.translate(None, _NUMBER_CSV_BYTES) or not samples:
+        return None
+    try:
+        with warnings.catch_warnings():   # older numpy reads label "2.7" as 2, with a warning
+            warnings.simplefilter("error", DeprecationWarning)
+            table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=1,
+                               dtype=[("label", np.int64), ("x", np.float64, (samples,))])
+    except (ValueError, DeprecationWarning):   # numpy raises that warning as a ValueError
+        return None
+    return table if (table["label"] >= 0).all() and np.isfinite(table["x"]).all() else None
+
+
 def load_signals_csv(path) -> LabeledDataset:
-    """CSV rows of an integer label followed by fixed-length signal samples."""
+    """CSV rows of an integer label followed by fixed-length signal samples; the row
+    walk reads what numpy's parser does not take, and alone raises ``ParseError``."""
+    raw, text = _read_text(path)
+    table = _number_table(raw, text)
+    if table is not None:   # contiguous as the walk's: a strided view sums in another order
+        return LabeledDataset(samples=np.ascontiguousarray(table["x"]), labels=table["label"],
+                              class_count=int(table["label"].max()) + 1)
     signals = []
     labels = []
     width = None
-    with open(path, newline="", encoding="utf-8") as fh:
+    with io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
             if not row or (len(row) == 1 and not row[0].strip()):

@@ -1,13 +1,17 @@
 """Dataset parsing, IDX binaries, stratified splitting and normalization."""
 
+import csv
 import struct
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from divfe import data_io
 from divfe.data_io import (FormatError, LabeledDataset, ParseError, SplitSpec,
                            Standardizer, load_iris, load_mnist_idx,
                            load_signals_csv, save_signals_csv, split)
@@ -59,6 +63,14 @@ def test_load_iris_rejects_non_finite_features(tmp_path, value):
     path.write_text(IRIS_CSV + f"5.0,{value},1.0,0.2,setosa\n")
     with pytest.raises(ParseError, match=r"iris.csv:5: .*non-finite"):
         load_iris(path)
+
+
+def test_load_iris_names_the_file_of_undecodable_bytes(tmp_path):
+    path = tmp_path / "iris.csv"
+    path.write_bytes(IRIS_CSV.encode() + b"5.0,3.4,1.5,0.2,set\xffosa\n")
+    with pytest.raises(ParseError) as excinfo:
+        load_iris(path)
+    assert str(excinfo.value).startswith(f"{path}: 'utf-8' codec can't decode byte 0xff")
 
 
 # ---------------------------------------------------------------- IDX
@@ -204,6 +216,141 @@ def test_signals_csv_rejects_non_finite_samples(tmp_path, text, lineno, field):
     with pytest.raises(ParseError) as excinfo:
         load_signals_csv(path)
     assert str(excinfo.value) == f"{path}:{lineno}: non-finite value {field!r}"
+
+
+def test_load_signals_csv_names_the_file_of_undecodable_bytes(tmp_path):
+    path = tmp_path / "sig.csv"
+    path.write_bytes(b"0,1.0,2.0\n1,3.0\xff,4.0\n")
+    with pytest.raises(ParseError) as excinfo:
+        load_signals_csv(path)
+    assert str(excinfo.value).startswith(f"{path}: 'utf-8' codec can't decode byte 0xff")
+
+
+def _loaded(path):
+    """What ``load_signals_csv`` makes of ``path``: its arrays, or its error."""
+    try:
+        ds = load_signals_csv(path)
+    except (ParseError, csv.Error) as exc:   # csv.Error: a NUL before Python 3.11
+        return type(exc).__name__, str(exc)
+    return ds.samples.shape, ds.samples.tobytes(), ds.labels.tobytes(), ds.class_count
+
+
+def _walk_only():
+    """Within it, ``load_signals_csv`` reads every file by its row walk."""
+    return mock.patch.object(data_io, "_number_table", return_value=None)
+
+
+GOOD_LABELS = ("0", "1", "7", "00", "+3", "-0", "9223372036854775807")
+BAD_LABELS = ("-1", "1_0", "1.0", "1e0", "", " 2", "9223372036854775808",
+              "99999999999999999999")
+GOOD_SAMPLES = ("+1", "-0", "1e5", "1E-5", "1e+5", ".5", "5.", "-.5e-3", "007",
+                "5e-324", "1e308", "1e-400")
+BAD_SAMPLES = ("nan", "-inf", "inf", "1e400", "-1e400", "", ".", "e", "1e", "--1",
+               "1..2", "1_0", '"1.0"', '"1,0"', " 2 ")
+# a stray character anywhere in a row: quotes, comments, a BOM, NUL, and the
+# characters numpy's parser skips around a number where float() does not
+STRAYS = ("#", '"', "\ufeff", "\x00", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+          " ", "\t", "_")
+NUMBER_CHARS = "0123456789+-.eE"
+
+
+@st.composite
+def _signal_csv_texts(draw):
+    """A well-formed signal CSV, blank lines included, with up to two faults put in."""
+    width = draw(st.integers(1, 4))
+    label = st.one_of(st.integers(0, 30).map(str), st.sampled_from(GOOD_LABELS))
+    sample = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                       st.sampled_from(GOOD_SAMPLES))
+    rows = [[draw(label)] + [draw(sample) for _ in range(width - 1)]
+            if draw(st.integers(0, 5)) else []
+            for _ in range(draw(st.integers(0, 5)))]
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(("label", "sample", "stray", "ragged", "blank")))
+        if kind == "blank":
+            rows.insert(draw(st.integers(0, len(rows))), [draw(st.sampled_from((" ", "\t")))])
+            continue
+        row = rows[draw(st.integers(0, len(rows) - 1))] if rows else []
+        if not row:
+            continue
+        i = draw(st.integers(0, len(row) - 1))
+        if kind == "label":
+            row[0] = draw(st.one_of(st.sampled_from(BAD_LABELS), st.integers(-9, -1).map(str),
+                                    st.text(NUMBER_CHARS, max_size=4)))
+        elif kind == "sample":
+            row[i] = draw(st.one_of(st.sampled_from(BAD_SAMPLES),
+                                    st.text(NUMBER_CHARS, max_size=6)))
+        elif kind == "stray":
+            cut = draw(st.integers(0, len(row[i])))
+            row[i] = row[i][:cut] + draw(st.sampled_from(STRAYS)) + row[i][cut:]
+        elif draw(st.booleans()):   # ragged
+            row.append(draw(sample))
+        else:
+            row.pop()
+    text = "".join(",".join(row) + draw(st.sampled_from(("\n", "\r\n", "\r")))
+                   for row in rows)
+    if draw(st.booleans()):   # no final newline
+        text = text.rstrip("\r\n")
+    return text
+
+
+# as `divfe` runs, where Python ignores a DeprecationWarning outside __main__
+RUNTIME_WARNINGS = pytest.mark.filterwarnings("ignore::DeprecationWarning")
+LOADTXT = np.loadtxt
+
+
+def _loadtxt_of_older_numpy(lines, dtype, **kwargs):
+    """``np.loadtxt`` as older numpy runs it: an integer field is parsed via a float,
+    which truncates "2.7" to 2, with a DeprecationWarning."""
+    warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+    return LOADTXT(lines, dtype=[("label", np.float64), dtype[1]], **kwargs).astype(dtype)
+
+
+@RUNTIME_WARNINGS
+@pytest.mark.parametrize("loadtxt", [LOADTXT, _loadtxt_of_older_numpy])
+@pytest.mark.parametrize("text, lineno, label", [("0,1.0\n1.0,2.0\n", 2, "1.0"),
+                                                 ("2.7,1.0\n", 1, "2.7"),
+                                                 ("1e0,2\n", 1, "1e0")])
+def test_signals_csv_label_with_a_point_or_exponent_is_the_walks_parse_error(
+        tmp_path, loadtxt, text, lineno, label):
+    path = tmp_path / "sig.csv"
+    path.write_text(text)
+    with mock.patch.object(data_io.np, "loadtxt", loadtxt), pytest.raises(ParseError) as excinfo:
+        load_signals_csv(path)
+    assert str(excinfo.value) == (f"{path}:{lineno}: invalid literal for int() "
+                                  f"with base 10: {label!r}")
+
+
+@RUNTIME_WARNINGS
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_signal_csv_texts())
+@example(text="1.0,2.0")
+@example(text="3,1.0\x1c")
+@example(text="\x853,5e-324\x1d")
+def test_signals_csv_fast_path_matches_the_row_walk(tmp_path, text):
+    path = tmp_path / "sig.csv"
+    path.write_bytes(text.encode("utf-8"))
+    fast = _loaded(path)
+    with _walk_only():
+        assert fast == _loaded(path)
+
+
+def test_signals_csv_fast_path_is_c_contiguous_and_fits_like_the_walk(tmp_path):
+    rng = np.random.default_rng(5)
+    ds = LabeledDataset(samples=rng.normal(size=(288, 128)),
+                        labels=np.arange(288) % 4, class_count=4)
+    path = tmp_path / "sig.csv"
+    save_signals_csv(path, ds)
+    raw = path.read_bytes()
+    assert data_io._number_table(raw, raw.decode()) is not None   # the fast path runs
+    fast = load_signals_csv(path)
+    with _walk_only():
+        walked = load_signals_csv(path)
+    assert fast.samples.flags.c_contiguous
+    # a strided view would sum in another order and move the last bit
+    fitted, reference = Standardizer.fit(fast.samples), Standardizer.fit(walked.samples)
+    assert fitted.mean.tobytes() == reference.mean.tobytes()
+    assert fitted.std.tobytes() == reference.std.tobytes()
 
 
 # ---------------------------------------------------------------- dataset contract
