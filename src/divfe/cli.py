@@ -1,9 +1,9 @@
 """Command-line front end: train, eval, divergence, grow, augment.
 
-Configuration is a flat ``key=value`` text file. All randomness flows from
-the single ``seed`` key; consumers draw sub-seeds through the counter scheme
-in :mod:`divfe.trainer` (SeedSequence(seed, spawn_key=(trial, stream))), so
-adding a consumer does not perturb the others.
+Configuration is a flat ``key=value`` text file naming each key at most once.
+All randomness flows from the single ``seed`` key; consumers draw sub-seeds
+through the counter scheme in :mod:`divfe.trainer` (SeedSequence(seed,
+spawn_key=(trial, stream))), so adding a consumer does not perturb the others.
 
 Failures exit nonzero with one machine-readable line on stderr:
 ``error=<category>: <message>``; an allocation that cannot be met (a spec,
@@ -53,13 +53,11 @@ def _fail(exc) -> int:
 class RunConfig:
     seed: int = TrainConfig.seed
     lr: float = TrainConfig.learning_rate
-    momentum: float = TrainConfig.momentum
     batch: int = TrainConfig.batch_size
     epochs: int = TrainConfig.max_epochs
     patience: int = TrainConfig.patience
     train_fraction: float = SplitSpec.train_fraction
     val_fraction: float = SplitSpec.validation_fraction
-    standardize: int = -1      # -1: default by format (iris on, others off)
     augment_factor: int = 1    # no expansion unless asked, unlike `divfe augment`
 
 
@@ -76,21 +74,20 @@ def _load_run_config(path) -> RunConfig:
             if "=" not in line:
                 raise ParseError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in casts:
-                raise ParseError(f"{path}:{lineno}: unknown config key {key!r}")
+            cast = casts.pop(key, None)
+            if cast is None:
+                problem = "duplicate" if key in cfg.__dataclass_fields__ else "unknown"
+                raise ParseError(f"{path}:{lineno}: {problem} config key {key!r}")
             try:
-                setattr(cfg, key, casts[key](value))
+                setattr(cfg, key, cast(value))
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
-    if cfg.standardize not in (-1, 0, 1):
-        raise ContractError(f"{path}: standardize must be -1, 0 or 1, got {cfg.standardize}")
     return cfg
 
 
 def _train_config(cfg: RunConfig) -> TrainConfig:
     augment = AugmentConfig(factor=cfg.augment_factor, seed=cfg.seed)
-    return TrainConfig(learning_rate=cfg.lr, momentum=cfg.momentum,
-                       batch_size=cfg.batch, max_epochs=cfg.epochs,
+    return TrainConfig(learning_rate=cfg.lr, batch_size=cfg.batch, max_epochs=cfg.epochs,
                        patience=cfg.patience, seed=cfg.seed, augment=augment)
 
 
@@ -113,11 +110,10 @@ def _load_dataset(path, fmt, labels_path=None) -> LabeledDataset:
 
 
 def _split_and_standardize(dataset, cfg: RunConfig, fmt):
-    """The seeded ``(train, validation, test)`` split and the standardiser fitted
-    on its training pool and applied to all three (``None`` when off: with
-    ``standardize = -1`` it is on for iris only)."""
+    """The seeded ``(train, validation, test)`` split and, for iris data only, the
+    standardiser fitted on its training pool and applied to all three (else ``None``)."""
     parts = split(dataset, SplitSpec(cfg.train_fraction, cfg.val_fraction, cfg.seed))
-    if cfg.standardize == 0 or (cfg.standardize == -1 and fmt != "iris"):
+    if fmt != "iris":
         return parts, None
     normalizer = Standardizer.fit(np.concatenate([parts[0].samples, parts[1].samples]))
     return tuple(normalizer.apply(part) for part in parts), normalizer

@@ -95,6 +95,22 @@ def _read_text(path):
         raise ParseError(f"{path}: {exc}") from exc
 
 
+def _csv_rows(path, text):
+    """(line number, fields) of each non-blank CSV row; ``ParseError`` naming the file
+    for a row ``csv`` cannot split (an over-long field, a NUL before Python 3.11) or no rows."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows = 0
+    try:
+        for row in reader:
+            if row and (len(row) > 1 or row[0].strip()):
+                rows += 1
+                yield reader.line_num, row
+    except csv.Error as exc:
+        raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
+
+
 def load_iris(path) -> LabeledDataset:
     """CSV of 4 numeric features plus a class-name string per row.
 
@@ -102,22 +118,15 @@ def load_iris(path) -> LabeledDataset:
     """
     rows = []
     names = []
-    _, text = _read_text(path)
-    with io.StringIO(text, newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 5:
-                raise ParseError(f"{path}:{lineno}: expected 4 features + class name, "
-                                 f"got {len(row)} fields")
-            try:
-                rows.append(_finite_floats(row[:4]))
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad feature: {exc}") from exc
-            names.append(row[4].strip())
-    if not rows:
-        raise ParseError(f"{path}: no data rows")
+    for lineno, row in _csv_rows(path, _read_text(path)[1]):
+        if len(row) != 5:
+            raise ParseError(f"{path}:{lineno}: expected 4 features + class name, "
+                             f"got {len(row)} fields")
+        try:
+            rows.append(_finite_floats(row[:4]))
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: bad feature: {exc}") from exc
+        names.append(row[4].strip())
     class_names = tuple(sorted(set(names)))
     index = {name: i for i, name in enumerate(class_names)}
     return LabeledDataset(
@@ -190,28 +199,22 @@ def load_signals_csv(path) -> LabeledDataset:
     signals = []
     labels = []
     width = None
-    with io.StringIO(text, newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if width is None:
-                width = len(row)
-                if width < 2:
-                    raise ParseError(f"{path}:{lineno}: need a label and at least one sample")
-            elif len(row) != width:
-                raise ParseError(f"{path}:{lineno}: ragged row ({len(row)} fields, "
-                                 f"expected {width})")
-            try:
-                label = int(row[0])
-                if not 0 <= label <= np.iinfo(np.int64).max:
-                    raise ValueError(f"class label {label} is negative or beyond int64")
-                labels.append(label)
-                signals.append(_finite_floats(row[1:]))
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-    if not signals:
-        raise ParseError(f"{path}: no data rows")
+    for lineno, row in _csv_rows(path, text):
+        if width is None:
+            width = len(row)
+            if width < 2:
+                raise ParseError(f"{path}:{lineno}: need a label and at least one sample")
+        elif len(row) != width:
+            raise ParseError(f"{path}:{lineno}: ragged row ({len(row)} fields, "
+                             f"expected {width})")
+        try:
+            label = int(row[0])
+            if not 0 <= label <= np.iinfo(np.int64).max:
+                raise ValueError(f"class label {label} is negative or beyond int64")
+            labels.append(label)
+            signals.append(_finite_floats(row[1:]))
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
     return LabeledDataset(samples=np.asarray(signals), labels=labels,
                           class_count=max(labels) + 1)
 

@@ -12,9 +12,8 @@ A model spec has two header lines, then one layer per line::
     flatten
 
 A growth template (see :class:`divfe.trainer.GrowthTemplate`) has the same
-two header lines plus ``planes N``, an optional ``filters F...`` (lengths for
-1D input, HxW for 2D), ``relu 0|1`` (default 1) and ``batchnorm 0|1``
-(default 0).
+two header lines plus ``planes N`` and an optional ``filters F...`` (lengths
+for 1D input, HxW for 2D); every scheduled convolution is followed by a ReLU.
 
 Blank lines and '#' comments are ignored. Every keyword takes exactly its
 arguments and a header or template key appears at most once. The parsed
@@ -33,7 +32,7 @@ _CONVOLUTIONS = {cls.kind: cls for cls in (Conv1D, Conv2D)}
 # every other layer keyword -> (its class, the type of each argument)
 _LAYERS = {cls.kind: (cls, types) for cls, types in (
     (Dense, (int,)), (BatchNorm, ()), (ReLU, ()), (Flatten, ()))}
-_TEMPLATE_KEYS = ("input", "walsh_rank", "planes", "filters", "relu", "batchnorm")
+_TEMPLATE_KEYS = ("input", "walsh_rank", "planes", "filters")
 
 
 def _read(text, handle):
@@ -146,14 +145,9 @@ def parse_growth_template(text: str):
             raise SpecError(f"line {lineno}: duplicate {kind!r} line")
         if kind == "filters":
             values[kind] = (lineno, [_dims(token, lineno) for token in args])
-            return
-        (token,) = args
-        if kind == "planes":
+        else:   # planes
+            (token,) = args
             (values[kind],) = _dims(token, lineno)
-        elif token in ("0", "1"):
-            values[kind] = token == "1"
-        else:
-            raise SpecError(f"line {lineno}: {kind} takes 0 or 1, got {token!r}")
 
     _read(text, line)
     _required(values, ("input", "walsh_rank", "planes"))
@@ -164,7 +158,5 @@ def parse_growth_template(text: str):
                         f"{len(input_shape) - 1}D filters")
     template = GrowthTemplate(input_shape=input_shape,
                               filters=tuple(f[0] if len(f) == 1 else f for f in filters),
-                              planes=values["planes"],
-                              use_relu=values.get("relu", True),
-                              use_batchnorm=values.get("batchnorm", False))
+                              planes=values["planes"])
     return template, values["walsh_rank"]

@@ -241,18 +241,15 @@ def run_trials(model_factory, dataset: LabeledDataset, split_spec: SplitSpec,
 class GrowthTemplate:
     """Per-depth schedule for the layer-growing procedure.
 
-    At depth d the model is the first d-1 scheduled convolutions (each
-    followed by optional batch norm and ReLU) plus a final convolution that
-    spans the remaining map and emits one plane per codebook row, then a
-    flatten. Depth 1 is therefore the spanning convolution alone, a purely
-    linear map.
+    At depth d the model is the first d-1 scheduled convolutions, each
+    followed by a ReLU, plus a final convolution that spans the remaining map
+    and emits one plane per codebook row, then a flatten. Depth 1 is therefore
+    the spanning convolution alone, a purely linear map.
     """
 
     input_shape: tuple            # (C, L) or (C, H, W)
     filters: tuple                # ints for 1D, (h, w) pairs for 2D
     planes: int
-    use_relu: bool = True
-    use_batchnorm: bool = False
 
     @property
     def max_depth(self) -> int:
@@ -265,11 +262,7 @@ class GrowthTemplate:
         shape = self.input_shape
         layers = []
         for f in self.filters[:depth - 1]:
-            block = [conv(*(f if isinstance(f, tuple) else (f,)), self.planes)]
-            if self.use_batchnorm:
-                block.append(BatchNorm())
-            if self.use_relu:
-                block.append(ReLU())
+            block = [conv(*(f if isinstance(f, tuple) else (f,)), self.planes), ReLU()]
             for layer in block:
                 shape = layer.wire(shape)   # ShapeError once the schedule outgrows the map
             layers += block

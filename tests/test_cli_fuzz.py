@@ -30,10 +30,10 @@ from divfe.modelspec import parse_model_spec
 from divfe.walsh import make_codebook
 
 SPEC = "input 8\nwalsh_rank 4\nconv1d 3 2\nbatchnorm\nrelu\nflatten\ndense 4\n"
-CONFIG = ("seed = 1\nlr = 0.01\nmomentum = 0.5\nbatch = 4\nepochs = 2\npatience = 2\n"
-          "train_fraction = 0.6\nval_fraction = 0.3\nstandardize = 1\naugment_factor = 1\n")
+CONFIG = ("seed = 1\nlr = 0.01\nbatch = 4\nepochs = 2\npatience = 2\n"
+          "train_fraction = 0.6\nval_fraction = 0.3\naugment_factor = 1\n")
 IMAGE_SPEC = "input 4x4\nwalsh_rank 16\nconv2d 3x3 2\nrelu\nflatten\ndense 16\n"
-TEMPLATE = "input 8\nwalsh_rank 4\nplanes 2\nfilters 3\nbatchnorm 1\nrelu 1\n"
+TEMPLATE = "input 8\nwalsh_rank 4\nplanes 2\nfilters 3\n"
 # replacement tokens: boundary numbers, non-numbers and other keywords' values
 TOKENS = ("0", "1", "-1", "2", "0.5", "1e308", "-1e308", "nan", "inf", "", "x",
           "3x3", "same", "relu", "dense", "ÿ")

@@ -226,6 +226,22 @@ def test_load_signals_csv_names_the_file_of_undecodable_bytes(tmp_path):
     assert str(excinfo.value).startswith(f"{path}: 'utf-8' codec can't decode byte 0xff")
 
 
+@pytest.mark.parametrize("field", ["1" * (csv.field_size_limit() + 1), "1\x00"],
+                         ids=["over-long-field", "nul"])
+@pytest.mark.parametrize("load, text", [
+    (load_signals_csv, "0,1.0,2.0\n{},1.0,2.0\n"),
+    (load_iris, "5.1,3.5,1.4,0.2,setosa\n{},3.0,1.4,0.2,setosa\n"),
+], ids=["signals", "iris"])
+def test_a_row_csv_cannot_split_is_a_parse_error_naming_the_file(tmp_path, load, text,
+                                                                  field):
+    # csv.reader refuses a field over its limit, and a NUL before Python 3.11
+    path = tmp_path / "data.csv"
+    path.write_text(text.format(field))
+    with pytest.raises(ParseError) as excinfo:
+        load(path)
+    assert str(excinfo.value).startswith(f"{path}:2: ")
+
+
 def _loaded(path):
     """What ``load_signals_csv`` makes of ``path``: its arrays, or its error."""
     try:

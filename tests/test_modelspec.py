@@ -297,16 +297,13 @@ def test_growth_template_defaults_and_1d_filters():
     assert rank == 4
     assert template.input_shape == (1, 8)
     assert template.filters == (2, 3) and template.planes == 6
-    assert template.use_relu and not template.use_batchnorm
 
 
 def test_growth_template_2d_flags_and_comments():
     template, rank = parse_growth_template(
-        "# digits\ninput 3x12x12\nwalsh_rank 16\nplanes 4\nfilters 3x3 5x4\n"
-        "relu 0\nbatchnorm 1   # on\n")
+        "# digits\ninput 3x12x12\nwalsh_rank 16\nplanes 4   # per layer\nfilters 3x3 5x4\n")
     assert template.input_shape == (3, 12, 12) and rank == 16
     assert template.filters == ((3, 3), (5, 4))
-    assert not template.use_relu and template.use_batchnorm
 
 
 def test_growth_template_without_filters_is_depth_one():
@@ -316,7 +313,9 @@ def test_growth_template_without_filters_is_depth_one():
 
 @pytest.mark.parametrize("text", [
     "input 8\nwalsh_rank 4\nplanes 6\nbatchnorn 1\n",          # misspelled key
-    "input 8\nwalsh_rank 4\nplanes 6\nrelu yes\n",             # flag not 0/1
+    "input 8\nwalsh_rank 4\nplanes 6\nrelu yes\n",             # removed keys
+    "input 8\nwalsh_rank 4\nplanes 6\nrelu 1\n",
+    "input 8\nwalsh_rank 4\nplanes 6\nbatchnorm 0\n",
     "input 8\nwalsh_rank 4\nplanes 6\nfilters 2\nfilters 3\n",  # duplicate key
     "input 0\nwalsh_rank 4\nplanes 6\n",                        # empty input
     "input 8\nwalsh_rank 4\n",                                  # no planes

@@ -262,9 +262,8 @@ def test_growth_template_depth_bounds():
 
 
 def test_growth_template_2d_builds_every_depth():
-    template = GrowthTemplate(input_shape=(1, 6, 5), filters=((3, 2), (2, 2)), planes=4,
-                              use_batchnorm=True)
-    block = ["batchnorm", "relu"]
+    template = GrowthTemplate(input_shape=(1, 6, 5), filters=((3, 2), (2, 2)), planes=4)
+    block = ["relu"]
     expected = {
         1: ["conv2d 6x5 8"],
         2: ["conv2d 3x2 4"] + block + ["conv2d 4x4 8"],
@@ -422,6 +421,12 @@ def test_fit_rejects_gradients_out_of_parameter_order():
 def test_train_config_rejects_non_finite_rates(field, value):
     with pytest.raises(ContractError):
         TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("momentum", [-5.0, 1.0])
+def test_train_config_rejects_momentum_outside_the_unit_interval(momentum):
+    with pytest.raises(ContractError, match=r"momentum must be in \[0, 1\)"):
+        TrainConfig(momentum=momentum)
 
 
 def test_train_config_rejects_negative_seed():
