@@ -12,6 +12,7 @@ template or augmentation factor too large for memory) is ``out-of-memory``.
 
 import argparse
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,8 +25,8 @@ from .data_io import (FormatError, LabeledDataset, ParseError, SplitSpec, Standa
                       load_iris, load_mnist_idx, load_signals_csv, save_signals_csv, split)
 from .modelspec import SpecError, load_model_spec, parse_growth_template
 from .numerics import ContractError, ShapeError
-from .trainer import (EVAL_BATCH_SIZE, STREAM_INIT, TrainConfig, TrainingDivergedError,
-                      derive_rng, evaluate, fit, grow_layers)
+from .trainer import (STREAM_INIT, TrainConfig, TrainingDivergedError, derive_rng, evaluate,
+                      fit, grow_layers)
 from .walsh import WalshError, make_codebook
 
 _ERROR_CATEGORIES = [
@@ -61,12 +62,12 @@ class RunConfig:
     augment_factor: int = 1    # no expansion unless asked, unlike `divfe augment`
 
 
-def _load_run_config(path) -> RunConfig:
+def _load_run_config(path) -> tuple[TrainConfig, SplitSpec]:
+    """The run's training and split settings (the defaults without a file); building
+    them checks every value, so a bad one is refused before any data is read."""
     cfg = RunConfig()
-    if path is None:
-        return cfg
     casts = {f.name: type(getattr(cfg, f.name)) for f in cfg.__dataclass_fields__.values()}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") if path is not None else nullcontext([]) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -82,13 +83,10 @@ def _load_run_config(path) -> RunConfig:
                 setattr(cfg, key, cast(value))
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
-    return cfg
-
-
-def _train_config(cfg: RunConfig) -> TrainConfig:
     augment = AugmentConfig(factor=cfg.augment_factor, seed=cfg.seed)
-    return TrainConfig(learning_rate=cfg.lr, batch_size=cfg.batch, max_epochs=cfg.epochs,
-                       patience=cfg.patience, seed=cfg.seed, augment=augment)
+    return (TrainConfig(learning_rate=cfg.lr, batch_size=cfg.batch, max_epochs=cfg.epochs,
+                        patience=cfg.patience, seed=cfg.seed, augment=augment),
+            SplitSpec(cfg.train_fraction, cfg.val_fraction, cfg.seed))
 
 
 def _load_dataset(path, fmt, labels_path=None) -> LabeledDataset:
@@ -98,25 +96,26 @@ def _load_dataset(path, fmt, labels_path=None) -> LabeledDataset:
         return load_iris(path)
     if fmt == "csv":
         return load_signals_csv(path)
-    if fmt == "mnist":
-        if labels_path is None:   # the images file's name, not its directories, names the labels
-            name = Path(path).name
-            if "images-idx3" not in name:
-                raise ParseError("mnist format needs --labels (cannot derive the "
-                                 "labels path from the images path)")
-            labels_path = Path(path).with_name(name.replace("images-idx3", "labels-idx1"))
-        return load_mnist_idx(path, labels_path)
-    raise ParseError(f"unknown data format {fmt!r}")
+    if labels_path is None:   # the images file's name, not its directories, names the labels
+        name = Path(path).name
+        if "images-idx3" not in name:
+            raise ParseError("mnist format needs --labels (cannot derive the "
+                             "labels path from the images path)")
+        labels_path = Path(path).with_name(name.replace("images-idx3", "labels-idx1"))
+    return load_mnist_idx(path, labels_path)
 
 
-def _split_and_standardize(dataset, cfg: RunConfig, fmt):
-    """The seeded ``(train, validation, test)`` split and, for iris data only, the
-    standardiser fitted on its training pool and applied to all three (else ``None``)."""
-    parts = split(dataset, SplitSpec(cfg.train_fraction, cfg.val_fraction, cfg.seed))
-    if fmt != "iris":
-        return parts, None
+def _load_split(args, rank, split_spec: SplitSpec):
+    """The codebook for ``--data`` at ``rank``, its seeded ``(train, validation, test)``
+    split and, for iris data only, the standardiser fitted on the training pool and
+    applied to all three (else ``None``)."""
+    dataset = _load_dataset(args.data, args.format, args.labels)
+    codebook = make_codebook(dataset.class_count, rank)
+    parts = split(dataset, split_spec)
+    if args.format != "iris":
+        return codebook, parts, None
     normalizer = Standardizer.fit(np.concatenate([parts[0].samples, parts[1].samples]))
-    return tuple(normalizer.apply(part) for part in parts), normalizer
+    return codebook, tuple(normalizer.apply(part) for part in parts), normalizer
 
 
 def _print_confusion(confusion):
@@ -124,14 +123,11 @@ def _print_confusion(confusion):
 
 
 def cmd_train(args) -> int:
-    cfg = _load_run_config(args.config)
-    train_config = _train_config(cfg)
+    train_config, split_spec = _load_run_config(args.config)
     model = load_model_spec(args.model)
-    dataset = _load_dataset(args.data, args.format, args.labels)
-    codebook = make_codebook(dataset.class_count, model.rank)
-    (train_set, val_set, test_set), normalizer = _split_and_standardize(dataset, cfg,
-                                                                        args.format)
-    model.initialize(derive_rng(cfg.seed, 0, STREAM_INIT))
+    codebook, (train_set, val_set, test_set), normalizer = _load_split(args, model.rank,
+                                                                       split_spec)
+    model.initialize(derive_rng(train_config.seed, 0, STREAM_INIT))
     metrics_path = args.metrics or (str(args.out) + ".metrics.csv")
     with open(metrics_path, "w", encoding="utf-8") as metrics:
         metrics.write("epoch,train_loss,val_loss,val_acc\n")
@@ -155,18 +151,11 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _require_finite(value, args, what):
-    """Stored values pass ``load_checkpoint``'s checks and can still overflow
-    once applied: a tiny standardizer std or huge weights."""
-    if not np.isfinite(value).all():
-        raise FormatError(f"{args.checkpoint}: {what} overflow on this data")
-
-
-def _load_checkpoint_and_data(args):
-    """The checkpoint's model and codebook, and the dataset to score with it,
-    normalised as in training; samples the model does not take, labels the
-    checkpoint has no class for and normalised samples that overflow are
-    rejected."""
+def _score_checkpoint(args):
+    """The checkpoint's codebook, ``--data``'s labels and its ``evaluate`` result on that
+    data, normalised as in training. Samples the model does not take, labels the
+    checkpoint has no class for, and stored values that pass ``load_checkpoint``'s checks
+    but overflow once applied (a tiny standardizer std, huge weights) are rejected."""
     model, codebook, normalizer = load_checkpoint(args.checkpoint)
     dataset = _load_dataset(args.data, args.format, args.labels)
     model.check_sample_shape(dataset.samples.shape[1:])
@@ -175,14 +164,17 @@ def _load_checkpoint_and_data(args):
                             f"checkpoint's {codebook.class_count} classes")
     if normalizer is not None:
         dataset = normalizer.apply(dataset)
-        _require_finite(dataset.samples, args, "the standardized samples")
-    return model, codebook, dataset
+        if not np.isfinite(dataset.samples).all():
+            raise FormatError(f"{args.checkpoint}: the standardized samples overflow on this data")
+    result = evaluate(model, dataset, codebook)
+    # the loss sums squares of the outputs, as the scatter matrices sum their products
+    if not np.isfinite(result.mean_loss):
+        raise FormatError(f"{args.checkpoint}: the model's outputs overflow on this data")
+    return codebook, dataset.labels, result
 
 
 def cmd_eval(args) -> int:
-    model, codebook, dataset = _load_checkpoint_and_data(args)
-    result = evaluate(model, dataset, codebook)
-    _require_finite(result.mean_loss, args, "the model's outputs")
+    _, _, result = _score_checkpoint(args)
     print(f"accuracy={result.accuracy:.9g}")
     print(f"loss={result.mean_loss:.9g}")
     _print_confusion(result.confusion)
@@ -195,15 +187,10 @@ def _print_matrix(name, matrix):
 
 
 def cmd_divergence(args) -> int:
-    model, codebook, dataset = _load_checkpoint_and_data(args)
-    outputs = np.concatenate([
-        model.forward(dataset.samples[i:i + EVAL_BATCH_SIZE], mode="infer")
-        for i in range(0, len(dataset), EVAL_BATCH_SIZE)])
-    # the scatter matrices sum products of outputs
-    _require_finite(np.square(outputs).sum(), args, "the model's outputs")
+    codebook, labels, result = _score_checkpoint(args)
     modes = ["paper", "empirical"] if args.mode == "both" else [args.mode]
     for mode in modes:
-        report = div.analyze(outputs, dataset.labels, codebook, mode=mode)
+        report = div.analyze(result.outputs, labels, codebook, mode=mode)
         _print_matrix("S", report.within)
         _print_matrix("B", report.between)
         print(f"mode={mode}")
@@ -213,24 +200,16 @@ def cmd_divergence(args) -> int:
 
 
 def cmd_grow(args) -> int:
-    cfg = _load_run_config(args.config)
-    train_config = _train_config(cfg)
+    train_config, split_spec = _load_run_config(args.config)
     template, rank = parse_growth_template(args.template.read_text(encoding="utf-8"))
-    dataset = _load_dataset(args.data, args.format, args.labels)
-    codebook = make_codebook(dataset.class_count, rank)
-    (train_set, val_set, test_set), normalizer = _split_and_standardize(dataset, cfg,
-                                                                        args.format)
+    codebook, (train_set, val_set, test_set), normalizer = _load_split(args, rank, split_spec)
     model, report = grow_layers(template, train_set, val_set, codebook,
                                 train_config, threshold=args.threshold,
                                 max_depth=args.max_depth)
     for depth, acc in report.growth_history:
         print(f"depth={depth} train_accuracy={acc:.9g}")
-    if report.cap_reached:
-        final_depth = max(report.growth_history, key=lambda t: t[1])[0]
-    else:
-        final_depth = report.growth_history[-1][0]
     print(f"cap_reached={int(report.cap_reached)}")
-    print(f"final_depth={final_depth}")
+    print(f"final_depth={report.depth}")
     result = evaluate(model, test_set, codebook)
     print(f"test_accuracy={result.accuracy:.9g}")
     if args.out:

@@ -25,7 +25,7 @@ STREAM_SPLIT = 0
 STREAM_INIT = 1
 STREAM_SHUFFLE = 2
 
-# Samples per forward pass when scoring a dataset (evaluate, divergence).
+# Samples per forward pass when scoring a dataset.
 EVAL_BATCH_SIZE = 256
 
 
@@ -66,6 +66,7 @@ class TrainReport:
     epochs_run: int = 0
     best_epoch: int = 0
     growth_history: list = field(default_factory=list)   # (depth, train_accuracy)
+    depth: int = 0            # the depth of the model grow_layers returned
     cap_reached: bool = False
 
 
@@ -74,6 +75,7 @@ class EvalResult:
     accuracy: float
     mean_loss: float
     confusion: np.ndarray
+    outputs: np.ndarray       # (N, rank), in the dataset's order
 
 
 def _check_datasets(codebook, *datasets):
@@ -86,24 +88,27 @@ def _check_datasets(codebook, *datasets):
 
 def evaluate(model: FeatureExtractor, dataset: LabeledDataset,
              codebook: WalshCodebook) -> EvalResult:
-    """Minimum-distance classification accuracy, mean loss and confusion matrix."""
+    """Minimum-distance classification accuracy, mean loss, confusion matrix and outputs."""
     _check_datasets(codebook, dataset)
     c = codebook.class_count
     confusion = np.zeros((c, c), dtype=np.int64)
     total_loss = 0.0
     correct = 0
+    outputs = []
     targets = codebook.targets()
     for start in range(0, len(dataset), EVAL_BATCH_SIZE):
         xb = dataset.samples[start:start + EVAL_BATCH_SIZE]
         yb = dataset.labels[start:start + EVAL_BATCH_SIZE]
         out = model.forward(xb, mode="infer")
+        outputs.append(out)
         pred = mdn.classify_batch(out, codebook)
         correct += int(np.sum(pred == yb))
         diff = out - targets[yb]
         total_loss += float(np.sum(diff * diff))
         np.add.at(confusion, (yb, pred), 1)
     n = len(dataset)
-    return EvalResult(accuracy=correct / n, mean_loss=total_loss / n, confusion=confusion)
+    return EvalResult(accuracy=correct / n, mean_loss=total_loss / n, confusion=confusion,
+                      outputs=np.concatenate(outputs))
 
 
 def _has_batchnorm(model):
@@ -288,7 +293,7 @@ def grow_layers(template: GrowthTemplate, train_set: LabeledDataset,
     max_depth = min(max_depth, template.max_depth)
     # the deepest model first: a schedule that outgrows the map fails before any fit
     template.build_model(max_depth, codebook.rank)
-    best = None   # (accuracy, model, report)
+    best = None   # (accuracy, depth, model, report)
     history = []
     for depth in range(1, max_depth + 1):
         model = template.build_model(depth, codebook.rank)
@@ -297,11 +302,13 @@ def grow_layers(template: GrowthTemplate, train_set: LabeledDataset,
         train_acc = evaluate(model, train_set, codebook).accuracy
         history.append((depth, train_acc))
         if best is None or train_acc > best[0]:
-            best = (train_acc, model, report)
+            best = (train_acc, depth, model, report)
         if threshold == 0.0 or train_acc > threshold:
             report.growth_history = history
+            report.depth = depth
             return model, report
-    _, model, report = best
+    _, depth, model, report = best
     report.growth_history = history
+    report.depth = depth
     report.cap_reached = True
     return model, report

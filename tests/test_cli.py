@@ -131,6 +131,28 @@ def test_grow_command(tmp_path, signal_csv, capsys):
     assert out.exists()
 
 
+def test_grow_at_the_depth_cap_keeps_the_first_best_depth(tmp_path, signal_csv, capsys):
+    template = tmp_path / "growth.cfg"
+    template.write_text("input 8\nwalsh_rank 4\nplanes 6\nfilters 2 2\n")
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text(CONFIG)
+    out = tmp_path / "grown.divf"
+    # no training accuracy exceeds 1.0, so both depths are trained
+    assert main(["grow", "--template", str(template), "--data", str(signal_csv),
+                 "--format", "csv", "--config", str(config_path), "--threshold", "1.0",
+                 "--max-depth", "2", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    history = [(int(depth.split("=")[1]), float(acc.split("=")[1]))
+               for depth, acc in (line.split() for line in lines if line.startswith("depth="))]
+    keys = dict(line.split("=", 1) for line in lines if " " not in line)
+    assert [depth for depth, _ in history] == [1, 2]
+    assert keys["cap_reached"] == "1"
+    best = max(acc for _, acc in history)
+    assert int(keys["final_depth"]) == next(depth for depth, acc in history if acc == best)
+    # the saved model is that depth's: a convolution and ReLU per extra depth
+    assert len(load_checkpoint(out)[0].layers) == 2 * int(keys["final_depth"])
+
+
 @pytest.mark.parametrize("fmt", ["csv", "iris"])
 def test_grow_standardizes_like_train(tmp_path, signal_csv, fmt):
     # iris data is standardized, and no other format
@@ -578,18 +600,37 @@ def test_idx_pair_without_images_is_format_error(tmp_path, capsys):
     assert "error=format-error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["lr = nan", "lr = inf", "seed = -1", "augment_factor = 0"])
+@pytest.mark.parametrize("line", ["lr = nan", "lr = inf", "seed = -1", "augment_factor = 0",
+                                  "train_fraction = 1.5", "val_fraction = 0", "batch = 0",
+                                  "epochs = 0", "patience = 0"])
 def test_bad_config_values_are_contract_error_before_data_loads(tmp_path, capsys, line):
     model_path = tmp_path / "model.spec"
     model_path.write_text(MODEL_SPEC)
+    template = tmp_path / "growth.txt"
+    template.write_text("input 8\nwalsh_rank 4\nplanes 6\nfilters 2\n")
     config_path = tmp_path / "run.cfg"
     config_path.write_text(line + "\n")
-    # the data file does not exist: the config must be rejected first
-    code = main(["train", "--model", str(model_path), "--data", str(tmp_path / "nope.csv"),
-                 "--format", "csv", "--config", str(config_path),
-                 "--out", str(tmp_path / "o.divf")])
-    assert code == 7
-    assert "error=contract-error" in capsys.readouterr().err
+    # the data file does not exist: the config must be rejected first, by both commands
+    for source in (["train", "--model", str(model_path), "--out", str(tmp_path / "o.divf")],
+                   ["grow", "--template", str(template)]):
+        code = main([*source, "--data", str(tmp_path / "nope.csv"), "--format", "csv",
+                     "--config", str(config_path)])
+        assert code == 7, source[0]
+        assert "error=contract-error" in capsys.readouterr().err
+
+
+def test_run_config_skips_blank_and_comment_lines(tmp_path, capsys):
+    config_path = tmp_path / "run.cfg"
+    argv = ["train", "--model", str(tmp_path / "model.spec"), "--data", str(tmp_path / "nope.csv"),
+            "--config", str(config_path), "--out", str(tmp_path / "o.divf")]
+    # line 4's value is read, past its trailing comment, and refused before the spec or data
+    config_path.write_text("# a comment\n\n   \ntrain_fraction = 1.5   # trailing comment\n")
+    assert main(argv) == 7
+    assert "train_fraction must be in (0, 1), got 1.5" in capsys.readouterr().err
+    config_path.write_text("# a comment\n\nepochs = 3\nlr 0.01\n")
+    assert main(argv) == 4
+    assert capsys.readouterr().err == (f"error=parse-error: {config_path}:4: "
+                                       "expected key=value, got 'lr 0.01'\n")
 
 
 @pytest.mark.parametrize("line", ["augment_snr_db = nan", "augment_gain_low = -inf",

@@ -369,6 +369,13 @@ def test_signals_csv_fast_path_is_c_contiguous_and_fits_like_the_walk(tmp_path):
     assert fitted.std.tobytes() == reference.std.tobytes()
 
 
+def test_signals_csv_refuses_to_save_samples_that_are_not_1d(tmp_path):
+    ds = LabeledDataset(samples=np.zeros((2, 3, 3)), labels=np.array([0, 1]), class_count=2)
+    with pytest.raises(ContractError, match="1D samples only"):
+        save_signals_csv(tmp_path / "sig.csv", ds)
+    assert not (tmp_path / "sig.csv").exists()
+
+
 # ---------------------------------------------------------------- dataset contract
 
 def test_dataset_validates_labels():

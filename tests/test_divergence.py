@@ -81,6 +81,13 @@ def test_symmetry_and_shape_validation():
         divergence_value(np.eye(2), np.eye(3))
 
 
+def test_scatter_matrices_reject_bad_shapes():
+    with pytest.raises(ContractError, match="incompatible"):
+        within_class_scatter(np.zeros((4, 2, 2)), np.array([0, 0, 1, 1]))   # 3-D outputs
+    with pytest.raises(ContractError, match="at least 2 class centers"):
+        between_class_scatter(np.zeros((1, 8)))                            # one center
+
+
 def test_analyze_paper_mode_uses_codebook_rows():
     rng = np.random.default_rng(3)
     cb = make_codebook(3, 8)

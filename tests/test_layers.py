@@ -70,6 +70,11 @@ def test_conv2d_forward_known_values():
     np.testing.assert_allclose(y, [[[[9.0, 13.0], [21.0, 25.0]]]])
 
 
+def test_conv2d_rejects_an_unknown_padding():
+    with pytest.raises(ContractError, match="unknown padding 'full'"):
+        Conv2D(3, 3, 2, padding="full")
+
+
 def test_conv2d_gradients():
     rng = np.random.default_rng(11)
     for i in range(N_CONFIGS):

@@ -101,6 +101,16 @@ def test_unknown_layer_and_bad_tokens():
             parse_model_spec(f"input 6x6\nwalsh_rank 4\n{line}\n")
 
 
+@pytest.mark.parametrize("text, lineno", [
+    ("input 4xa\nwalsh_rank 4\nflatten\n", 1),                  # a dimension not an int
+    ("input 2x2x2x2\nwalsh_rank 4\nflatten\n", 1),              # four dimensions
+    ("input 4\nwalsh_rank 4\nflatten\ndense 0\n", 4),           # a zero-width dense
+], ids=["input-4xa", "input-2x2x2x2", "dense-0"])
+def test_bad_sizes_name_their_line(text, lineno):
+    with pytest.raises(SpecError, match=f"^line {lineno}: "):
+        parse_model_spec(text)
+
+
 def test_wiring_error_surfaces():
     with pytest.raises(ShapeError):
         parse_model_spec("input 4\nwalsh_rank 8\nflatten\n")   # 4 != rank 8

@@ -166,6 +166,18 @@ def test_evaluate_confusion_and_accuracy_consistent():
         evaluate(model, ds.subset(np.array([], dtype=np.int64)), cb)
 
 
+def test_evaluate_outputs_are_the_per_batch_forward_outputs():
+    ds = _blobs(n=200)   # 400 samples: a full batch and a partial one
+    model = _conv_model().initialize(np.random.default_rng(8))
+    result = evaluate(model, ds, make_codebook(2, 4))
+    size = trainer.EVAL_BATCH_SIZE
+    assert len(ds) > size
+    expected = np.concatenate([model.forward(ds.samples[i:i + size], mode="infer")
+                               for i in range(0, len(ds), size)])
+    assert result.outputs.shape == (len(ds), 4)
+    np.testing.assert_array_equal(result.outputs, expected)
+
+
 def test_derive_rng_streams_are_independent():
     a = derive_rng(0, 0, 0).integers(2 ** 31)
     b = derive_rng(0, 0, 1).integers(2 ** 31)
@@ -224,6 +236,7 @@ def test_growth_exceeds_depth_1_on_xor_data():
     assert report.growth_history[0][1] <= 0.95        # linear map cannot solve it
     assert depths[-1] > 1
     assert report.growth_history[-1][1] > 0.95
+    assert report.depth == depths[-1]                  # the depth that cleared it
 
 
 def test_growth_threshold_zero_accepts_first_model():
@@ -242,10 +255,13 @@ def test_growth_cap_returns_best_so_far():
     cfg = TrainConfig(learning_rate=0.001, batch_size=16, max_epochs=3,
                       patience=3, seed=0)
     template = GrowthTemplate(input_shape=(1, 4), filters=(2, 2), planes=4)
-    _, report = grow_layers(template, train, val, cb, cfg, threshold=0.99,
-                            max_depth=2)
+    model, report = grow_layers(template, train, val, cb, cfg, threshold=0.99,
+                                max_depth=2)
     assert report.cap_reached
     assert len(report.growth_history) == 2
+    best = max(acc for _, acc in report.growth_history)
+    assert report.depth == next(d for d, acc in report.growth_history if acc == best)
+    assert len(model.layers) == 2 * report.depth   # a convolution and ReLU per extra depth
 
 
 def test_growth_template_depth_bounds():
@@ -315,6 +331,18 @@ def test_fit_checks_batchnorm_batches_after_augmentation():
                       augment=AugmentConfig(factor=3))
     report = fit(model, train.subset([0]), val, make_codebook(2, 4), cfg)
     assert report.epochs_run == 2
+
+
+def test_fit_skips_a_trailing_single_sample_batch_with_batchnorm(monkeypatch):
+    train, val = _split_even(_blobs())
+    model = _batchnorm_model().initialize(np.random.default_rng(0))
+    calls = []
+    monkeypatch.setattr(trainer, "backward", lambda *a: calls.append(1) or backward(*a))
+    cfg = TrainConfig(batch_size=16, max_epochs=3, patience=3)
+    # 33 samples: batches of 16, 16 and 1 each epoch, the last skipped
+    report = fit(model, train.subset(np.arange(33)), val, make_codebook(2, 4), cfg)
+    assert report.epochs_run == 3
+    assert len(calls) == 6
 
 
 # ---------------------------------------------------------------- flat SGD step
@@ -427,6 +455,12 @@ def test_train_config_rejects_non_finite_rates(field, value):
 def test_train_config_rejects_momentum_outside_the_unit_interval(momentum):
     with pytest.raises(ContractError, match=r"momentum must be in \[0, 1\)"):
         TrainConfig(momentum=momentum)
+
+
+@pytest.mark.parametrize("field", ["batch_size", "max_epochs", "patience"])
+def test_train_config_rejects_counts_below_one(field):
+    with pytest.raises(ContractError, match="must be >= 1"):
+        TrainConfig(**{field: 0})
 
 
 def test_train_config_rejects_negative_seed():

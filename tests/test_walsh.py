@@ -118,6 +118,17 @@ def test_capacity_limit_is_rank_minus_one():
         make_codebook(8, 8)
 
 
+def test_codebook_beyond_any_address_space_is_memory_error_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError):
+            make_codebook(2 ** 40, 2 ** 41)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_class_count_must_be_positive():
     with pytest.raises(WalshError):
         make_codebook(0, 8)
