@@ -25,8 +25,8 @@ from .data_io import (FormatError, LabeledDataset, ParseError, SplitSpec, Standa
                       load_iris, load_mnist_idx, load_signals_csv, save_signals_csv, split)
 from .modelspec import SpecError, load_model_spec, parse_growth_template
 from .numerics import ContractError, ShapeError
-from .trainer import (STREAM_INIT, TrainConfig, TrainingDivergedError, derive_rng, evaluate,
-                      fit, grow_layers)
+from .trainer import (STREAM_INIT, TrainConfig, TrainingDivergedError, check_growth_limits,
+                      derive_rng, evaluate, fit, grow_layers)
 from .walsh import WalshError, make_codebook
 
 _ERROR_CATEGORIES = [
@@ -201,6 +201,7 @@ def cmd_divergence(args) -> int:
 
 def cmd_grow(args) -> int:
     train_config, split_spec = _load_run_config(args.config)
+    check_growth_limits(args.threshold, args.max_depth)
     template, rank = parse_growth_template(args.template.read_text(encoding="utf-8"))
     codebook, (train_set, val_set, test_set), normalizer = _load_split(args, rank, split_spec)
     model, report = grow_layers(template, train_set, val_set, codebook,

@@ -8,7 +8,8 @@ returns ``(dx, *parameter gradients)``.
 :class:`~divfe.numerics.GradientTape`: one entry per layer, named by its spec
 keyword (the lowercased class name), whose inputs are the layer's input
 followed by its trainable arrays in ``param_names`` order;
-:func:`divfe.numerics.backward` walks these entries as one chain.
+:func:`divfe.numerics.backward` walks these entries as one chain. A tape's
+first layer is not asked for ``dx``, which both convolution kernels skip.
 
 Convolution is implemented as cross-correlation (the usual CNN convention),
 stride 1. Padding is ``valid`` by default; ``same`` zero-padding is available
@@ -101,13 +102,15 @@ class Layer:
         """The output in ``mode`` "train" or "infer", recorded on ``tape`` if
         given. An untaped inference is ``_apply``'s mode "fold": a convolution
         runs its ``norm`` in its kernel, and that BatchNorm returns its input."""
-        y, bwd = self._apply(x, "fold" if tape is None and mode == "infer" else mode)
-        if tape is not None:
-            tape.record(y, (x, *self.trainable_params), bwd, self.kind)
+        if tape is None:
+            return self._apply(x, "fold" if mode == "infer" else mode)[0]
+        y, bwd = self._apply(x, mode, bool(tape.entries))
+        tape.record(y, (x, *self.trainable_params), bwd, self.kind)
         return y
 
-    def _apply(self, x, mode):
-        """``(y, bwd)``: the output and ``bwd(dy) -> (dx, *parameter grads)``."""
+    def _apply(self, x, mode, input_grad=True):
+        """``(y, bwd)``: the output and ``bwd(dy) -> (dx, *parameter grads)``,
+        where ``dx`` may be ``None`` if not ``input_grad``."""
         raise NotImplementedError
 
     @property
@@ -161,7 +164,7 @@ def _window_blocks(windows, width):
         yield s, buf[:m].reshape(m, -1, width)
 
 
-def _conv2d(x, weights, bias, padding):
+def _conv2d(x, weights, bias, padding, input_grad=True):
     """Stride-1 cross-correlation of ``x (N, C, H, W)`` with ``weights
     (P, C, fh, fw)``, or of a signal ``x (N, C, L)`` with ``weights (P, C, f)``
     as a 1×L image, plus ``bias (P,)`` under ``valid`` or ``same`` padding.
@@ -169,11 +172,11 @@ def _conv2d(x, weights, bias, padding):
     Returns ``(y, bwd)``: ``y (N, P, Ho, Wo)`` and ``bwd(dy) -> (dx, dW, db)``,
     each in its argument's rank. ``y`` and ``dW`` come from one
     :func:`_window_blocks` walk each over the padded input's windows: row
-    windows on several input planes, whole filter windows on one. ``dx`` comes
-    from a walk over the row windows of ``dy`` padded by fw-1 columns each side
-    on several, and from one GEMV per filter tap on one.
+    windows on several input planes, whole filter windows on one. ``dx``
+    (``None`` without ``input_grad``) walks the row windows of ``dy`` padded
+    by fw-1 columns each side on several, and is one GEMV per tap on one.
     """
-    signal = x.ndim == 3
+    signal, shapes = x.ndim == 3, (x.shape, weights.shape)
     if signal:
         x, weights = x[:, :, None], weights[:, :, None]
     n, c, h, w = x.shape
@@ -207,9 +210,7 @@ def _conv2d(x, weights, bias, padding):
         whole = [(0, rows)] if len(rows) == n else None
 
     def bwd(dy):
-        if signal:
-            dy = dy[:, :, None]
-        dy_n = np.ascontiguousarray(dy.transpose(0, 2, 3, 1))        # (N, Ho, Wo, P)
+        dy_n = np.ascontiguousarray(dy.reshape(n, planes, ho, wo).transpose(0, 2, 3, 1))
         dy_m = dy_n.reshape(-1, planes)
         db = np.ones(len(dy_m)) @ dy_m
         dw = None
@@ -219,7 +220,9 @@ def _conv2d(x, weights, bias, padding):
             g = np.concatenate([dyb @ rows[:, u * wo:(u + ho) * wo] for u in range(len(slabs))],
                                axis=-1).sum(axis=0)
             dw = g if dw is None else dw + g                    # (P, fh*fw*C)
-        dw = dw.reshape(planes, fh, fw, c).transpose(0, 3, 1, 2)
+        dw = dw.reshape(planes, fh, fw, c).transpose(0, 3, 1, 2).reshape(shapes[1])
+        if not input_grad:
+            return None, dw, db
         dxp = np.zeros(xp.shape)
         if c > 1:
             # filter row u, reversed, meets the windows in padded input rows u..u+Ho
@@ -234,8 +237,7 @@ def _conv2d(x, weights, bias, padding):
         else:   # one input plane: row windows would copy fw*P doubles per element
             for u, v in np.ndindex(fh, fw):
                 dxp[:, u:u + ho, v:v + wo, 0] += (dy_m @ weights[:, 0, u, v]).reshape(n, ho, wo)
-        dx = dxp[:, top:top + h, left:left + w].transpose(0, 3, 1, 2)
-        return (dx[:, :, 0], dw[:, :, 0], db) if signal else (dx, dw, db)
+        return dxp[:, top:top + h, left:left + w].transpose(0, 3, 1, 2).reshape(shapes[0]), dw, db
 
     y = y_nhwc.transpose(0, 3, 1, 2)
     return (y[:, :, 0] if signal else y), bwd
@@ -259,9 +261,10 @@ def _dense_index(c, size, planes, extents, padding):
     return idx, (ho, wo)[-len(size):]
 
 
-def _dense_conv(x, weights, bias, padding):
+def _dense_conv(x, weights, bias, padding, input_grad=True):
     """:func:`_conv2d`'s ``(y, bwd)`` by GEMMs against the dense matrix ``T``:
-    ``x @ T.T + bias``, ``dy @ T``, and ``dy.T @ x`` binned into ``dW``."""
+    ``x @ T.T + bias``, ``dy @ T`` (if ``input_grad``), and ``dy.T @ x`` binned
+    into ``dW``."""
     n, c, *size = x.shape
     planes = len(weights)
     idx, out = _dense_index(c, tuple(size), planes, weights.shape[2:], padding)
@@ -273,7 +276,7 @@ def _dense_conv(x, weights, bias, padding):
 
     def bwd(dy):
         dy_m = dy.transpose(to_last).reshape(n, -1)
-        dx = (dy_m @ t).reshape(n, *size, c).transpose(to_first)
+        dx = (dy_m @ t).reshape(n, *size, c).transpose(to_first) if input_grad else None
         dw = np.bincount(idx.ravel(), (dy_m.T @ x_m).ravel(), weights.size + 1)[:-1]
         dy_p = dy_m.reshape(-1, planes)
         return dx, dw.reshape(weights.shape), np.ones(len(dy_p)) @ dy_p
@@ -330,11 +333,11 @@ class Conv2D(Layer):
         pad = " same" if self.padding == "same" else ""
         return f"{self.kind} {'x'.join(map(str, self.extents))} {self.planes}{pad}"
 
-    def _apply(self, x, mode):
+    def _apply(self, x, mode, input_grad=True):
         kernel = _dense_conv if self.dense_entries <= _DENSE_MAX else _conv2d
         norm = self.norm
         if norm is None or mode != "fold":
-            return kernel(x, self.weights, self.bias, self.padding)
+            return kernel(x, self.weights, self.bias, self.padding, input_grad)
         a = norm.scale / np.sqrt(norm.running_var + BN_EPSILON)   # W*a, (b - mean)*a + shift
         return kernel(x, self.weights * a.reshape(-1, *(1,) * (self.weights.ndim - 1)),
                       (self.bias - norm.running_mean) * a + norm.shift, self.padding)
@@ -384,7 +387,7 @@ class BatchNorm(Layer):
     def state_arrays(self):
         return self.trainable_params + [self.running_mean, self.running_var]
 
-    def _apply(self, x, mode):
+    def _apply(self, x, mode, input_grad=True):
         if mode == "fold" and self.folded:
             return x, None
         to_last = (0, *range(2, x.ndim), 1)
@@ -437,7 +440,7 @@ class ReLU(Layer):
     def wire(self, in_shape):
         return tuple(in_shape)
 
-    def _apply(self, x, mode):
+    def _apply(self, x, mode, input_grad=True):
         # a float gate: a bool*float multiply costs about 4x as much
         return np.maximum(x, 0.0), lambda g: (g * (x > 0).astype(np.float64),)
 
@@ -448,7 +451,7 @@ class Flatten(Layer):
     def wire(self, in_shape):
         return (math.prod(in_shape),)
 
-    def _apply(self, x, mode):
+    def _apply(self, x, mode, input_grad=True):
         return x.reshape(x.shape[0], -1), lambda g: (g.reshape(x.shape),)
 
 
@@ -481,7 +484,7 @@ class Dense(Layer):
     def spec_line(self):
         return f"dense {self.out_dim}"
 
-    def _apply(self, x, mode):
+    def _apply(self, x, mode, input_grad=True):
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ShapeError(f"Dense expects (N, {self.in_dim}), got {x.shape}")
         weights = self.weights

@@ -8,7 +8,7 @@ The model is a plain chain: in training mode every layer records one entry
 on a :class:`GradientTape`, called on the previous entry's output, and the
 loss records the last one. :func:`backward` walks the chain once in reverse,
 passing each entry's input gradient on as the upstream gradient of the entry
-before it.
+before it. The first entry may skip its own: nothing before it needs one.
 """
 
 import numpy as np
@@ -28,7 +28,7 @@ class GradientTape:
 
     ``inputs[0]`` is the array the operation was called on; the others are
     its trainable arrays. ``backward_fn(upstream)`` returns one gradient per
-    input, aligned with ``inputs``.
+    input, aligned with ``inputs`` (the first entry's may be ``None`` for ``inputs[0]``).
     """
 
     def __init__(self):
@@ -43,9 +43,10 @@ def backward(tape: GradientTape, loss: np.ndarray):
     """Gradients of a scalar loss, walking the tape's chain in reverse.
 
     Returns ``(dx, [(array, grad), ...])``: the gradient of the first entry's
-    first input, then every other recorded input with its gradient, in
-    recording order. Raises :class:`ContractError` unless the loss is the last
-    entry's output and every entry was called on the previous entry's output.
+    first input (``None`` if that entry skipped it), then every other recorded
+    input with its gradient, in recording order. Raises :class:`ContractError`
+    unless the loss is the last entry's output, every entry was called on the
+    previous entry's output and every later entry returned its input gradient.
     """
     loss = np.asarray(loss)
     if loss.size != 1:
@@ -62,7 +63,12 @@ def backward(tape: GradientTape, loss: np.ndarray):
         if len(grads) != len(inputs):
             raise ContractError(f"{name}: backward returned {len(grads)} grads "
                                 f"for {len(inputs)} inputs")
-        for inp, g in zip(inputs, grads):
+        pairs = zip(inputs, grads)
+        if grads[0] is None:   # only the last entry walked, the first recorded
+            if len(per_entry) < len(tape.entries) - 1:
+                raise ContractError(f"{name}: backward returned no input gradient")
+            next(pairs)
+        for inp, g in pairs:
             if g.shape != inp.shape:
                 raise ShapeError(f"{name}: gradient shape {g.shape} != input {inp.shape}")
         per_entry.append(zip(inputs[1:], grads[1:]))

@@ -276,6 +276,14 @@ class GrowthTemplate:
         return FeatureExtractor(layers, self.input_shape, rank)
 
 
+def check_growth_limits(threshold: float, max_depth: int) -> None:
+    """Refuse a threshold outside [0, 1] (nan included) or a depth cap below 1."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ContractError(f"threshold must be in [0, 1], got {threshold}")
+    if max_depth < 1:
+        raise ContractError(f"max_depth must be >= 1, got {max_depth}")
+
+
 def grow_layers(template: GrowthTemplate, train_set: LabeledDataset,
                 validation_set: LabeledDataset, codebook: WalshCodebook,
                 config: TrainConfig, threshold: float = 0.95,
@@ -286,10 +294,7 @@ def grow_layers(template: GrowthTemplate, train_set: LabeledDataset,
     model whose training accuracy exceeds the threshold, or the best one
     found when the depth cap is reached (flagged in the report).
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise ContractError(f"threshold must be in [0, 1], got {threshold}")
-    if max_depth < 1:
-        raise ContractError(f"max_depth must be >= 1, got {max_depth}")
+    check_growth_limits(threshold, max_depth)
     max_depth = min(max_depth, template.max_depth)
     # the deepest model first: a schedule that outgrows the map fails before any fit
     template.build_model(max_depth, codebook.rank)

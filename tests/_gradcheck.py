@@ -34,9 +34,17 @@ def relative_error(analytic, numeric) -> float:
     return float(np.max(np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric))))
 
 
+def input_tape(x):
+    """A tape whose first entry is the identity on ``x``: the layer recorded
+    after it is asked for its input gradient, which ``backward`` returns."""
+    tape = GradientTape()
+    tape.record(x, (x,), lambda g: (g,), "input")
+    return tape
+
+
 def analytic_grads(layer, x, proj, mode="train"):
     """Gradients of sum(forward(x) * proj): ``(dx, [(param, grad), ...])``."""
-    tape = GradientTape()
+    tape = input_tape(x)
     y = layer.forward(x, mode=mode, tape=tape)
     loss = np.asarray(np.sum(y * proj))
     tape.record(loss, (y,), lambda g: (g * proj,), "proj")

@@ -178,15 +178,18 @@ def test_grow_standardizes_like_train(tmp_path, signal_csv, fmt):
         assert grown_norm is None and trained_norm is None
 
 
-def test_grow_max_depth_zero_is_contract_error(tmp_path, signal_csv, capsys):
-    template = tmp_path / "growth.cfg"
-    template.write_text("input 8\nwalsh_rank 4\nplanes 6\nfilters 2 2\n")
-    config_path = tmp_path / "run.cfg"
-    config_path.write_text(CONFIG)
-    code = main(["grow", "--template", str(template), "--data", str(signal_csv),
-                 "--format", "csv", "--config", str(config_path), "--max-depth", "0"])
+@pytest.mark.parametrize("flag, value", [("--threshold", "2"), ("--threshold", "-0.5"),
+                                         ("--threshold", "nan"), ("--max-depth", "0"),
+                                         ("--max-depth", "-1")])
+def test_bad_grow_limits_are_contract_error_before_data_loads(tmp_path, capsys, flag, value):
+    template = tmp_path / "growth.txt"
+    template.write_text("input 8\nwalsh_rank 4\nplanes 6\nfilters 2\n")
+    # the data file does not exist: the flag must be rejected first
+    code = main(["grow", "--template", str(template), "--data", str(tmp_path / "nope.csv"),
+                 "--format", "csv", f"{flag}={value}"])
     assert code == 7
-    assert "error=contract-error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error=contract-error" in err and flag[2:].replace("-", "_") in err
 
 
 @pytest.mark.parametrize("template", [

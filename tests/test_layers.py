@@ -19,7 +19,7 @@ from divfe.numerics import ContractError, GradientTape, ShapeError, backward
 from divfe.walsh import make_codebook
 
 from _gradcheck import (N_CONFIGS, STEP, TOL, analytic_grads,
-                        check_all_grads as _check_all_grads, numeric_gradient,
+                        check_all_grads as _check_all_grads, input_tape, numeric_gradient,
                         relative_error)
 
 
@@ -268,6 +268,35 @@ def test_conv2d_blocked_gradients(monkeypatch, config):
 
     for arg, g in zip([x] + layer.trainable_params, grads):
         assert relative_error(g, numeric_gradient(loss, arg, step=STEP)) < TOL
+
+
+@pytest.mark.parametrize("budget", [1, 2048, layers._IM2COL_BLOCK_BYTES])
+@pytest.mark.parametrize("kernel", ["_conv2d", "_dense_conv"])
+@pytest.mark.parametrize("config", BLOCKED_CONFIGS + [
+    (5, 1, 5, 6, 3, 3, 2, "same"),      # 2D, one plane
+    (4, 1, 1, 9, 1, 4, 3, "valid"),     # 1D, one plane
+])
+def test_kernels_without_input_gradient_keep_the_parameter_gradients(monkeypatch, config,
+                                                                     kernel, budget):
+    """With ``input_grad=False`` either kernel's backward returns ``None`` for
+    ``dx`` and the same ``y``, ``dW`` and ``db``, byte for byte, under block
+    budgets of one sample, of a few samples and of the whole batch."""
+    n, c, h, w, fh, fw, planes, padding = config
+    rng = np.random.default_rng(sum(config[:-1]))
+    signal = h == fh == 1
+    x = rng.normal(size=(n, c, w) if signal else (n, c, h, w))
+    weights = rng.normal(size=(planes, c, fw) if signal else (planes, c, fh, fw))
+    bias = rng.normal(size=planes)
+    monkeypatch.setattr(layers, "_IM2COL_BLOCK_BYTES", budget)
+    conv = getattr(layers, kernel)
+    y, bwd = conv(x, weights, bias, padding)
+    y_skip, bwd_skip = conv(x, weights, bias, padding, input_grad=False)
+    dy = rng.normal(size=y.shape)
+    dx, dw, db = bwd(dy)
+    skipped, dw_skip, db_skip = bwd_skip(dy)
+    assert skipped is None and dx.shape == x.shape
+    for full, skip in ((y, y_skip), (dw, dw_skip), (db, db_skip)):
+        assert skip.shape == full.shape and skip.tobytes() == full.tobytes()
 
 
 @settings(max_examples=30, deadline=None)
@@ -575,7 +604,7 @@ def _batchnorm_oracle_errors(seed, n, c, spatial, ratio, channels_last):
         else:
             dx_ref, dx_terms = dy * a, np.abs(dy * a)
 
-        tape = GradientTape()
+        tape = input_tape(x)
         y = layer.forward(x, mode=mode, tape=tape)
         loss = np.asarray(np.sum(y * dy))
         tape.record(loss, (y,), lambda g: (g * dy,), "proj")
@@ -875,7 +904,7 @@ def test_taped_inference_gradients_are_the_unfolded_layers():
     assert model.layers[0].norm is model.layers[1] and model.layers[1].folded
     x = rng.normal(size=(3, 2, 4, 4))
     proj = rng.normal(size=(3, 8))
-    tape = GradientTape()
+    tape = input_tape(x)
     out = model.forward(x, mode="infer", tape=tape)
     loss = np.asarray(np.sum(out * proj))
     tape.record(loss, (out,), lambda g: (g * proj,), "proj")

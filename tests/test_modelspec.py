@@ -17,9 +17,10 @@ from divfe.modelspec import (SpecError, format_model_spec, load_model_spec,
 from divfe.numerics import GradientTape, ShapeError, backward
 from divfe.walsh import make_codebook
 
-from _gradcheck import STEP, TOL, relative_error
+from _gradcheck import STEP, TOL, input_tape, relative_error
 
-SPECS = sorted((Path(__file__).resolve().parent.parent / "specs").glob("*.spec"))
+SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
+SPECS = sorted(SPEC_DIR.glob("*.spec"))
 
 SPEC_1D = """# four-feature signal classifier
 input 4
@@ -280,7 +281,7 @@ def _check_spec_chain_gradient(text, seed):
     def loss_at(_):
         return float(mse_loss(model.forward(x, mode="train"), target))
 
-    tape = GradientTape()
+    tape = input_tape(x)
     loss = mse_loss(model.forward(x, mode="train", tape=tape), target, tape=tape)
     # a ReLU input near 0 could cross the kink under a step; an exact 0 is the
     # output of a ReLU before it, and stays 0
@@ -298,6 +299,59 @@ def _check_spec_chain_gradient(text, seed):
             minus = loss_at(x)
             array[at] = orig
             assert relative_error(grad[at], (plus - minus) / (2 * STEP)) < TOL, (text, at)
+
+
+def _step_gradients(model, x, target, tape):
+    loss = mse_loss(model.forward(x, mode="train", tape=tape), target, tape=tape)
+    return backward(tape, loss)
+
+
+def _check_step_without_input_grad(model, x, target):
+    # a training step's tape asks its first layer for no dx, and its parameter
+    # gradients equal, byte for byte, those of a tape with an identity entry
+    # ahead of that layer, which asks it for dx
+    skipped, grads = _step_gradients(model, x, target, GradientTape())
+    dx, ahead_grads = _step_gradients(model, x, target, input_tape(x))
+    assert skipped is None and dx.shape == x.shape
+    assert len(grads) == len(ahead_grads) == len(model.trainable_params)
+    for (array, g), (ahead_array, ahead_g) in zip(grads, ahead_grads):
+        assert ahead_array is array and ahead_g.tobytes() == g.tobytes()
+
+
+def _grown_to_depth_2():
+    """A 1D growth template's depth 2: ``conv1d 9 16``, ReLU, the spanning layer."""
+    template, rank = parse_growth_template("input 128\nwalsh_rank 4\nplanes 16\nfilters 9\n")
+    return template.build_model(2, rank)
+
+
+@pytest.mark.parametrize("make, n", [
+    (lambda: load_model_spec(SPEC_DIR / "iris.spec"), 5),
+    (lambda: load_model_spec(SPEC_DIR / "mnist.spec"), 2),
+    (_grown_to_depth_2, 4),
+], ids=["iris.spec", "mnist.spec", "growth-1d-depth-2"])
+def test_training_step_without_input_gradient(make, n):
+    model = make()
+    rng = np.random.default_rng(n)
+    model.initialize(rng)
+    model.params += rng.normal(scale=0.1, size=model.params.size)
+    x = rng.normal(size=(n,) + model.input_shape)
+    _check_step_without_input_grad(model, x, rng.normal(size=(n, model.rank)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=_spec_texts(), seed=st.integers(0, 2**32 - 1), dense_max=_dense_maxes)
+def test_random_spec_chain_steps_without_input_gradient(text, seed, dense_max):
+    try:
+        model = parse_model_spec(text)
+    except ShapeError:
+        return
+    rng = np.random.default_rng(seed)
+    model.initialize(rng)
+    model.params += rng.normal(scale=0.1, size=model.params.size)
+    x = rng.normal(size=(int(rng.integers(2, 5)),) + model.input_shape)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(layers, "_DENSE_MAX", dense_max)
+        _check_step_without_input_grad(model, x, rng.normal(size=(len(x), model.rank)))
 
 
 # ---------------------------------------------------------------- growth templates

@@ -120,6 +120,38 @@ def test_backward_rejects_wrong_gradient_count():
         backward(tape, _scalarize(tape, y, np.ones(2)))
 
 
+def _two_entry_chain(tape, x, w, first_dx=True, second_dx=True):
+    """Record ``z = 2*(x*w)`` and its projection; either entry may return ``None``
+    for its input gradient."""
+    y = tape.record(x * w, (x, w), lambda g: (g * w if first_dx else None, g * x), "scale")
+    z = tape.record(y * 2.0, (y,), lambda g: (2.0 * g if second_dx else None,), "double")
+    return _scalarize(tape, z, np.ones(3))
+
+
+def test_the_first_entry_may_skip_its_input_gradient():
+    rng = np.random.default_rng(9)
+    x, w = rng.normal(size=3), rng.normal(size=3)
+    tape = GradientTape()
+    dx, grads = backward(tape, _two_entry_chain(tape, x, w, first_dx=False))
+    assert dx is None
+    assert len(grads) == 1 and grads[0][0] is w
+    np.testing.assert_array_equal(grads[0][1], 2.0 * x)
+    # skipping is allowed, not required
+    tape = GradientTape()
+    dx, _ = backward(tape, _two_entry_chain(tape, x, w))
+    np.testing.assert_array_equal(dx, 2.0 * w)
+
+
+@pytest.mark.parametrize("first_dx", [True, False])
+def test_a_missing_input_gradient_from_a_later_entry_is_rejected(first_dx):
+    rng = np.random.default_rng(10)
+    x, w = rng.normal(size=3), rng.normal(size=3)
+    tape = GradientTape()
+    loss = _two_entry_chain(tape, x, w, first_dx, second_dx=False)
+    with pytest.raises(ContractError, match="double: backward returned no input gradient"):
+        backward(tape, loss)
+
+
 def test_numeric_gradient_on_quadratic():
     x = np.array([1.0, 2.0, -3.0])
     g = numeric_gradient(lambda a: float(np.sum(a ** 2)), x)

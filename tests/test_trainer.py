@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from divfe import trainer
+from divfe import layers, trainer
 from divfe.augment import AugmentConfig
 from divfe.data_io import LabeledDataset, SplitSpec
 from divfe.divergence import analyze
@@ -343,6 +343,25 @@ def test_fit_skips_a_trailing_single_sample_batch_with_batchnorm(monkeypatch):
     report = fit(model, train.subset(np.arange(33)), val, make_codebook(2, 4), cfg)
     assert report.epochs_run == 3
     assert len(calls) == 6
+
+
+def test_fit_computes_no_input_gradient(monkeypatch):
+    # the batch is not trained: every step's tape skips the first layer's dx
+    train, val = _split_even(_blobs(dim=80))
+    model = FeatureExtractor([Conv1D(9, 4), ReLU(), Conv1D(3, 4), Flatten(), Dense(4)],
+                             (1, 80), 4).initialize(np.random.default_rng(0))
+    assert model.layers[0].dense_entries > layers._DENSE_MAX   # the row-window kernel
+    dxs = []
+
+    def spy(tape, loss):
+        dx, grads = backward(tape, loss)
+        dxs.append(dx)
+        return dx, grads
+
+    monkeypatch.setattr(trainer, "backward", spy)
+    cfg = TrainConfig(learning_rate=1e-4, batch_size=16, max_epochs=2, patience=2)
+    fit(model, train, val, make_codebook(2, 4), cfg)
+    assert len(dxs) == 2 * 4 and all(dx is None for dx in dxs)   # 60 samples, batch 16
 
 
 # ---------------------------------------------------------------- flat SGD step
