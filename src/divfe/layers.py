@@ -33,22 +33,22 @@ where those GEMMs would have K = fw, it copies whole fh×fw windows, a
 ``(Ho·Wo, fh·fw)`` matrix per sample, for one GEMM per block. The backward
 walks the same windows again for the weight gradient, or reuses the
 forward's when one block held the batch. Its input gradient, a full
-correlation of ``dy`` with the flipped filter, walks row windows too on
-several input planes: ``dy`` padded by fw-1 columns each side has Wp windows
-per row, a ``(Ho·Wp, fw·P)`` matrix per sample, and filter row u, reversed,
-adds one GEMM into padded input rows u..u+Ho, which are contiguous. On one
-input plane the windows would copy fw·P doubles per input element, so there
-it is one GEMV per filter tap. Either kernel's result is a ``(N, P, H, W)`` view
+correlation of ``dy`` with the flipped filter, walks row windows too, on any
+number of input planes: ``dy`` padded by fw-1 columns each side has Wp
+windows per row, a ``(Ho·Wp, fw·P)`` matrix per sample, and filter row u,
+reversed, adds one GEMM into padded input rows u..u+Ho, which are
+contiguous. Either kernel's result is a ``(N, P, H, W)`` view
 of a channels-last array. BatchNorm, which works on that memory as an
 ``(M, C)`` matrix, and ReLU keep its order both ways, so a following
 convolution reads its input without a copy.
 
-An untaped inference folds a BatchNorm that :class:`FeatureExtractor` wires
-right after a convolution into it (Jacob et al. 2018): the kernel runs with
-weights ``W·a`` and bias ``(b - running_mean)·a + shift``, where
+A pass trains exactly when it is taped: :meth:`Layer.forward` takes mode
+"train" with a tape and "infer" without one, and refuses any other pairing.
+An inference folds a BatchNorm that :class:`FeatureExtractor` wires right
+after a convolution into it (Jacob et al. 2018): the kernel runs with weights
+``W·a`` and bias ``(b - running_mean)·a + shift``, where
 ``a = scale/sqrt(running_var + eps)``, from the current arrays on every
-call, and the BatchNorm returns its input. A taped pass stays unfolded: its
-gradients are with respect to ``W`` and the BatchNorm's arrays, not ``W·a``.
+call, and the BatchNorm returns its input. No backward runs in inference.
 
 Each layer names its trainable arrays in ``param_names``. After
 initialisation :class:`FeatureExtractor` holds them all in one flat vector,
@@ -83,7 +83,7 @@ class Layer:
     """Base layer: configuration at construction, parameters at wiring."""
 
     param_names = ()   # attributes holding the trainable arrays, in order
-    norm = None        # a convolution's BatchNorm, applied by its kernel in an untaped inference
+    norm = None        # a convolution's BatchNorm, applied by its kernel in inference
     folded = False     # a BatchNorm that its convolution applies there
 
     def __init_subclass__(cls, **kwargs):
@@ -99,18 +99,23 @@ class Layer:
 
     def forward(self, x: np.ndarray, mode: str = "infer",
                 tape: GradientTape | None = None) -> np.ndarray:
-        """The output in ``mode`` "train" or "infer", recorded on ``tape`` if
-        given. An untaped inference is ``_apply``'s mode "fold": a convolution
-        runs its ``norm`` in its kernel, and that BatchNorm returns its input."""
+        """The output of a training pass, recorded on ``tape``, with ``mode``
+        "train" and a tape, or of an inference with "infer" and no tape. Any
+        other mode or pairing raises :class:`ContractError`."""
         if tape is None:
-            return self._apply(x, "fold" if mode == "infer" else mode)[0]
-        y, bwd = self._apply(x, mode, bool(tape.entries))
+            if mode != "infer":
+                raise ContractError(f"mode {mode!r} without a tape: an untaped pass is 'infer'")
+            return self._apply(x, False)[0]
+        if mode != "train":
+            raise ContractError(f"mode {mode!r} with a tape: a taped pass is 'train'")
+        y, bwd = self._apply(x, True, bool(tape.entries))
         tape.record(y, (x, *self.trainable_params), bwd, self.kind)
         return y
 
-    def _apply(self, x, mode, input_grad=True):
-        """``(y, bwd)``: the output and ``bwd(dy) -> (dx, *parameter grads)``,
-        where ``dx`` may be ``None`` if not ``input_grad``."""
+    def _apply(self, x, train, input_grad=True):
+        """``(y, bwd)``: the output and, in training, ``bwd(dy) -> (dx, *parameter
+        grads)``, ``dx`` ``None`` if not ``input_grad``. In inference ``bwd`` may
+        be ``None``, and a convolution runs its ``norm`` in its kernel."""
         raise NotImplementedError
 
     @property
@@ -174,7 +179,7 @@ def _conv2d(x, weights, bias, padding, input_grad=True):
     :func:`_window_blocks` walk each over the padded input's windows: row
     windows on several input planes, whole filter windows on one. ``dx``
     (``None`` without ``input_grad``) walks the row windows of ``dy`` padded
-    by fw-1 columns each side on several, and is one GEMV per tap on one.
+    by fw-1 columns each side, on any number of input planes.
     """
     signal, shapes = x.ndim == 3, (x.shape, weights.shape)
     if signal:
@@ -223,20 +228,16 @@ def _conv2d(x, weights, bias, padding, input_grad=True):
         dw = dw.reshape(planes, fh, fw, c).transpose(0, 3, 1, 2).reshape(shapes[1])
         if not input_grad:
             return None, dw, db
+        # filter row u, reversed, meets the windows in padded input rows u..u+Ho
         dxp = np.zeros(xp.shape)
-        if c > 1:
-            # filter row u, reversed, meets the windows in padded input rows u..u+Ho
-            dyp = np.zeros((n, ho, wp + fw - 1, planes))
-            dyp[:, :, fw - 1:fw - 1 + wo] = dy_n
-            flipped = weights[:, :, :, ::-1].transpose(2, 3, 0, 1)    # (fh, fw, P, C)
-            back = np.ascontiguousarray(flipped).reshape(fh, fw * planes, c)
-            for s, rows in _window_blocks(_windows(dyp, 1, fw), fw * planes):
-                dxb = dxp[s:s + len(rows)].reshape(len(rows), hp * wp, c)
-                for u in range(fh):
-                    dxb[:, u * wp:(u + ho) * wp] += rows @ back[u]
-        else:   # one input plane: row windows would copy fw*P doubles per element
-            for u, v in np.ndindex(fh, fw):
-                dxp[:, u:u + ho, v:v + wo, 0] += (dy_m @ weights[:, 0, u, v]).reshape(n, ho, wo)
+        dyp = np.zeros((n, ho, wp + fw - 1, planes))
+        dyp[:, :, fw - 1:fw - 1 + wo] = dy_n
+        flipped = weights[:, :, :, ::-1].transpose(2, 3, 0, 1)    # (fh, fw, P, C)
+        back = np.ascontiguousarray(flipped).reshape(fh, fw * planes, c)
+        for s, rows in _window_blocks(_windows(dyp, 1, fw), fw * planes):
+            dxb = dxp[s:s + len(rows)].reshape(len(rows), hp * wp, c)
+            for u in range(fh):
+                dxb[:, u * wp:(u + ho) * wp] += rows @ back[u]
         return dxp[:, top:top + h, left:left + w].transpose(0, 3, 1, 2).reshape(shapes[0]), dw, db
 
     y = y_nhwc.transpose(0, 3, 1, 2)
@@ -333,10 +334,10 @@ class Conv2D(Layer):
         pad = " same" if self.padding == "same" else ""
         return f"{self.kind} {'x'.join(map(str, self.extents))} {self.planes}{pad}"
 
-    def _apply(self, x, mode, input_grad=True):
+    def _apply(self, x, train, input_grad=True):
         kernel = _dense_conv if self.dense_entries <= _DENSE_MAX else _conv2d
         norm = self.norm
-        if norm is None or mode != "fold":
+        if norm is None or train:
             return kernel(x, self.weights, self.bias, self.padding, input_grad)
         a = norm.scale / np.sqrt(norm.running_var + BN_EPSILON)   # W*a, (b - mean)*a + shift
         return kernel(x, self.weights * a.reshape(-1, *(1,) * (self.weights.ndim - 1)),
@@ -360,8 +361,8 @@ class BatchNorm(Layer):
     Training normalizes by batch statistics, which also update the running
     statistics by an exponential moving average; inference uses the running
     ones. Either way forward is one affine map ``y = x*a + b`` on the ``(M, C)``
-    channels-last matrix, ``a = scale/sqrt(var + eps)``, ``b = shift - mean*a``,
-    and backward returns ``dy*a``, plus per-plane ``x*c + d`` in training.
+    channels-last matrix, ``a = scale/sqrt(var + eps)``, ``b = shift - mean*a``;
+    backward, in training only, returns ``dy*a`` plus per-plane ``x*c + d``.
     """
 
     param_names = ("scale", "shift")
@@ -387,8 +388,8 @@ class BatchNorm(Layer):
     def state_arrays(self):
         return self.trainable_params + [self.running_mean, self.running_var]
 
-    def _apply(self, x, mode, input_grad=True):
-        if mode == "fold" and self.folded:
+    def _apply(self, x, train, input_grad=True):
+        if not train and self.folded:
             return x, None
         to_last = (0, *range(2, x.ndim), 1)
         to_first = (0, x.ndim - 1, *range(1, x.ndim - 1))
@@ -396,7 +397,6 @@ class BatchNorm(Layer):
         # (M, C): a view of a convolution's output, a copy otherwise
         xm = xt.reshape(-1, self.planes)
         m = len(xm)
-        train = mode == "train"
         if train:
             if x.shape[0] < 2:
                 raise ContractError("batch normalization needs batch size >= 2 in training")
@@ -410,7 +410,7 @@ class BatchNorm(Layer):
             self.running_var *= BN_MOMENTUM
             self.running_var += (1.0 - BN_MOMENTUM) * var
         else:
-            mean, var = self.running_mean.copy(), self.running_var   # bwd reads mean later
+            mean, var = self.running_mean, self.running_var
         inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
         a = self.scale * inv_std
         ym = xm * a
@@ -423,15 +423,14 @@ class BatchNorm(Layer):
             prod = dym * xm
             dgamma = (ones @ prod - mean * dbeta) * inv_std
             dxm = dym * a
-            if train:
-                # the batch statistics' share: dx += x*c + d, per plane
-                c = a * inv_std * dgamma / -m
-                np.multiply(xm, c, out=prod)
-                prod -= a * dbeta / m + c * mean
-                dxm += prod
+            # the batch statistics' share: dx += x*c + d, per plane
+            c = a * inv_std * dgamma / -m
+            np.multiply(xm, c, out=prod)
+            prod -= a * dbeta / m + c * mean
+            dxm += prod
             return dxm.reshape(xt.shape).transpose(to_first), dgamma, dbeta
 
-        return ym.reshape(xt.shape).transpose(to_first), bwd
+        return ym.reshape(xt.shape).transpose(to_first), bwd if train else None
 
 
 class ReLU(Layer):
@@ -440,7 +439,7 @@ class ReLU(Layer):
     def wire(self, in_shape):
         return tuple(in_shape)
 
-    def _apply(self, x, mode, input_grad=True):
+    def _apply(self, x, train, input_grad=True):
         # a float gate: a bool*float multiply costs about 4x as much
         return np.maximum(x, 0.0), lambda g: (g * (x > 0).astype(np.float64),)
 
@@ -451,7 +450,7 @@ class Flatten(Layer):
     def wire(self, in_shape):
         return (math.prod(in_shape),)
 
-    def _apply(self, x, mode, input_grad=True):
+    def _apply(self, x, train, input_grad=True):
         return x.reshape(x.shape[0], -1), lambda g: (g.reshape(x.shape),)
 
 
@@ -484,7 +483,7 @@ class Dense(Layer):
     def spec_line(self):
         return f"dense {self.out_dim}"
 
-    def _apply(self, x, mode, input_grad=True):
+    def _apply(self, x, train, input_grad=True):
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ShapeError(f"Dense expects (N, {self.in_dim}), got {x.shape}")
         weights = self.weights

@@ -1,4 +1,5 @@
-"""Shared finite-difference gradient-check harness for layer tests."""
+"""Shared finite-difference gradient-check harness for layer tests, and an
+unfolded reference inference for the folded one."""
 
 import numpy as np
 
@@ -42,31 +43,51 @@ def input_tape(x):
     return tape
 
 
-def analytic_grads(layer, x, proj, mode="train"):
+def train_forward(layer, x):
+    """A training pass of ``layer`` (or a model) on ``x``, on a throwaway tape."""
+    return layer.forward(x, mode="train", tape=GradientTape())
+
+
+def unfolded_inference(model, x):
+    """``model``'s inference on ``x``, run layer by layer with every fold link
+    cleared, so that each convolution runs unfolded and each BatchNorm applies
+    its running-statistics map; the links are restored after."""
+    links = [(layer.norm, layer.folded) for layer in model.layers]
+    try:
+        for layer in model.layers:
+            layer.norm, layer.folded = None, False
+            x = layer.forward(x)
+    finally:
+        for layer, (norm, folded) in zip(model.layers, links):
+            layer.norm, layer.folded = norm, folded
+    return x
+
+
+def analytic_grads(layer, x, proj):
     """Gradients of sum(forward(x) * proj): ``(dx, [(param, grad), ...])``."""
     tape = input_tape(x)
-    y = layer.forward(x, mode=mode, tape=tape)
+    y = layer.forward(x, mode="train", tape=tape)
     loss = np.asarray(np.sum(y * proj))
     tape.record(loss, (y,), lambda g: (g * proj,), "proj")
     return backward(tape, loss)
 
 
-def numeric_wrt(layer, x, proj, target, mode="train"):
+def numeric_wrt(layer, x, proj, target):
     """Finite-difference gradient w.r.t. ``target`` (the input or a parameter)."""
     def fn(_):
-        return float(np.sum(layer.forward(x, mode=mode) * proj))
+        return float(np.sum(train_forward(layer, x) * proj))
     return numeric_gradient(fn, target, step=STEP)
 
 
-def check_all_grads(layer, x, rng, mode="train", tol=TOL):
-    proj = rng.normal(size=layer.forward(x, mode=mode).shape)
-    dx, grads = analytic_grads(layer, x, proj, mode=mode)
-    assert relative_error(dx, numeric_wrt(layer, x, proj, x, mode)) < tol
+def check_all_grads(layer, x, rng, tol=TOL):
+    proj = rng.normal(size=train_forward(layer, x).shape)
+    dx, grads = analytic_grads(layer, x, proj)
+    assert relative_error(dx, numeric_wrt(layer, x, proj, x)) < tol
     params = layer.trainable_params
     assert len(grads) == len(params)
     for (p, g), expected in zip(grads, params):
         assert p is expected
-        assert relative_error(g, numeric_wrt(layer, x, proj, p, mode)) < tol
+        assert relative_error(g, numeric_wrt(layer, x, proj, p)) < tol
 
 
 def run_layer_gradient_sweep(n_configs=N_CONFIGS, master_seed=100):
@@ -111,7 +132,7 @@ def run_layer_gradient_sweep(n_configs=N_CONFIGS, master_seed=100):
         layer.scale[:] = rng.normal(1.0, 0.2, size=layer.planes)
         layer.shift[:] = rng.normal(size=layer.planes)
         x = rng.normal(size=(int(rng.integers(2, 6)),) + shape)
-        check_all_grads(layer, x, rng, mode="train" if i % 3 else "infer")
+        check_all_grads(layer, x, rng)
         checked += 1
 
     for _ in range(n_configs):

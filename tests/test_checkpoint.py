@@ -13,6 +13,7 @@ from divfe.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from divfe.cli import main
 from divfe.data_io import FormatError, LabeledDataset, Standardizer, save_signals_csv
 from divfe.layers import BatchNorm, Conv1D, Conv2D, Dense, FeatureExtractor, Flatten, ReLU
+from divfe.numerics import GradientTape
 from divfe.walsh import make_codebook
 
 
@@ -26,7 +27,8 @@ def _model_2d():
     layers = [Conv2D(3, 3, 4), BatchNorm(), ReLU(), Flatten(), Dense(8)]
     model = FeatureExtractor(layers, (1, 8, 8), 8).initialize(np.random.default_rng(1))
     # mutate running stats so the round trip covers non-default buffers
-    model.forward(np.random.default_rng(2).normal(size=(6, 1, 8, 8)), mode="train")
+    model.forward(np.random.default_rng(2).normal(size=(6, 1, 8, 8)), mode="train",
+                  tape=GradientTape())
     return model
 
 

@@ -20,7 +20,7 @@ from divfe.walsh import make_codebook
 
 from _gradcheck import (N_CONFIGS, STEP, TOL, analytic_grads,
                         check_all_grads as _check_all_grads, input_tape, numeric_gradient,
-                        relative_error)
+                        relative_error, train_forward, unfolded_inference)
 
 
 # ---------------------------------------------------------------- conv1d
@@ -126,9 +126,9 @@ def _direct_conv2d_adjoint(x, weights, dy, padding):
 # (batch, planes in, height, width, fh, fw, planes out, padding): odd batches,
 # C > 1 and non-square filters, under both paddings; height-1 cases with
 # 1-high filters run through Conv1D as length-``width`` signals. The input
-# gradient takes row windows on every config with C > 1, the two-tap filter,
-# the output narrower than its filter and the spanning cases (one output
-# position per sample) among them, and one GEMV per tap on the three with C = 1
+# gradient takes row windows on every config: the two-tap filter, the output
+# narrower than its filter, the spanning cases (one output position per
+# sample) and the three with C = 1 among them
 BLOCKED_CONFIGS = [
     (5, 3, 7, 6, 3, 2, 4, "valid"),
     (7, 2, 6, 8, 2, 5, 3, "same"),
@@ -152,9 +152,9 @@ def _blocked_conv(monkeypatch, config, samples_per_block):
     patched to ``samples_per_block`` samples (0: below one sample), checked
     for the backward's row windows of the padded ``dy`` and then for the
     forward's: each pass copies its windows in several blocks of at most the
-    budget, the last one partial when a block holds several samples. ``dy``
-    windows are copied only on several input planes, and on one the forward
-    copies whole fh×fw windows instead of row windows. The weight gradient
+    budget, the last one partial when a block holds several samples. On one
+    input plane the forward copies whole fh×fw windows instead of row windows;
+    ``dy``'s are row windows on any number. The weight gradient
     copies the forward's windows again in the forward's blocks, and none when
     one block held the batch."""
     n, c, h, w, fh, fw, planes, padding = config
@@ -191,8 +191,7 @@ def _blocked_conv(monkeypatch, config, samples_per_block):
     height = fh if c == 1 else 1
     forward = (hp - height + 1, wo, height, fw, c)
     assert forward not in [b.shape[1:] for b in _copied_blocks(lambda: bwd(dy))]
-    row_window_dx = c > 1
-    assert block_sizes((ho, wp, 1, fw, planes), lambda: bwd(dy)) == blocks * row_window_dx
+    assert block_sizes((ho, wp, 1, fw, planes), lambda: bwd(dy)) == blocks
     assert block_sizes(forward, lambda: _row_window_conv(layer, x)) == blocks
     bwd = _row_window_conv(layer, x)[1]
     assert block_sizes(forward, lambda: bwd(dy)) == blocks
@@ -481,7 +480,7 @@ def test_batchnorm_normalizes_batch_in_training():
     layer.wire((3, 5))
     layer.init_params(rng)
     x = rng.normal(2.0, 3.0, size=(16, 3, 5))
-    y = layer.forward(x, mode="train")
+    y = train_forward(layer, x)
     np.testing.assert_allclose(y.mean(axis=(0, 2)), 0.0, atol=1e-12)
     np.testing.assert_allclose(y.std(axis=(0, 2)), 1.0, atol=1e-3)
 
@@ -494,7 +493,7 @@ def test_batchnorm_running_statistics_ema():
     x = rng.normal(5.0, 2.0, size=(8, 2, 4))
     mu = x.mean(axis=(0, 2))
     var = x.var(axis=(0, 2))
-    layer.forward(x, mode="train")
+    train_forward(layer, x)
     np.testing.assert_allclose(layer.running_mean, 0.1 * mu)
     np.testing.assert_allclose(layer.running_var, 0.9 + 0.1 * var)
 
@@ -517,8 +516,8 @@ def test_batchnorm_rejects_single_sample_training():
     layer = BatchNorm()
     layer.wire((2, 3))
     layer.init_params(np.random.default_rng(0))
-    with pytest.raises(ContractError):
-        layer.forward(np.zeros((1, 2, 3)), mode="train")
+    with pytest.raises(ContractError, match="batch size >= 2"):
+        train_forward(layer, np.zeros((1, 2, 3)))
 
 
 def test_batchnorm_gradients():
@@ -537,8 +536,7 @@ def test_batchnorm_gradients():
         layer.init_params(rng)
         layer.scale[:] = rng.normal(1.0, 0.2, size=layer.planes)
         layer.shift[:] = rng.normal(size=layer.planes)
-        mode = "train" if i % 3 else "infer"
-        _check_all_grads(layer, x, rng, mode=mode)
+        _check_all_grads(layer, x, rng)
 
 
 def _plane_max(v):
@@ -593,30 +591,28 @@ def _batchnorm_oracle_errors(seed, n, c, spatial, ratio, channels_last):
             mu, var, new_rm, new_rv, rm_terms = rm, rv, rm, rv, np.abs(rm)
         inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
         xhat = (x - mu.reshape(ps)) * inv_std.reshape(ps)
-        a = (scale * inv_std).reshape(ps)
         y_ref = scale.reshape(ps) * xhat + shift.reshape(ps)
-        dbeta_ref = dy.sum(axis=axes)
-        dgamma_ref = (dy * xhat).sum(axis=axes)
-        if mode == "train":
-            dx_ref = a / m * (m * dy - dbeta_ref.reshape(ps) - xhat * dgamma_ref.reshape(ps))
-            dx_terms = np.abs(a) * (np.abs(dy) + np.abs(dbeta_ref).reshape(ps) / m
-                                    + np.abs(xhat * dgamma_ref.reshape(ps)) / m)
-        else:
-            dx_ref, dx_terms = dy * a, np.abs(dy * a)
 
-        tape = input_tape(x)
+        tape = input_tape(x) if mode == "train" else None   # an inference has no backward
         y = layer.forward(x, mode=mode, tape=tape)
-        loss = np.asarray(np.sum(y * dy))
-        tape.record(loss, (y,), lambda g: (g * dy,), "proj")
-        dx, ((_, dgamma), (_, dbeta)) = backward(tape, loss)
         checks = {
             "y": (y, y_ref, np.abs(scale.reshape(ps) * xhat) + np.abs(shift.reshape(ps))),
-            "dx": (dx, dx_ref, dx_terms),
-            "dgamma": (dgamma, dgamma_ref, np.abs(dy * xhat).sum(axis=axes)),
-            "dbeta": (dbeta, dbeta_ref, np.abs(dy).sum(axis=axes)),
             "running_mean": (layer.running_mean, new_rm, rm_terms),
             "running_var": (layer.running_var, new_rv, new_rv),
         }
+        if mode == "train":
+            loss = np.asarray(np.sum(y * dy))
+            tape.record(loss, (y,), lambda g: (g * dy,), "proj")
+            dx, ((_, dgamma), (_, dbeta)) = backward(tape, loss)
+            a = (scale * inv_std).reshape(ps)
+            dbeta_ref = dy.sum(axis=axes)
+            dgamma_ref = (dy * xhat).sum(axis=axes)
+            dx_ref = a / m * (m * dy - dbeta_ref.reshape(ps) - xhat * dgamma_ref.reshape(ps))
+            dx_terms = np.abs(a) * (np.abs(dy) + np.abs(dbeta_ref).reshape(ps) / m
+                                    + np.abs(xhat * dgamma_ref.reshape(ps)) / m)
+            checks["dx"] = (dx, dx_ref, dx_terms)
+            checks["dgamma"] = (dgamma, dgamma_ref, np.abs(dy * xhat).sum(axis=axes))
+            checks["dbeta"] = (dbeta, dbeta_ref, np.abs(dy).sum(axis=axes))
         for name, (got, ref, terms) in checks.items():
             assert got.shape == ref.shape, name
             errors[f"{mode}.{name}"] = float(np.max(_plane_max(got - ref)
@@ -643,23 +639,27 @@ def test_batchnorm_matches_textbook_formulas(seed, n, c, spatial, ratio, channel
 @pytest.mark.parametrize("mode", ["train", "infer"])
 def test_batchnorm_and_relu_keep_convolution_memory_channels_last(mode):
     # the module docstring's no-copy claim: after a Conv2D, BatchNorm and ReLU
-    # outputs and input gradients are (N, C, H, W) views of channels-last
-    # memory, the order the convolutions' own transposes read without a copy
+    # outputs, and in training input gradients, are (N, C, H, W) views of
+    # channels-last memory, the order the convolutions' own transposes read
+    # without a copy; the stack is no FeatureExtractor, so nothing is folded
     rng = np.random.default_rng(21)
     stack = [Conv2D(3, 3, 4), BatchNorm(), ReLU(), Conv2D(3, 3, 2, padding="same")]
     shape = (2, 7, 6)
     for layer in stack:
         shape = layer.wire(shape)
         layer.init_params(rng)
-    tape = GradientTape()
+    tape = GradientTape() if mode == "train" else None
     out = rng.normal(size=(3, 2, 7, 6))
     for layer in stack:
         out = layer.forward(out, mode=mode, tape=tape)
+        if layer.kind in ("batchnorm", "relu"):
+            assert out.transpose(0, 2, 3, 1).flags.c_contiguous, layer.kind
+    if tape is None:
+        return
     grad = rng.normal(size=out.shape)
-    for y, _, bwd, kind in reversed(tape.entries):
+    for _, _, bwd, kind in reversed(tape.entries):
         grad = bwd(grad)[0]
         if kind in ("batchnorm", "relu"):
-            assert y.transpose(0, 2, 3, 1).flags.c_contiguous, kind
             assert grad.transpose(0, 2, 3, 1).flags.c_contiguous, kind
 
 
@@ -751,6 +751,16 @@ def test_layer_forward_is_the_only_record_site():
         assert cls.kind == cls.__name__.lower()
 
 
+@pytest.mark.parametrize("mode, taped", [("eval", False), ("infer", True), ("train", False)])
+def test_a_pass_trains_exactly_when_it_is_taped(mode, taped):
+    # an unknown mode once ran an unfolded inference, and a taped inference or
+    # an untaped training pass ran too
+    model = load_model_spec(SPECS / "mnist.spec").initialize(0)
+    with pytest.raises(ContractError, match=f"mode '{mode}'"):
+        model.forward(np.zeros((2,) + model.input_shape), mode=mode,
+                      tape=GradientTape() if taped else None)
+
+
 def test_model_wiring_validates_output_rank():
     with pytest.raises(ShapeError):
         FeatureExtractor([Flatten()], (1, 10), 8)
@@ -768,7 +778,7 @@ def test_model_end_to_end_gradient():
     assert [id(p) for p, _ in grads] == [id(p) for p in model.trainable_params]
     for p, g in grads:
         def fn(_):
-            return float(mse_loss(model.forward(x, mode="train"), target))
+            return float(mse_loss(train_forward(model, x), target))
         assert relative_error(g, numeric_gradient(fn, p, step=STEP)) < TOL
 
 
@@ -882,40 +892,16 @@ def test_model_batched_inference_matches_per_sample(name, seed, n):
 # ---------------------------------------------------------------- folded BatchNorm
 
 def test_folded_inference_equals_the_unfolded_chain():
-    # an untaped inference runs each BatchNorm after a convolution in its
-    # kernel; a taped one runs every layer as it is
+    # an inference runs each BatchNorm after a convolution in its kernel; the
+    # reference runs every layer as it is
     rng = np.random.default_rng(40)
     model = load_model_spec(SPECS / "mnist.spec").initialize(rng)
     _randomize_batchnorms(model, rng)
     x = rng.normal(size=(8,) + model.input_shape)
     folded = model.forward(x)
-    unfolded = model.forward(x, tape=GradientTape())
+    unfolded = unfolded_inference(model, x)
     assert np.max(np.abs(folded - unfolded)) <= 1e-12 * np.max(np.abs(unfolded))
-
-
-def test_taped_inference_gradients_are_the_unfolded_layers():
-    # parameter gradients with respect to W and the BatchNorm's own arrays,
-    # not the folded W*a, against central differences of the folded pass
-    rng = np.random.default_rng(41)
-    model = FeatureExtractor([Conv2D(3, 3, 2), BatchNorm(), ReLU(), Flatten()], (2, 4, 4), 8)
-    model.initialize(rng)
-    model.params += rng.normal(scale=0.1, size=model.params.size)
-    _randomize_batchnorms(model, rng)
-    assert model.layers[0].norm is model.layers[1] and model.layers[1].folded
-    x = rng.normal(size=(3, 2, 4, 4))
-    proj = rng.normal(size=(3, 8))
-    tape = input_tape(x)
-    out = model.forward(x, mode="infer", tape=tape)
-    loss = np.asarray(np.sum(out * proj))
-    tape.record(loss, (out,), lambda g: (g * proj,), "proj")
-    dx, grads = backward(tape, loss)
-    assert [id(p) for p, _ in grads] == [id(p) for p in model.trainable_params]
-
-    def fn(_):
-        return float(np.sum(model.forward(x, mode="infer") * proj))
-
-    for array, grad in [(x, dx)] + grads:
-        assert relative_error(grad, numeric_gradient(fn, array, step=STEP)) < TOL
+    assert model.layers[0].norm is model.layers[1] and model.layers[1].folded   # restored
 
 
 def test_rewiring_clears_the_fold_links():
@@ -928,4 +914,4 @@ def test_rewiring_clears_the_fold_links():
     second = FeatureExtractor([conv, ReLU(), norm, Flatten()], (1, 4, 4), 8)
     assert conv.norm is None and not norm.folded
     x = rng.normal(size=(3, 1, 4, 4))
-    np.testing.assert_array_equal(second.forward(x), second.forward(x, tape=GradientTape()))
+    np.testing.assert_array_equal(second.forward(x), unfolded_inference(second, x))

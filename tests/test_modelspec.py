@@ -17,7 +17,8 @@ from divfe.modelspec import (SpecError, format_model_spec, load_model_spec,
 from divfe.numerics import GradientTape, ShapeError, backward
 from divfe.walsh import make_codebook
 
-from _gradcheck import STEP, TOL, input_tape, relative_error
+from _gradcheck import (STEP, TOL, input_tape, relative_error, train_forward,
+                        unfolded_inference)
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
 SPECS = sorted(SPEC_DIR.glob("*.spec"))
@@ -228,9 +229,9 @@ def test_random_spec_chains(text, seed, dense_max):
 
 def _check_spec_chain(text, seed):
     # a spec wires or raises ShapeError; a wired one formats back to its text,
-    # infers the same batched as per sample, folded as unfolded (the same pass
-    # on a tape, which keeps every BatchNorm its own layer), and the same after
-    # a checkpoint
+    # infers the same batched as per sample, folded as unfolded (every layer
+    # run as it is, each BatchNorm by its running statistics), and the same
+    # after a checkpoint
     try:
         model = parse_model_spec(text)
     except ShapeError:
@@ -247,7 +248,7 @@ def _check_spec_chain(text, seed):
     batched = model.forward(x)
     per_sample = np.concatenate([model.forward(x[i:i + 1]) for i in range(len(x))])
     np.testing.assert_allclose(batched, per_sample, rtol=1e-9, atol=1e-9)
-    unfolded = model.forward(x, tape=GradientTape())
+    unfolded = unfolded_inference(model, x)
     assert np.max(np.abs(batched - unfolded)) <= 1e-12 * np.max(np.abs(unfolded)), text
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.divf"
@@ -279,7 +280,7 @@ def _check_spec_chain_gradient(text, seed):
     target = rng.normal(size=(len(x), model.rank))
 
     def loss_at(_):
-        return float(mse_loss(model.forward(x, mode="train"), target))
+        return float(mse_loss(train_forward(model, x), target))
 
     tape = input_tape(x)
     loss = mse_loss(model.forward(x, mode="train", tape=tape), target, tape=tape)
