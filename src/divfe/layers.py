@@ -50,6 +50,17 @@ after a convolution into it (Jacob et al. 2018): the kernel runs with weights
 ``a = scale/sqrt(running_var + eps)``, from the current arrays on every
 call, and the BatchNorm returns its input. No backward runs in inference.
 
+A model computes in the dtype its spec's ``compute`` line names, float64 by
+default or float32, to which :class:`FeatureExtractor` casts each batch once;
+the parameters stay float64. ``_conv2d``, BatchNorm and ReLU compute in their
+input's dtype, casting the float64 weights, bias and affine coefficients to
+it (in float32 the row-window kernel reads half the bytes, and its stacked
+per-sample GEMMs keep each sample's rows independent of the batch).
+``_dense_conv`` and Dense compute in float64: a plain GEMM's float32 rows
+depend on the batch. Every backward returns ``dx`` in its input's dtype; a
+parameter gradient may be float32, and ``fit`` casts it to float64 for the
+update (mixed precision, Micikevicius et al. 2018).
+
 Each layer names its trainable arrays in ``param_names``. After
 initialisation :class:`FeatureExtractor` holds them all in one flat vector,
 ``params``, and every layer attribute is a reshaped view of its slice, so an
@@ -65,6 +76,8 @@ from .numerics import ContractError, GradientTape, ShapeError
 
 BN_EPSILON = 1e-5
 BN_MOMENTUM = 0.9
+# the dtypes a model may compute in (its spec's `compute` line)
+COMPUTE_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
 # The row-window kernel copies its row windows in blocks of whole samples of
 # at most this many bytes, so a block's windows and its output stay in a 2 MiB
 # per-core L2 cache (4 MiB blocks ran the mnist.spec convolutions about 1.4x
@@ -161,8 +174,9 @@ def _window_blocks(windows, width):
     yield ``(start, rows)``: the block's first sample and its windows as an
     ``(m, -1, width)`` array, valid until the next block."""
     n = len(windows)
-    step = max(1, min(n, _IM2COL_BLOCK_BYTES // (8 * math.prod(windows.shape[1:]))))
-    buf = np.empty((step,) + windows.shape[1:])
+    sample_bytes = windows.itemsize * math.prod(windows.shape[1:])
+    step = max(1, min(n, _IM2COL_BLOCK_BYTES // sample_bytes))
+    buf = np.empty((step,) + windows.shape[1:], windows.dtype)
     for s in range(0, n, step):
         m = min(step, n - s)
         np.copyto(buf[:m], windows[s:s + m])
@@ -179,17 +193,20 @@ def _conv2d(x, weights, bias, padding, input_grad=True):
     :func:`_window_blocks` walk each over the padded input's windows: row
     windows on several input planes, whole filter windows on one. ``dx``
     (``None`` without ``input_grad``) walks the row windows of ``dy`` padded
-    by fw-1 columns each side, on any number of input planes.
+    by fw-1 columns each side, on any number of input planes. It computes in
+    ``x``'s dtype: the weights and bias are cast to it, and every buffer, the
+    gradients included, is allocated in it.
     """
     signal, shapes = x.ndim == 3, (x.shape, weights.shape)
     if signal:
         x, weights = x[:, :, None], weights[:, :, None]
     n, c, h, w = x.shape
     planes, _, fh, fw = weights.shape
+    dtype = x.dtype
     xt = x.transpose(0, 2, 3, 1)                                   # (N, H, W, C)
     if padding == "same":
         top, left = (fh - 1) // 2, (fw - 1) // 2
-        xp = np.zeros((n, h + fh - 1, w + fw - 1, c))
+        xp = np.zeros((n, h + fh - 1, w + fw - 1, c), dtype)
         xp[:, top:top + h, left:left + w] = xt
     else:
         top = left = 0
@@ -202,8 +219,9 @@ def _conv2d(x, weights, bias, padding, input_grad=True):
     height = fh if c == 1 else 1
     width = height * fw * c
     windows = _windows(xp, height, fw)          # (N, Hp - height + 1, Wo, height, fw, C)
-    slabs = np.ascontiguousarray(weights.transpose(2, 3, 1, 0)).reshape(-1, width, planes)
-    y_nhwc = np.empty((n, ho, wo, planes))
+    slabs = np.ascontiguousarray(weights.transpose(2, 3, 1, 0), dtype).reshape(-1, width, planes)
+    bias = bias.astype(dtype, copy=False)
+    y_nhwc = np.empty((n, ho, wo, planes), dtype)
     whole = None
     for s, rows in _window_blocks(windows, width):
         yb = y_nhwc[s:s + len(rows)].reshape(-1, ho * wo, planes)
@@ -215,9 +233,9 @@ def _conv2d(x, weights, bias, padding, input_grad=True):
         whole = [(0, rows)] if len(rows) == n else None
 
     def bwd(dy):
-        dy_n = np.ascontiguousarray(dy.reshape(n, planes, ho, wo).transpose(0, 2, 3, 1))
+        dy_n = np.ascontiguousarray(dy.reshape(n, planes, ho, wo).transpose(0, 2, 3, 1), dtype)
         dy_m = dy_n.reshape(-1, planes)
-        db = np.ones(len(dy_m)) @ dy_m
+        db = np.ones(len(dy_m), dtype) @ dy_m
         dw = None
         for s, rows in whole or _window_blocks(windows, width):
             dyb = dy_n[s:s + len(rows)].reshape(-1, ho * wo, planes).swapaxes(-1, -2)
@@ -229,11 +247,11 @@ def _conv2d(x, weights, bias, padding, input_grad=True):
         if not input_grad:
             return None, dw, db
         # filter row u, reversed, meets the windows in padded input rows u..u+Ho
-        dxp = np.zeros(xp.shape)
-        dyp = np.zeros((n, ho, wp + fw - 1, planes))
+        dxp = np.zeros(xp.shape, dtype)
+        dyp = np.zeros((n, ho, wp + fw - 1, planes), dtype)
         dyp[:, :, fw - 1:fw - 1 + wo] = dy_n
         flipped = weights[:, :, :, ::-1].transpose(2, 3, 0, 1)    # (fh, fw, P, C)
-        back = np.ascontiguousarray(flipped).reshape(fh, fw * planes, c)
+        back = np.ascontiguousarray(flipped, dtype).reshape(fh, fw * planes, c)
         for s, rows in _window_blocks(_windows(dyp, 1, fw), fw * planes):
             dxb = dxp[s:s + len(rows)].reshape(len(rows), hp * wp, c)
             for u in range(fh):
@@ -265,7 +283,9 @@ def _dense_index(c, size, planes, extents, padding):
 def _dense_conv(x, weights, bias, padding, input_grad=True):
     """:func:`_conv2d`'s ``(y, bwd)`` by GEMMs against the dense matrix ``T``:
     ``x @ T.T + bias``, ``dy @ T`` (if ``input_grad``), and ``dy.T @ x`` binned
-    into ``dW``."""
+    into ``dW``. It computes in float64 whatever ``x``'s dtype, since ``T`` is
+    float64 (a plain GEMM's float32 rows would depend on the batch); ``dx``
+    takes ``x``'s dtype."""
     n, c, *size = x.shape
     planes = len(weights)
     idx, out = _dense_index(c, tuple(size), planes, weights.shape[2:], padding)
@@ -277,7 +297,8 @@ def _dense_conv(x, weights, bias, padding, input_grad=True):
 
     def bwd(dy):
         dy_m = dy.transpose(to_last).reshape(n, -1)
-        dx = (dy_m @ t).reshape(n, *size, c).transpose(to_first) if input_grad else None
+        dx = ((dy_m @ t).reshape(n, *size, c).transpose(to_first).astype(x.dtype, copy=False)
+              if input_grad else None)
         dw = np.bincount(idx.ravel(), (dy_m.T @ x_m).ravel(), weights.size + 1)[:-1]
         dy_p = dy_m.reshape(-1, planes)
         return dx, dw.reshape(weights.shape), np.ones(len(dy_p)) @ dy_p
@@ -363,6 +384,9 @@ class BatchNorm(Layer):
     ones. Either way forward is one affine map ``y = x*a + b`` on the ``(M, C)``
     channels-last matrix, ``a = scale/sqrt(var + eps)``, ``b = shift - mean*a``;
     backward, in training only, returns ``dy*a`` plus per-plane ``x*c + d``.
+    Both compute in ``x``'s dtype, to which ``a`` and ``b`` are cast (so ``c``
+    and ``d``, from training's batch statistics, are in it too); the running
+    statistics stay float64.
     """
 
     param_names = ("scale", "shift")
@@ -396,11 +420,11 @@ class BatchNorm(Layer):
         xt = x.transpose(to_last)
         # (M, C): a view of a convolution's output, a copy otherwise
         xm = xt.reshape(-1, self.planes)
-        m = len(xm)
+        m, dtype = len(xm), x.dtype
         if train:
             if x.shape[0] < 2:
                 raise ContractError("batch normalization needs batch size >= 2 in training")
-            ones = np.ones(m)
+            ones = np.ones(m, dtype)
             mean = (ones @ xm) / m
             sq = xm - mean
             sq *= sq
@@ -412,13 +436,13 @@ class BatchNorm(Layer):
         else:
             mean, var = self.running_mean, self.running_var
         inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
-        a = self.scale * inv_std
+        a = (self.scale * inv_std).astype(dtype, copy=False)
         ym = xm * a
-        ym += self.shift - mean * a
+        ym += (self.shift - mean * a).astype(dtype, copy=False)
 
         def bwd(dy):
             dym = dy.transpose(to_last).reshape(xm.shape)
-            ones = np.ones(m)
+            ones = np.ones(m, dtype)
             dbeta = ones @ dym
             prod = dym * xm
             dgamma = (ones @ prod - mean * dbeta) * inv_std
@@ -441,7 +465,7 @@ class ReLU(Layer):
 
     def _apply(self, x, train, input_grad=True):
         # a float gate: a bool*float multiply costs about 4x as much
-        return np.maximum(x, 0.0), lambda g: (g * (x > 0).astype(np.float64),)
+        return np.maximum(x, 0.0), lambda g: (g * (x > 0).astype(x.dtype),)
 
 
 class Flatten(Layer):
@@ -487,7 +511,8 @@ class Dense(Layer):
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ShapeError(f"Dense expects (N, {self.in_dim}), got {x.shape}")
         weights = self.weights
-        return x @ weights.T + self.bias, lambda dy: (dy @ weights, dy.T @ x, dy.sum(axis=0))
+        return x @ weights.T + self.bias, lambda dy: ((dy @ weights).astype(x.dtype, copy=False),
+                                                      dy.T @ x, dy.sum(axis=0))
 
 
 def mse_loss(output: np.ndarray, target: np.ndarray,
@@ -495,9 +520,10 @@ def mse_loss(output: np.ndarray, target: np.ndarray,
     """Sum of squared differences per sample, averaged over the batch.
 
     For a single rank-1 output this is the plain unnormalized sum of squares
-    with gradient 2*(output - target). Returns a 0-d float64 array.
+    with gradient 2*(output - target), computed in float64 and returned in the
+    output's dtype. Returns a 0-d float64 array.
     """
-    output = np.asarray(output, dtype=np.float64)
+    output = np.asarray(output)
     target = np.asarray(target, dtype=np.float64)
     if output.shape != target.shape:
         raise ShapeError(f"output {output.shape} vs target {target.shape}")
@@ -505,7 +531,8 @@ def mse_loss(output: np.ndarray, target: np.ndarray,
     diff = output - target
     loss = np.asarray(np.sum(diff * diff) / n)
     if tape is not None:
-        tape.record(loss, (output,), lambda g: (g * 2.0 * diff / n,), "mse")
+        tape.record(loss, (output,),
+                    lambda g: ((g * 2.0 * diff / n).astype(output.dtype, copy=False),), "mse")
     return loss
 
 
@@ -516,12 +543,17 @@ class FeatureExtractor:
     must be a flat vector of length ``rank`` (the Walsh codebook rank).
     :meth:`initialize` gathers every trainable array into the flat vector
     ``params`` (``None`` until then) and rebinds each as a view of its slice.
+    A forward casts its batch to the ``compute`` dtype, float64 or float32;
+    the parameters stay float64 either way.
     """
 
-    def __init__(self, layers: list, input_shape: tuple, rank: int):
+    def __init__(self, layers: list, input_shape: tuple, rank: int, compute="float64"):
         self.layers = list(layers)
         self.input_shape = tuple(int(d) for d in input_shape)
         self.rank = int(rank)
+        self.compute = np.dtype(compute)
+        if self.compute not in COMPUTE_DTYPES:
+            raise ContractError(f"compute dtype must be float32 or float64, got {self.compute}")
         self.output_shape = self._wire()
         self.params = None
 
@@ -588,7 +620,7 @@ class FeatureExtractor:
                              f"input {self.input_shape}")
 
     def _with_channel(self, x):
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=self.compute)
         if x.shape[1:] == self.input_shape:
             return x
         self.check_sample_shape(x.shape[1:])

@@ -1,17 +1,23 @@
 """Plain-text model description, shared by spec files, checkpoints and
 growth templates.
 
-A model spec has two header lines, then one layer per line::
+A model spec has two header lines and an optional third, then one layer per
+line::
 
     input 28x28          # 1D length, HxW image, or CxHxW planes
     walsh_rank 16
+    compute float32      # optional: float32 or float64 (the default)
     conv2d 3x3 20        # optional trailing 'same' selects zero padding
     batchnorm
     relu
     conv2d 26x26 16
     flatten
 
-A growth template (see :class:`divfe.trainer.GrowthTemplate`) has the same
+``compute`` names the dtype a forward and backward compute in (see
+:class:`divfe.layers.FeatureExtractor`); parameters and checkpoints are float64
+either way, and :func:`format_model_spec` writes the line only for float32.
+
+A growth template (see :class:`divfe.trainer.GrowthTemplate`) has the first
 two header lines plus ``planes N`` and an optional ``filters F...`` (lengths
 for 1D input, HxW for 2D); every scheduled convolution is followed by a ReLU.
 
@@ -20,7 +26,8 @@ arguments and a header or template key appears at most once. The parsed
 stack must wire to a flat output of length walsh_rank.
 """
 
-from .layers import BatchNorm, Conv1D, Conv2D, Dense, FeatureExtractor, Flatten, ReLU
+from .layers import (COMPUTE_DTYPES, BatchNorm, Conv1D, Conv2D, Dense, FeatureExtractor, Flatten,
+                     ReLU)
 from .trainer import GrowthTemplate
 
 
@@ -33,6 +40,7 @@ _CONVOLUTIONS = {cls.kind: cls for cls in (Conv1D, Conv2D)}
 _LAYERS = {cls.kind: (cls, types) for cls, types in (
     (Dense, (int,)), (BatchNorm, ()), (ReLU, ()), (Flatten, ()))}
 _TEMPLATE_KEYS = ("input", "walsh_rank", "planes", "filters")
+_COMPUTE_NAMES = tuple(dtype.name for dtype in COMPUTE_DTYPES)
 
 
 def _read(text, handle):
@@ -69,11 +77,19 @@ def _input_shape(token, lineno):
 
 
 def _header(values, lineno, kind, args):
-    """Reads an 'input' or 'walsh_rank' line into values."""
+    """Reads an 'input', 'walsh_rank' or 'compute' line into values."""
     if kind in values:
         raise SpecError(f"line {lineno}: duplicate {kind!r} line")
     (token,) = args
-    values[kind] = _input_shape(token, lineno) if kind == "input" else int(token)
+    if kind == "input":
+        values[kind] = _input_shape(token, lineno)
+    elif kind == "walsh_rank":
+        values[kind] = int(token)
+    elif token in _COMPUTE_NAMES:
+        values[kind] = token
+    else:
+        raise SpecError(f"line {lineno}: compute takes {' or '.join(_COMPUTE_NAMES)}, "
+                        f"got {token!r}")
 
 
 def _required(values, keys):
@@ -95,7 +111,7 @@ def parse_model_spec(text: str) -> FeatureExtractor:
     layers = []
 
     def line(lineno, kind, args):
-        if kind in ("input", "walsh_rank"):
+        if kind in ("input", "walsh_rank", "compute"):
             _header(header, lineno, kind, args)
         elif kind in _CONVOLUTIONS:
             extent, planes, *extra = args
@@ -109,7 +125,8 @@ def parse_model_spec(text: str) -> FeatureExtractor:
 
     _read(text, line)
     _required(header, ("input", "walsh_rank"))
-    return FeatureExtractor(layers, header["input"], header["walsh_rank"])
+    return FeatureExtractor(layers, header["input"], header["walsh_rank"],
+                            header.get("compute", "float64"))
 
 
 def format_model_spec(model: FeatureExtractor) -> str:
@@ -121,8 +138,10 @@ def format_model_spec(model: FeatureExtractor) -> str:
     else:
         raise SpecError(f"input shape {shape} has no spec form "
                         "(a 1D input has a single plane)")
-    lines = ["input " + "x".join(str(d) for d in dims),
-             f"walsh_rank {model.rank}"] + model.spec_lines()
+    lines = ["input " + "x".join(str(d) for d in dims), f"walsh_rank {model.rank}"]
+    if model.compute.name != "float64":
+        lines.append(f"compute {model.compute.name}")
+    lines += model.spec_lines()
     return "\n".join(lines) + "\n"
 
 

@@ -1,8 +1,10 @@
 """Reverse-mode gradients down a chain of layers.
 
-Tensors are plain numpy float64 arrays. Gradient shapes are checked
-explicitly and never broadcast implicitly: in a hand-wired network a silent
-broadcast is almost always a wiring bug.
+Tensors are plain numpy arrays: float64, or float32 between the layers of a
+model whose spec computes in float32 (the loss and the parameters stay
+float64). Gradient shapes are checked explicitly and never broadcast
+implicitly: in a hand-wired network a silent broadcast is almost always a
+wiring bug.
 
 The model is a plain chain: in training mode every layer records one entry
 on a :class:`GradientTape`, called on the previous entry's output, and the

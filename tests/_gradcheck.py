@@ -43,15 +43,28 @@ def input_tape(x):
     return tape
 
 
+def input_gradients(tape):
+    """``(input, dx)`` of every entry of a tape that ends in a scalar loss, from
+    the last entry to the first: the chain :func:`backward` walks."""
+    upstream, pairs = np.ones(()), []
+    for _, (inp, *_), backward_fn, _ in reversed(tape.entries):
+        upstream = backward_fn(upstream)[0]
+        pairs.append((inp, upstream))
+    return pairs
+
+
 def train_forward(layer, x):
     """A training pass of ``layer`` (or a model) on ``x``, on a throwaway tape."""
     return layer.forward(x, mode="train", tape=GradientTape())
 
 
 def unfolded_inference(model, x):
-    """``model``'s inference on ``x``, run layer by layer with every fold link
-    cleared, so that each convolution runs unfolded and each BatchNorm applies
-    its running-statistics map; the links are restored after."""
+    """``model``'s inference on ``x``, cast to its compute dtype as
+    :meth:`~divfe.layers.FeatureExtractor.forward` casts it, run layer by layer
+    with every fold link cleared, so that each convolution runs unfolded and
+    each BatchNorm applies its running-statistics map; the links are restored
+    after."""
+    x = np.asarray(x, dtype=model.compute)
     links = [(layer.norm, layer.folded) for layer in model.layers]
     try:
         for layer in model.layers:

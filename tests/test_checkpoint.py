@@ -1,8 +1,10 @@
 """Binary checkpoint persistence: bit-exact round trips and corruption checks."""
 
+import hashlib
 import struct
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +15,11 @@ from divfe.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from divfe.cli import main
 from divfe.data_io import FormatError, LabeledDataset, Standardizer, save_signals_csv
 from divfe.layers import BatchNorm, Conv1D, Conv2D, Dense, FeatureExtractor, Flatten, ReLU
+from divfe.modelspec import load_model_spec
 from divfe.numerics import GradientTape
 from divfe.walsh import make_codebook
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 
 def _model_1d():
@@ -73,6 +78,32 @@ def test_round_trip_with_normalizer(tmp_path):
     _, _, norm2 = load_checkpoint(path)
     np.testing.assert_array_equal(norm2.mean, norm.mean)
     np.testing.assert_array_equal(norm2.std, norm.std)
+
+
+def test_float64_checkpoint_keeps_its_bytes(tmp_path):
+    # a float64 model writes no `compute` line, so its checkpoint has the
+    # bytes it had before that header existed: this digest was taken then
+    model = _model_1d()
+    model.params[:] = np.linspace(-1, 1, model.params.size)
+    path = tmp_path / "m.divf"
+    save_checkpoint(model, make_codebook(3, 8), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "c563bf7f120445cd65d09313814297e0341f1ed28ce4570b825085d2e3f7ee29")
+
+
+def test_float32_checkpoint_round_trips_and_reloads_as_float32(tmp_path):
+    model = load_model_spec(SPECS / "mnist.spec").initialize(np.random.default_rng(4))
+    assert model.compute == np.float32
+    cb = make_codebook(10, 16)
+    first, again = tmp_path / "m.divf", tmp_path / "again.divf"
+    save_checkpoint(model, cb, first)
+    back, _, _ = load_checkpoint(first)
+    assert back.compute == np.float32
+    _assert_models_equal(model, back)
+    save_checkpoint(back, cb, again)
+    assert first.read_bytes() == again.read_bytes()
+    x = np.random.default_rng(5).random((3,) + model.input_shape)
+    np.testing.assert_array_equal(model.forward(x), back.forward(x))
 
 
 def test_file_starts_with_magic(tmp_path):

@@ -257,6 +257,17 @@ def test_malformed_model_spec_is_parse_error(tmp_path, signal_csv, capsys):
     assert "error=parse-error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["compute float16", "compute", "compute float32\ncompute float32"],
+                         ids=["float16", "bare", "repeated"])
+def test_bad_compute_line_is_parse_error(tmp_path, signal_csv, capsys, line):
+    model_path = tmp_path / "model.spec"
+    model_path.write_text(MODEL_SPEC.replace("walsh_rank 4\n", f"walsh_rank 4\n{line}\n"))
+    code = main(["train", "--model", str(model_path), "--data", str(signal_csv),
+                 "--format", "csv", "--out", str(tmp_path / "o.divf")])
+    assert code == 4
+    assert capsys.readouterr().err.startswith("error=parse-error: ")
+
+
 def test_corrupt_checkpoint_is_format_error(tmp_path, signal_csv, capsys):
     bad = tmp_path / "bad.divf"
     model = FeatureExtractor([Conv1D(3, 6), ReLU(), Flatten(), Dense(4)],

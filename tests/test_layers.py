@@ -19,8 +19,8 @@ from divfe.numerics import ContractError, GradientTape, ShapeError, backward
 from divfe.walsh import make_codebook
 
 from _gradcheck import (N_CONFIGS, STEP, TOL, analytic_grads,
-                        check_all_grads as _check_all_grads, input_tape, numeric_gradient,
-                        relative_error, train_forward, unfolded_inference)
+                        check_all_grads as _check_all_grads, input_gradients, input_tape,
+                        numeric_gradient, relative_error, train_forward, unfolded_inference)
 
 
 # ---------------------------------------------------------------- conv1d
@@ -728,6 +728,16 @@ def test_mse_loss_gradient():
         assert relative_error(dout, num) < TOL
 
 
+def test_mse_loss_returns_the_gradient_in_the_output_dtype():
+    # a float32 model output: the loss is float64, its gradient float32
+    out = np.array([[1.0, 2.0]], dtype=np.float32)
+    tape = GradientTape()
+    loss = mse_loss(out, np.zeros((1, 2)), tape=tape)
+    dout, _ = backward(tape, loss)
+    assert loss.dtype == np.float64 and dout.dtype == np.float32
+    np.testing.assert_array_equal(dout, [[2.0, 4.0]])
+
+
 def test_mse_loss_shape_mismatch():
     with pytest.raises(ShapeError):
         mse_loss(np.zeros((2, 3)), np.zeros((2, 4)))
@@ -822,6 +832,8 @@ def test_he_initialization_statistics():
 # ---------------------------------------------------------------- flat parameter vector
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
+# mnist.spec computes in float32; its text without that line is the float64 model
+MNIST_FLOAT64 = (SPECS / "mnist.spec").read_text().replace("compute float32\n", "")
 
 
 def _assert_params_are_views(model):
@@ -895,13 +907,27 @@ def test_folded_inference_equals_the_unfolded_chain():
     # an inference runs each BatchNorm after a convolution in its kernel; the
     # reference runs every layer as it is
     rng = np.random.default_rng(40)
-    model = load_model_spec(SPECS / "mnist.spec").initialize(rng)
+    model = parse_model_spec(MNIST_FLOAT64).initialize(rng)
     _randomize_batchnorms(model, rng)
     x = rng.normal(size=(8,) + model.input_shape)
     folded = model.forward(x)
     unfolded = unfolded_inference(model, x)
     assert np.max(np.abs(folded - unfolded)) <= 1e-12 * np.max(np.abs(unfolded))
     assert model.layers[0].norm is model.layers[1] and model.layers[1].folded   # restored
+
+
+def test_folded_float32_inference_equals_the_unfolded_chain():
+    # in float32 the folded weights W*a are rounded once where the unfolded
+    # chain rounds the convolution's output and BatchNorm's map; over seeds
+    # 40-49 the largest difference read 2.9e-7 to 5.6e-7 of the largest output
+    rng = np.random.default_rng(40)
+    model = load_model_spec(SPECS / "mnist.spec").initialize(rng)
+    assert model.compute == np.float32
+    _randomize_batchnorms(model, rng)
+    x = rng.normal(size=(8,) + model.input_shape)
+    folded = model.forward(x)
+    unfolded = unfolded_inference(model, x)
+    assert np.max(np.abs(folded - unfolded)) <= 2e-6 * np.max(np.abs(unfolded))
 
 
 def test_rewiring_clears_the_fold_links():
@@ -915,3 +941,78 @@ def test_rewiring_clears_the_fold_links():
     assert conv.norm is None and not norm.folded
     x = rng.normal(size=(3, 1, 4, 4))
     np.testing.assert_array_equal(second.forward(x), unfolded_inference(second, x))
+
+
+# ---------------------------------------------------------------- float32 compute
+
+@pytest.mark.parametrize("c, f, size", [(1, 3, 28), (20, 5, 26), (20, 7, 22), (20, 9, 16)],
+                         ids=["3x3-one-plane", "5x5", "7x7", "9x9"])
+def test_conv2d_float32_rows_do_not_depend_on_the_batch(c, f, size):
+    # mnist-infer checks batched against per-sample inference at 1e-9, below
+    # float32's rounding; it holds because the row-window kernel's stacked
+    # GEMMs give each sample the same bits at batch 256 as at batch 1 (the
+    # four row-window geometries of mnist.spec)
+    rng = np.random.default_rng(c + f)
+    x = rng.normal(size=(256, c, size, size)).astype(np.float32)
+    weights, bias = rng.normal(size=(20, c, f, f)), rng.normal(size=20)
+    y, _ = layers._conv2d(x, weights, bias, "valid")
+    assert y.dtype == np.float32
+    for i in range(len(x)):
+        single, _ = layers._conv2d(x[i:i + 1], weights, bias, "valid")
+        assert single.tobytes() == y[i:i + 1].tobytes(), i
+
+
+def test_float32_windows_count_their_itemsize_against_the_block_budget():
+    # mnist.spec's 3x3 one-plane layer at training's batch of 32: its whole
+    # filter windows take 1.56 MB in float64, two blocks that the weight
+    # gradient copies again, and 779 KB in float32, one block that it reuses
+    rng = np.random.default_rng(54)
+    weights, bias = rng.normal(size=(20, 1, 3, 3)), rng.normal(size=20)
+    for dtype, copies in ((np.float64, 4), (np.float32, 1)):
+        x = rng.random((32, 1, 28, 28)).astype(dtype)
+
+        def step():
+            y, bwd = layers._conv2d(x, weights, bias, "valid", input_grad=False)
+            bwd(np.ones_like(y))
+
+        blocks = _copied_blocks(step)
+        assert len(blocks) == copies and {b.dtype for b in blocks} == {np.dtype(dtype)}
+        assert all(b.nbytes <= layers._IM2COL_BLOCK_BYTES for b in blocks)
+
+
+def _mnist_gradients(text, x, target):
+    model = parse_model_spec(text).initialize(np.random.default_rng(0))
+    tape = GradientTape()
+    loss = mse_loss(model.forward(x, mode="train", tape=tape), target, tape=tape)
+    return [g for _, g in backward(tape, loss)[1]]
+
+
+def test_float32_gradients_match_float64():
+    # mnist.spec's step in float32 against its float64 copy, on the same
+    # weights and batch. Each array's largest error relative to the model's
+    # largest gradient read 1.0e-6 to 2.6e-6 over seeds 0-4 (1.6e-6 here);
+    # relative to its own size a convolution bias ahead of a BatchNorm reads
+    # ~1e8 instead, since its true gradient is exactly 0 and either dtype
+    # returns only its rounding
+    rng = np.random.default_rng(0)
+    x, target = rng.random((8, 1, 28, 28)), rng.normal(size=(8, 16))
+    low = _mnist_gradients((SPECS / "mnist.spec").read_text(), x, target)
+    high = _mnist_gradients(MNIST_FLOAT64, x, target)
+    top = max(np.max(np.abs(g)) for g in high)
+    assert {g.dtype for g in low} == {np.dtype(np.float32), np.dtype(np.float64)}
+    for i, (g32, g64) in enumerate(zip(low, high, strict=True)):
+        assert np.max(np.abs(g32 - g64)) <= 1e-5 * top, i
+
+
+def test_float32_step_returns_each_dx_in_its_input_dtype():
+    # every layer ahead of mnist.spec's float64 head takes float32 input; each
+    # backward, the head's included, returns dx in its input's dtype
+    rng = np.random.default_rng(53)
+    model = load_model_spec(SPECS / "mnist.spec").initialize(rng)
+    x = rng.random((4,) + model.input_shape).astype(np.float32)
+    tape = input_tape(x)
+    mse_loss(model.forward(x, mode="train", tape=tape), rng.normal(size=(4, 16)), tape=tape)
+    pairs = input_gradients(tape)
+    assert [inp.dtype for inp, _ in pairs] == [np.float64] * 2 + [np.float32] * 14
+    for inp, dx in pairs:
+        assert dx.dtype == inp.dtype and dx.shape == inp.shape

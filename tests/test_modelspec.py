@@ -17,7 +17,7 @@ from divfe.modelspec import (SpecError, format_model_spec, load_model_spec,
 from divfe.numerics import GradientTape, ShapeError, backward
 from divfe.walsh import make_codebook
 
-from _gradcheck import (STEP, TOL, input_tape, relative_error, train_forward,
+from _gradcheck import (STEP, TOL, input_gradients, input_tape, relative_error, train_forward,
                         unfolded_inference)
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
@@ -144,6 +144,7 @@ def test_format_round_trips_every_model(name):
     again = parse_model_spec(format_model_spec(model))
     assert again.input_shape == model.input_shape
     assert again.rank == model.rank
+    assert again.compute == model.compute
     assert again.spec_lines() == model.spec_lines()
 
 
@@ -190,17 +191,44 @@ def test_extra_tokens_and_duplicate_headers_rejected():
             parse_model_spec(text)
 
 
+@pytest.mark.parametrize("line, compute", [("", "float64"), ("compute float64\n", "float64"),
+                                           ("compute float32\n", "float32")])
+def test_compute_header_sets_the_dtype_and_is_written_for_float32_only(line, compute):
+    model = parse_model_spec(f"input 6x6\nwalsh_rank 4\n{line}" + SPEC_2D.split("\n", 2)[2])
+    assert model.compute == np.dtype(compute)
+    text = format_model_spec(model)
+    assert ("compute" in text) == (compute == "float32")
+    assert parse_model_spec(text).compute == model.compute
+    model.initialize(np.random.default_rng(0))
+    assert model.forward(np.ones((2, 6, 6))).shape == (2, 4)
+    assert load_model_spec(SPEC_DIR / "iris.spec").compute == np.float64
+    assert load_model_spec(SPEC_DIR / "mnist.spec").compute == np.float32
+
+
+@pytest.mark.parametrize("line", ["compute float16", "compute", "compute float32 float64",
+                                  "compute Float32", "compute float32\ncompute float32",
+                                  "compute float32\ncompute float64"])
+def test_bad_compute_lines_are_spec_errors(line):
+    with pytest.raises(SpecError):
+        parse_model_spec(f"input 4\nwalsh_rank 4\n{line}\nflatten\n")
+    with pytest.raises(SpecError):   # a growth template takes no compute line
+        parse_growth_template(f"input 4\nwalsh_rank 4\nplanes 2\n{line}\n")
+
+
 # ---------------------------------------------------------------- random spec chains
 
 @st.composite
-def _spec_texts(draw):
-    """Canonical spec text from the whole grammar. Convolutions mostly match
-    the input's dimension and the dense width mostly matches walsh_rank, so
-    about a third of the draws wire; the rest raise ShapeError."""
+def _spec_texts(draw, computes=("float64",)):
+    """Canonical spec text from the whole grammar, computing in one of
+    ``computes``. Convolutions mostly match the input's dimension and the
+    dense width mostly matches walsh_rank, so about a third of the draws wire;
+    the rest raise ShapeError."""
     ndim = draw(st.sampled_from((1, 2)))
     rank = draw(st.sampled_from((4, 8, 16)))
     size = st.integers(1, 16 if ndim == 1 else 8)
     lines = ["input " + "x".join(str(draw(size)) for _ in range(ndim)), f"walsh_rank {rank}"]
+    if draw(st.sampled_from(computes)) == "float32":
+        lines.append("compute float32")
     for _ in range(draw(st.integers(1, 4))):
         conv = draw(st.sampled_from((ndim,) * 7 + (3 - ndim,)))
         extent = "x".join(str(draw(st.integers(1, 3))) for _ in range(conv))
@@ -310,13 +338,19 @@ def _step_gradients(model, x, target, tape):
 def _check_step_without_input_grad(model, x, target):
     # a training step's tape asks its first layer for no dx, and its parameter
     # gradients equal, byte for byte, those of a tape with an identity entry
-    # ahead of that layer, which asks it for dx
+    # ahead of that layer, which asks it for dx; x is in the model's compute
+    # dtype, so that the identity entry's output is the first layer's input
+    x = x.astype(model.compute)
     skipped, grads = _step_gradients(model, x, target, GradientTape())
-    dx, ahead_grads = _step_gradients(model, x, target, input_tape(x))
+    tape = input_tape(x)
+    dx, ahead_grads = _step_gradients(model, x, target, tape)
     assert skipped is None and dx.shape == x.shape
     assert len(grads) == len(ahead_grads) == len(model.trainable_params)
     for (array, g), (ahead_array, ahead_g) in zip(grads, ahead_grads):
         assert ahead_array is array and ahead_g.tobytes() == g.tobytes()
+    # every entry returns its input gradient in its input's dtype
+    for inp, entry_dx in input_gradients(tape):
+        assert entry_dx.dtype == inp.dtype
 
 
 def _grown_to_depth_2():
@@ -340,7 +374,8 @@ def test_training_step_without_input_gradient(make, n):
 
 
 @settings(max_examples=100, deadline=None)
-@given(text=_spec_texts(), seed=st.integers(0, 2**32 - 1), dense_max=_dense_maxes)
+@given(text=_spec_texts(("float64", "float32")), seed=st.integers(0, 2**32 - 1),
+       dense_max=_dense_maxes)
 def test_random_spec_chain_steps_without_input_gradient(text, seed, dense_max):
     try:
         model = parse_model_spec(text)
