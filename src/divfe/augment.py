@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import ContractError
+from .numerics import ContractError, allocate
 
 # Each operation applies independently with probability OP_PROBABILITY: a gain
 # drawn uniformly from GAIN_RANGE, polarity inversion, a rotation by up to
@@ -94,10 +94,7 @@ def expand_training_set(dataset, config: AugmentConfig):
         return dataset
 
     n = samples.shape[0]
-    try:
-        out = np.empty((n * config.factor, samples.shape[1]))
-    except ValueError as exc:   # numpy's refusal of a byte count beyond any address space
-        raise MemoryError(str(exc)) from exc
+    out = allocate(np.empty, (n * config.factor, samples.shape[1]))
     labels = np.tile(dataset.labels, config.factor)
     out[:n] = samples
     for j in range(n * (config.factor - 1)):

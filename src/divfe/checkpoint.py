@@ -24,11 +24,11 @@ import zlib
 
 import numpy as np
 
-from .data_io import FormatError, Standardizer
+from .data_io import FormatError, ParseError, Standardizer
 from .layers import BatchNorm, Dense, FeatureExtractor
-from .modelspec import SpecError, format_model_spec, parse_model_spec
+from .modelspec import format_model_spec, parse_model_spec
 from .numerics import ContractError, ShapeError
-from .walsh import WalshCodebook, WalshError, make_codebook
+from .walsh import WalshCodebook, make_codebook
 
 MAGIC = b"DIVF"
 VERSION = 2
@@ -130,7 +130,7 @@ def load_checkpoint(path):
             normalizer = Standardizer(mean=r.array(shape), std=r.array(shape))
             if not (normalizer.std > 0).all():
                 raise FormatError(f"{path}: standardizer std must be positive")
-    except (SpecError, ShapeError, ContractError, WalshError, UnicodeDecodeError) as exc:
+    except (ParseError, ShapeError, ContractError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
     if r.pos != len(payload):
         raise FormatError(f"{path}: {len(payload) - r.pos} trailing bytes in payload")

@@ -6,13 +6,15 @@ through the counter scheme in :mod:`divfe.trainer` (SeedSequence(seed,
 spawn_key=(trial, stream))), so adding a consumer does not perturb the others.
 
 Failures exit nonzero with one machine-readable line on stderr:
-``error=<category>: <message>``; an allocation that cannot be met (a spec,
-template or augmentation factor too large for memory) is ``out-of-memory``.
+``error=<category>: <message>``, one exception type per category. Every text
+file is read by :func:`divfe.data_io.read_text`, so an undecodable one is a
+``parse-error`` naming it; an allocation that cannot be met (a spec, template
+or augmentation factor too large for memory) is ``out-of-memory``.
 """
 
 import argparse
+import io
 import sys
-from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,21 +23,21 @@ import numpy as np
 from . import divergence as div
 from .augment import AugmentConfig, expand_training_set
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data_io import (FormatError, LabeledDataset, ParseError, SplitSpec, Standardizer,
-                      load_iris, load_mnist_idx, load_signals_csv, save_signals_csv, split)
-from .modelspec import SpecError, load_model_spec, parse_growth_template
+from .data_io import (FormatError, LabeledDataset, ParseError, SplitSpec, Standardizer, load_iris,
+                      load_mnist_idx, load_signals_csv, read_text, save_signals_csv, split)
+from .modelspec import load_model_spec, parse_growth_template
 from .numerics import ContractError, ShapeError
 from .trainer import (STREAM_INIT, TrainConfig, TrainingDivergedError, check_growth_limits,
                       derive_rng, evaluate, fit, grow_layers)
-from .walsh import WalshError, make_codebook
+from .walsh import make_codebook
 
 _ERROR_CATEGORIES = [
     (TrainingDivergedError, "training-diverged", 8),
     (div.InsufficientDataError, "insufficient-data", 7),
-    ((ContractError, WalshError), "contract-error", 7),
+    (ContractError, "contract-error", 7),
     (ShapeError, "wiring-error", 6),
     (FormatError, "format-error", 5),
-    ((ParseError, SpecError, UnicodeDecodeError), "parse-error", 4),
+    (ParseError, "parse-error", 4),
     (OSError, "io-error", 3),
     (MemoryError, "out-of-memory", 9),
 ]
@@ -67,22 +69,22 @@ def _load_run_config(path) -> tuple[TrainConfig, SplitSpec]:
     them checks every value, so a bad one is refused before any data is read."""
     cfg = RunConfig()
     casts = {f.name: type(getattr(cfg, f.name)) for f in cfg.__dataclass_fields__.values()}
-    with open(path, encoding="utf-8") if path is not None else nullcontext([]) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            cast = casts.pop(key, None)
-            if cast is None:
-                problem = "duplicate" if key in cfg.__dataclass_fields__ else "unknown"
-                raise ParseError(f"{path}:{lineno}: {problem} config key {key!r}")
-            try:
-                setattr(cfg, key, cast(value))
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
+    text = read_text(path)[1] if path is not None else ""
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParseError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        cast = casts.pop(key, None)
+        if cast is None:
+            problem = "duplicate" if key in cfg.__dataclass_fields__ else "unknown"
+            raise ParseError(f"{path}:{lineno}: {problem} config key {key!r}")
+        try:
+            setattr(cfg, key, cast(value))
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
     augment = AugmentConfig(factor=cfg.augment_factor, seed=cfg.seed)
     return (TrainConfig(learning_rate=cfg.lr, batch_size=cfg.batch, max_epochs=cfg.epochs,
                         patience=cfg.patience, seed=cfg.seed, augment=augment),
@@ -116,10 +118,6 @@ def _load_split(args, rank, split_spec: SplitSpec):
         return codebook, parts, None
     normalizer = Standardizer.fit(np.concatenate([parts[0].samples, parts[1].samples]))
     return codebook, tuple(normalizer.apply(part) for part in parts), normalizer
-
-
-def _print_confusion(confusion):
-    print("confusion=" + ";".join(",".join(str(v) for v in row) for row in confusion))
 
 
 def cmd_train(args) -> int:
@@ -177,7 +175,7 @@ def cmd_eval(args) -> int:
     _, _, result = _score_checkpoint(args)
     print(f"accuracy={result.accuracy:.9g}")
     print(f"loss={result.mean_loss:.9g}")
-    _print_confusion(result.confusion)
+    print("confusion=" + ";".join(",".join(str(v) for v in row) for row in result.confusion))
     return 0
 
 
@@ -202,7 +200,7 @@ def cmd_divergence(args) -> int:
 def cmd_grow(args) -> int:
     train_config, split_spec = _load_run_config(args.config)
     check_growth_limits(args.threshold, args.max_depth)
-    template, rank = parse_growth_template(args.template.read_text(encoding="utf-8"))
+    template, rank = parse_growth_template(read_text(args.template)[1])
     codebook, (train_set, val_set, test_set), normalizer = _load_split(args, rank, split_spec)
     model, report = grow_layers(template, train_set, val_set, codebook,
                                 train_config, threshold=args.threshold,

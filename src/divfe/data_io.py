@@ -85,7 +85,7 @@ def _finite_floats(fields):
     return values
 
 
-def _read_text(path):
+def read_text(path):
     """The file's bytes and their UTF-8 text; ``ParseError`` naming the file if undecodable."""
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -118,7 +118,7 @@ def load_iris(path) -> LabeledDataset:
     """
     rows = []
     names = []
-    for lineno, row in _csv_rows(path, _read_text(path)[1]):
+    for lineno, row in _csv_rows(path, read_text(path)[1]):
         if len(row) != 5:
             raise ParseError(f"{path}:{lineno}: expected 4 features + class name, "
                              f"got {len(row)} fields")
@@ -191,7 +191,7 @@ def _number_table(raw, text):
 def load_signals_csv(path) -> LabeledDataset:
     """CSV rows of an integer label followed by fixed-length signal samples; the row
     walk reads what numpy's parser does not take, and alone raises ``ParseError``."""
-    raw, text = _read_text(path)
+    raw, text = read_text(path)
     table = _number_table(raw, text)
     if table is not None:   # contiguous as the walk's: a strided view sums in another order
         return LabeledDataset(samples=np.ascontiguousarray(table["x"]), labels=table["label"],

@@ -72,7 +72,7 @@ import math
 
 import numpy as np
 
-from .numerics import ContractError, GradientTape, ShapeError
+from .numerics import ContractError, GradientTape, ShapeError, allocate
 
 BN_EPSILON = 1e-5
 BN_MOMENTUM = 0.9
@@ -149,10 +149,7 @@ class Layer:
 
 
 def _he_init(rng, shape, fan_in):
-    try:
-        return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
-    except ValueError as exc:   # numpy's refusal of a size beyond any address space
-        raise MemoryError(str(exc)) from exc
+    return allocate(rng.normal, 0.0, np.sqrt(2.0 / fan_in), size=shape)
 
 
 def _windows(xp, fh, fw):
@@ -554,7 +551,7 @@ class FeatureExtractor:
         self.compute = np.dtype(compute)
         if self.compute not in COMPUTE_DTYPES:
             raise ContractError(f"compute dtype must be float32 or float64, got {self.compute}")
-        self.output_shape = self._wire()
+        self._wire()
         self.params = None
 
     def _wire(self):
@@ -569,7 +566,6 @@ class FeatureExtractor:
             raise ShapeError(
                 f"model output shape {shape} must be ({self.rank},) to match the codebook rank"
             )
-        return shape
 
     def initialize(self, seed: int | np.random.Generator = 0):
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)

@@ -22,17 +22,15 @@ two header lines plus ``planes N`` and an optional ``filters F...`` (lengths
 for 1D input, HxW for 2D); every scheduled convolution is followed by a ReLU.
 
 Blank lines and '#' comments are ignored. Every keyword takes exactly its
-arguments and a header or template key appears at most once. The parsed
+arguments and a header or template key appears at most once; a line that breaks
+these rules is a :class:`~divfe.data_io.ParseError` naming it. The parsed
 stack must wire to a flat output of length walsh_rank.
 """
 
+from .data_io import ParseError, read_text
 from .layers import (COMPUTE_DTYPES, BatchNorm, Conv1D, Conv2D, Dense, FeatureExtractor, Flatten,
                      ReLU)
 from .trainer import GrowthTemplate
-
-
-class SpecError(ValueError):
-    pass
 
 
 _CONVOLUTIONS = {cls.kind: cls for cls in (Conv1D, Conv2D)}
@@ -45,7 +43,7 @@ _COMPUTE_NAMES = tuple(dtype.name for dtype in COMPUTE_DTYPES)
 
 def _read(text, handle):
     """Calls handle(lineno, keyword, args) for every non-blank line; any other
-    ValueError it raises becomes a SpecError naming the line."""
+    ValueError it raises becomes a ParseError naming the line."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split("#", 1)[0].split()
         if not tokens:
@@ -53,33 +51,33 @@ def _read(text, handle):
         kind = tokens[0].lower()
         try:
             handle(lineno, kind, tokens[1:])
-        except SpecError:
+        except ParseError:
             raise
         except ValueError as exc:
-            raise SpecError(f"line {lineno}: malformed {kind!r} line: {raw.strip()!r}") from exc
+            raise ParseError(f"line {lineno}: malformed {kind!r} line: {raw.strip()!r}") from exc
 
 
 def _dims(token, lineno):
     try:
         dims = tuple(int(d) for d in token.lower().split("x"))
     except ValueError as exc:
-        raise SpecError(f"line {lineno}: bad dimensions {token!r}") from exc
+        raise ParseError(f"line {lineno}: bad dimensions {token!r}") from exc
     if any(d < 1 for d in dims):
-        raise SpecError(f"line {lineno}: dimensions must be positive")
+        raise ParseError(f"line {lineno}: dimensions must be positive")
     return dims
 
 
 def _input_shape(token, lineno):
     dims = _dims(token, lineno)
     if len(dims) > 3:
-        raise SpecError(f"line {lineno}: input takes 1 to 3 dimensions")
+        raise ParseError(f"line {lineno}: input takes 1 to 3 dimensions")
     return dims if len(dims) == 3 else (1,) + dims
 
 
 def _header(values, lineno, kind, args):
     """Reads an 'input', 'walsh_rank' or 'compute' line into values."""
     if kind in values:
-        raise SpecError(f"line {lineno}: duplicate {kind!r} line")
+        raise ParseError(f"line {lineno}: duplicate {kind!r} line")
     (token,) = args
     if kind == "input":
         values[kind] = _input_shape(token, lineno)
@@ -88,14 +86,14 @@ def _header(values, lineno, kind, args):
     elif token in _COMPUTE_NAMES:
         values[kind] = token
     else:
-        raise SpecError(f"line {lineno}: compute takes {' or '.join(_COMPUTE_NAMES)}, "
-                        f"got {token!r}")
+        raise ParseError(f"line {lineno}: compute takes {' or '.join(_COMPUTE_NAMES)}, "
+                         f"got {token!r}")
 
 
 def _required(values, keys):
     for key in keys:
         if key not in values:
-            raise SpecError(f"missing {key!r} line")
+            raise ParseError(f"missing {key!r} line")
 
 
 def _padding(extra, lineno):
@@ -103,7 +101,7 @@ def _padding(extra, lineno):
         return "valid"
     if extra == ["same"]:
         return "same"
-    raise SpecError(f"line {lineno}: unexpected tokens {' '.join(extra)!r}")
+    raise ParseError(f"line {lineno}: unexpected tokens {' '.join(extra)!r}")
 
 
 def parse_model_spec(text: str) -> FeatureExtractor:
@@ -121,7 +119,7 @@ def parse_model_spec(text: str) -> FeatureExtractor:
             cls, types = _LAYERS[kind]
             layers.append(cls(*(cast(arg) for cast, arg in zip(types, args, strict=True))))
         else:
-            raise SpecError(f"line {lineno}: unknown layer {kind!r}")
+            raise ParseError(f"line {lineno}: unknown layer {kind!r}")
 
     _read(text, line)
     _required(header, ("input", "walsh_rank"))
@@ -136,8 +134,8 @@ def format_model_spec(model: FeatureExtractor) -> str:
     elif len(shape) == 2 and shape[0] == 1:
         dims = shape[1:]
     else:
-        raise SpecError(f"input shape {shape} has no spec form "
-                        "(a 1D input has a single plane)")
+        raise ParseError(f"input shape {shape} has no spec form "
+                         "(a 1D input has a single plane)")
     lines = ["input " + "x".join(str(d) for d in dims), f"walsh_rank {model.rank}"]
     if model.compute.name != "float64":
         lines.append(f"compute {model.compute.name}")
@@ -146,8 +144,7 @@ def format_model_spec(model: FeatureExtractor) -> str:
 
 
 def load_model_spec(path) -> FeatureExtractor:
-    with open(path, encoding="utf-8") as fh:
-        return parse_model_spec(fh.read())
+    return parse_model_spec(read_text(path)[1])
 
 
 def parse_growth_template(text: str):
@@ -156,12 +153,12 @@ def parse_growth_template(text: str):
 
     def line(lineno, kind, args):
         if kind not in _TEMPLATE_KEYS:
-            raise SpecError(f"line {lineno}: unknown growth template key {kind!r}")
+            raise ParseError(f"line {lineno}: unknown growth template key {kind!r}")
         if kind in ("input", "walsh_rank"):
             _header(values, lineno, kind, args)
             return
         if kind in values:
-            raise SpecError(f"line {lineno}: duplicate {kind!r} line")
+            raise ParseError(f"line {lineno}: duplicate {kind!r} line")
         if kind == "filters":
             values[kind] = (lineno, [_dims(token, lineno) for token in args])
         else:   # planes
@@ -173,8 +170,8 @@ def parse_growth_template(text: str):
     input_shape = values["input"]
     lineno, filters = values.get("filters", (0, []))
     if any(len(f) != len(input_shape) - 1 for f in filters):
-        raise SpecError(f"line {lineno}: a {len(input_shape) - 1}D input takes "
-                        f"{len(input_shape) - 1}D filters")
+        raise ParseError(f"line {lineno}: a {len(input_shape) - 1}D input takes "
+                         f"{len(input_shape) - 1}D filters")
     template = GrowthTemplate(input_shape=input_shape,
                               filters=tuple(f[0] if len(f) == 1 else f for f in filters),
                               planes=values["planes"])

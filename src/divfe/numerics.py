@@ -4,7 +4,9 @@ Tensors are plain numpy arrays: float64, or float32 between the layers of a
 model whose spec computes in float32 (the loss and the parameters stay
 float64). Gradient shapes are checked explicitly and never broadcast
 implicitly: in a hand-wired network a silent broadcast is almost always a
-wiring bug.
+wiring bug, a :class:`ShapeError`. Any other broken precondition is a
+:class:`ContractError`, and :func:`allocate` is the one place that turns
+numpy's refusal of an impossible size into a ``MemoryError``.
 
 The model is a plain chain: in training mode every layer records one entry
 on a :class:`GradientTape`, called on the previous entry's output, and the
@@ -22,6 +24,15 @@ class ShapeError(ValueError):
 
 class ContractError(ValueError):
     pass
+
+
+def allocate(make, *args, **kwargs):
+    """``make(*args, **kwargs)``, with numpy's ``ValueError`` for a size beyond any
+    address space raised as the ``MemoryError`` it stands for."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise MemoryError(str(exc)) from exc
 
 
 class GradientTape:

@@ -61,7 +61,6 @@ class TrainConfig:
 @dataclass
 class TrainReport:
     train_loss: list = field(default_factory=list)
-    val_loss: list = field(default_factory=list)
     val_accuracy: list = field(default_factory=list)
     epochs_run: int = 0
     best_epoch: int = 0
@@ -111,10 +110,6 @@ def evaluate(model: FeatureExtractor, dataset: LabeledDataset,
                       outputs=np.concatenate(outputs))
 
 
-def _has_batchnorm(model):
-    return any(isinstance(layer, BatchNorm) for layer in model.layers)
-
-
 def fit(model: FeatureExtractor, train_set: LabeledDataset,
         validation_set: LabeledDataset, codebook: WalshCodebook,
         config: TrainConfig, trial: int = 0,
@@ -132,7 +127,7 @@ def fit(model: FeatureExtractor, train_set: LabeledDataset,
 
     if config.augment is not None and config.augment.factor > 1:
         train_set = expand_training_set(train_set, config.augment)
-    needs_batch2 = _has_batchnorm(model)
+    needs_batch2 = any(isinstance(layer, BatchNorm) for layer in model.layers)
     if needs_batch2 and min(config.batch_size, len(train_set)) < 2:
         raise ContractError("batch normalization needs training batches of at least "
                             "2 samples")
@@ -185,7 +180,6 @@ def fit(model: FeatureExtractor, train_set: LabeledDataset,
         if not np.isfinite(val.mean_loss):
             raise TrainingDivergedError(f"non-finite validation loss at epoch {epoch}")
         report.train_loss.append(float(np.mean(batch_losses)))
-        report.val_loss.append(val.mean_loss)
         report.val_accuracy.append(val.accuracy)
         report.epochs_run = epoch
         if log is not None:
@@ -308,12 +302,11 @@ def grow_layers(template: GrowthTemplate, train_set: LabeledDataset,
         history.append((depth, train_acc))
         if best is None or train_acc > best[0]:
             best = (train_acc, depth, model, report)
-        if threshold == 0.0 or train_acc > threshold:
-            report.growth_history = history
-            report.depth = depth
-            return model, report
+        cleared = threshold == 0.0 or train_acc > threshold
+        if cleared:   # every earlier depth read at most the threshold: this one is best
+            break
     _, depth, model, report = best
     report.growth_history = history
     report.depth = depth
-    report.cap_reached = True
+    report.cap_reached = not cleared
     return model, report

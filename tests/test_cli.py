@@ -216,6 +216,24 @@ def test_undecodable_growth_template_is_parse_error(tmp_path, signal_csv, capsys
     assert "error=parse-error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--model", "--config", "--template"])
+def test_undecodable_text_file_is_parse_error_naming_it(tmp_path, signal_csv, capsys, flag):
+    files = {"--model": MODEL_SPEC, "--config": CONFIG,
+             "--template": "input 8\nwalsh_rank 4\nplanes 6\n"}
+    paths = {name: tmp_path / f"file{i}.txt" for i, name in enumerate(files)}
+    for name, text in files.items():
+        paths[name].write_text(text)
+    paths[flag].write_bytes(b"# a comment\n\xff\n")
+    if flag == "--template":
+        args = ["grow", "--template", str(paths[flag])]
+    else:
+        args = ["train", "--model", str(paths["--model"]), "--config", str(paths["--config"]),
+                "--out", str(tmp_path / "o.divf")]
+    code = main(args + ["--data", str(signal_csv), "--format", "csv"])
+    assert code == 4
+    assert capsys.readouterr().err.startswith(f"error=parse-error: {paths[flag]}: ")
+
+
 def test_augment_command(tmp_path, signal_csv, capsys):
     out = tmp_path / "augmented.csv"
     assert main(["augment", "--data", str(signal_csv), "--out", str(out),
@@ -645,6 +663,10 @@ def test_run_config_skips_blank_and_comment_lines(tmp_path, capsys):
     assert main(argv) == 4
     assert capsys.readouterr().err == (f"error=parse-error: {config_path}:4: "
                                        "expected key=value, got 'lr 0.01'\n")
+    # lines end where open() ends them: at \r, \r\n and \n, not at U+0085
+    config_path.write_bytes(b"# a\xc2\x85 comment\r\nepochs = 3\r\rlr 0.01\r")
+    assert main(argv) == 4
+    assert capsys.readouterr().err.startswith(f"error=parse-error: {config_path}:4: ")
 
 
 @pytest.mark.parametrize("line", ["augment_snr_db = nan", "augment_gain_low = -inf",

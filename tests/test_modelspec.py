@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from divfe import layers, modelspec
 from divfe.checkpoint import load_checkpoint, save_checkpoint
+from divfe.data_io import ParseError
 from divfe.layers import (BatchNorm, Conv1D, Conv2D, Dense, FeatureExtractor, Flatten,
                           Layer, ReLU, mse_loss)
-from divfe.modelspec import (SpecError, format_model_spec, load_model_spec,
-                             parse_growth_template, parse_model_spec)
+from divfe.modelspec import (format_model_spec, load_model_spec, parse_growth_template,
+                             parse_model_spec)
 from divfe.numerics import GradientTape, ShapeError, backward
 from divfe.walsh import make_codebook
 
@@ -63,7 +64,7 @@ def test_parse_2d_spec():
     assert model.input_shape == (1, 6, 6)
     assert model.rank == 4
     assert isinstance(model.layers[0], Conv2D)
-    assert model.output_shape == (4,)
+    assert model.initialize(0).forward(np.zeros((2, 6, 6))).shape == (2, model.rank)
 
 
 def test_round_trip_through_formatter():
@@ -80,26 +81,26 @@ def test_comments_and_blank_lines_ignored():
 
 
 def test_missing_headers():
-    with pytest.raises(SpecError, match="input"):
+    with pytest.raises(ParseError, match="input"):
         parse_model_spec("walsh_rank 8\nflatten\n")
-    with pytest.raises(SpecError, match="walsh_rank"):
+    with pytest.raises(ParseError, match="walsh_rank"):
         parse_model_spec("input 4\nflatten\n")
 
 
 def test_unknown_layer_and_bad_tokens():
     for line in ("softmax", "maxpool 2", "dropout 0.5"):
-        with pytest.raises(SpecError, match="unknown layer"):
+        with pytest.raises(ParseError, match="unknown layer"):
             parse_model_spec(f"input 4\nwalsh_rank 4\n{line}\n")
-    with pytest.raises(SpecError, match="malformed"):
+    with pytest.raises(ParseError, match="malformed"):
         parse_model_spec("input 4\nwalsh_rank 4\nconv1d two 10\n")
-    with pytest.raises(SpecError):
+    with pytest.raises(ParseError):
         parse_model_spec("input 4\nwalsh_rank 4\nconv1d 2 10 padded\n")
-    with pytest.raises(SpecError):
+    with pytest.raises(ParseError):
         parse_model_spec("input 0x4\nwalsh_rank 4\nflatten\n")
     # wrong extent counts, a bad or zero extent, and wrong argument counts
     for line in ("conv1d 3x3 4", "conv2d 3 4", "conv2d 3x3x3 4", "conv2d 3xq 4",
                  "conv2d 0x3 4", "dense 4 4", "relu 1", "dense"):
-        with pytest.raises(SpecError):
+        with pytest.raises(ParseError):
             parse_model_spec(f"input 6x6\nwalsh_rank 4\n{line}\n")
 
 
@@ -109,7 +110,7 @@ def test_unknown_layer_and_bad_tokens():
     ("input 4\nwalsh_rank 4\nflatten\ndense 0\n", 4),           # a zero-width dense
 ], ids=["input-4xa", "input-2x2x2x2", "dense-0"])
 def test_bad_sizes_name_their_line(text, lineno):
-    with pytest.raises(SpecError, match=f"^line {lineno}: "):
+    with pytest.raises(ParseError, match=f"^line {lineno}: "):
         parse_model_spec(text)
 
 
@@ -177,7 +178,7 @@ def test_every_layer_kind_is_traceable_by_its_spec_keyword():
 
 def test_multi_plane_1d_input_has_no_spec_form():
     model = FeatureExtractor([Conv1D(3, 2), Flatten(), Dense(4)], (2, 8), 4)
-    with pytest.raises(SpecError):
+    with pytest.raises(ParseError):
         format_model_spec(model)
 
 
@@ -187,7 +188,7 @@ def test_extra_tokens_and_duplicate_headers_rejected():
                  "input 4\nwalsh_rank 4\nrelu yes\nflatten\n",
                  "input 4\nwalsh_rank 4\nflatten\ndense 4 4\n",
                  "input 4\ninput 4\nwalsh_rank 4\nflatten\n"):
-        with pytest.raises(SpecError):
+        with pytest.raises(ParseError):
             parse_model_spec(text)
 
 
@@ -209,9 +210,9 @@ def test_compute_header_sets_the_dtype_and_is_written_for_float32_only(line, com
                                   "compute Float32", "compute float32\ncompute float32",
                                   "compute float32\ncompute float64"])
 def test_bad_compute_lines_are_spec_errors(line):
-    with pytest.raises(SpecError):
+    with pytest.raises(ParseError):
         parse_model_spec(f"input 4\nwalsh_rank 4\n{line}\nflatten\n")
-    with pytest.raises(SpecError):   # a growth template takes no compute line
+    with pytest.raises(ParseError):   # a growth template takes no compute line
         parse_growth_template(f"input 4\nwalsh_rank 4\nplanes 2\n{line}\n")
 
 
@@ -426,5 +427,5 @@ def test_growth_template_without_filters_is_depth_one():
     "input 8\nwalsh_rank 4\nplanes 6\nrelu\n",
 ])
 def test_malformed_growth_template(text):
-    with pytest.raises(SpecError):
+    with pytest.raises(ParseError):
         parse_growth_template(text)

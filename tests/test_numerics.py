@@ -1,9 +1,11 @@
 """The reverse walk down a tape's chain and the finite-difference reference."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from divfe.numerics import ContractError, GradientTape, ShapeError, backward
+from divfe.numerics import ContractError, GradientTape, ShapeError, allocate, backward
 
 from _gradcheck import numeric_gradient, relative_error
 
@@ -163,3 +165,24 @@ def test_relative_error_definition():
     assert relative_error([2.0, 0.5], [2.0, 0.0]) == 0.5
     assert relative_error([4.0], [2.0]) == 1.0
     assert relative_error(np.empty(0), np.empty(0)) == 0.0
+
+
+def test_allocate_turns_an_impossible_size_into_memory_error_without_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):   # numpy's own refusal, which allocate translates
+            np.empty((1 << 62, 1 << 62))
+        with pytest.raises(MemoryError):
+            allocate(np.empty, (1 << 62, 1 << 62))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_allocate_returns_other_results_unchanged():
+    out = allocate(np.full, (2, 3), 7, dtype=np.int8)
+    assert out.dtype == np.int8 and out.shape == (2, 3) and (out == 7).all()
+    result = object()
+    assert allocate(lambda *args, **kwargs: (result, args, kwargs), 1, key=2) == (
+        result, (1,), {"key": 2})

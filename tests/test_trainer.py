@@ -75,9 +75,9 @@ def test_fit_restores_best_validation_weights():
     model = _linear_model().initialize(np.random.default_rng(4))
     cfg = TrainConfig(learning_rate=0.01, batch_size=16, max_epochs=40,
                       patience=40, seed=0)
-    report = fit(model, train, val, cb, cfg)
-    assert evaluate(model, val, cb).mean_loss == pytest.approx(
-        min(report.val_loss), rel=1e-12)
+    val_losses = []
+    fit(model, train, val, cb, cfg, log=lambda epoch, tl, vl, va: val_losses.append(vl))
+    assert evaluate(model, val, cb).mean_loss == pytest.approx(min(val_losses), rel=1e-12)
 
 
 def test_fit_early_stops_on_patience():
@@ -288,7 +288,8 @@ def test_growth_template_2d_builds_every_depth():
     for depth in range(1, template.max_depth + 1):
         model = template.build_model(depth, 8)
         assert model.spec_lines() == expected[depth] + ["flatten"]
-        assert model.input_shape == (1, 6, 5) and model.output_shape == (8,)
+        assert model.input_shape == (1, 6, 5) and model.rank == 8
+        assert model.initialize(0).forward(np.zeros((1, 6, 5))).shape == (1, 8)
 
 
 def test_growth_template_2d_schedule_outgrowing_the_map():

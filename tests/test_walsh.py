@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from divfe.walsh import WalshCodebook, WalshError, make_codebook
+from divfe.numerics import ContractError
+from divfe.walsh import WalshCodebook, make_codebook
 
 # Known-good 8x8 modified (0/1) Walsh matrix under the Sylvester ordering.
 WALSH_8 = np.array([
@@ -68,7 +69,7 @@ def test_pairwise_hamming_distance_is_half_rank():
 
 def test_invalid_ranks_rejected():
     for bad in (0, 1, 3, 6, 12, -4, 2.5, "8"):
-        with pytest.raises(WalshError):
+        with pytest.raises(ContractError):
             make_codebook(1, bad)
 
 
@@ -112,9 +113,9 @@ def test_codebook_builds_only_its_class_rows():
 
 def test_capacity_limit_is_rank_minus_one():
     assert make_codebook(15, 16).class_count == 15
-    with pytest.raises(WalshError):
+    with pytest.raises(ContractError):
         make_codebook(16, 16)
-    with pytest.raises(WalshError):
+    with pytest.raises(ContractError):
         make_codebook(8, 8)
 
 
@@ -130,7 +131,7 @@ def test_codebook_beyond_any_address_space_is_memory_error_before_allocating():
 
 
 def test_class_count_must_be_positive():
-    with pytest.raises(WalshError):
+    with pytest.raises(ContractError):
         make_codebook(0, 8)
 
 
