@@ -126,8 +126,8 @@ def load_checkpoint(path):
             raise FormatError(f"{path}: bad normalizer flag {has_norm}")
         normalizer = None
         if has_norm:
-            shape = model.input_shape[1:] if model.input_shape[0] == 1 else model.input_shape
-            normalizer = Standardizer(mean=r.array(shape), std=r.array(shape))
+            normalizer = Standardizer(mean=r.array(model.sample_shape),
+                                      std=r.array(model.sample_shape))
             if not (normalizer.std > 0).all():
                 raise FormatError(f"{path}: standardizer std must be positive")
     except (ParseError, ShapeError, ContractError, UnicodeDecodeError) as exc:

@@ -151,15 +151,12 @@ def cmd_train(args) -> int:
 
 def _score_checkpoint(args):
     """The checkpoint's codebook, ``--data``'s labels and its ``evaluate`` result on that
-    data, normalised as in training. Samples the model does not take, labels the
-    checkpoint has no class for, and stored values that pass ``load_checkpoint``'s checks
-    but overflow once applied (a tiny standardizer std, huge weights) are rejected."""
+    data, normalised as in training. Samples the model does not take, and stored values
+    that pass ``load_checkpoint``'s checks but overflow once applied (a tiny standardizer
+    std, huge weights) are rejected; ``evaluate`` rejects labels with no codebook row."""
     model, codebook, normalizer = load_checkpoint(args.checkpoint)
     dataset = _load_dataset(args.data, args.format, args.labels)
     model.check_sample_shape(dataset.samples.shape[1:])
-    if dataset.labels.size and dataset.labels.max() >= codebook.class_count:
-        raise ContractError(f"dataset label {dataset.labels.max()} is outside the "
-                            f"checkpoint's {codebook.class_count} classes")
     if normalizer is not None:
         dataset = normalizer.apply(dataset)
         if not np.isfinite(dataset.samples).all():
@@ -200,7 +197,7 @@ def cmd_divergence(args) -> int:
 def cmd_grow(args) -> int:
     train_config, split_spec = _load_run_config(args.config)
     check_growth_limits(args.threshold, args.max_depth)
-    template, rank = parse_growth_template(read_text(args.template)[1])
+    template, rank = parse_growth_template(read_text(args.template)[1], args.template)
     codebook, (train_set, val_set, test_set), normalizer = _load_split(args, rank, split_spec)
     model, report = grow_layers(template, train_set, val_set, codebook,
                                 train_config, threshold=args.threshold,

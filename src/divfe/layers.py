@@ -607,20 +607,24 @@ class FeatureExtractor:
         """Connection weights only: filter and dense-matrix coefficients."""
         return sum(layer.weight_count() for layer in self.layers)
 
+    @property
+    def sample_shape(self):
+        """One sample as datasets and specs give it: no plane axis on a single plane."""
+        shape = self.input_shape
+        if len(shape) not in (2, 3) or len(shape) == 2 and shape[0] != 1:
+            raise ContractError(f"input {shape} has no sample form (not 1xL, 1xHxW or CxHxW)")
+        return self.input_shape[1:] if self.input_shape[0] == 1 else self.input_shape
+
     def check_sample_shape(self, shape):
-        """Raise ``ShapeError`` unless ``shape`` is the model's input shape or,
-        for a single-plane input, that shape without its plane axis."""
-        if shape != self.input_shape and not (self.input_shape[0] == 1
-                                              and shape == self.input_shape[1:]):
+        """Raise ``ShapeError`` unless ``shape`` is the model's input or sample shape."""
+        if shape != self.input_shape and shape != self.sample_shape:
             raise ShapeError(f"input batch shape {shape} does not match model "
                              f"input {self.input_shape}")
 
     def _with_channel(self, x):
         x = np.asarray(x, dtype=self.compute)
-        if x.shape[1:] == self.input_shape:
-            return x
         self.check_sample_shape(x.shape[1:])
-        return x.reshape((x.shape[0],) + self.input_shape)
+        return x if x.shape[1:] == self.input_shape else x.reshape((x.shape[0],) + self.input_shape)
 
     def forward(self, x, mode: str = "infer", tape: GradientTape | None = None):
         out = self._with_channel(x)

@@ -21,11 +21,16 @@ A growth template (see :class:`divfe.trainer.GrowthTemplate`) has the first
 two header lines plus ``planes N`` and an optional ``filters F...`` (lengths
 for 1D input, HxW for 2D); every scheduled convolution is followed by a ReLU.
 
-Blank lines and '#' comments are ignored. Every keyword takes exactly its
-arguments and a header or template key appears at most once; a line that breaks
-these rules is a :class:`~divfe.data_io.ParseError` naming it. The parsed
-stack must wire to a flat output of length walsh_rank.
+Lines end where ``open`` ends them (a form feed inside a line is whitespace).
+Blank lines and '#' comments are ignored. Every size is a positive integer,
+every keyword takes exactly its arguments and a header or template key appears
+at most once. A line that breaks these rules is a
+:class:`~divfe.data_io.ParseError` of one form, ``<path>:<n>: malformed
+'<keyword>' line: <reason>`` (``line <n>:`` for text read from no file). The
+parsed stack must wire to a flat output of length walsh_rank.
 """
+
+import io
 
 from .data_io import ParseError, read_text
 from .layers import (COMPUTE_DTYPES, BatchNorm, Conv1D, Conv2D, Dense, FeatureExtractor, Flatten,
@@ -34,60 +39,58 @@ from .trainer import GrowthTemplate
 
 
 _CONVOLUTIONS = {cls.kind: cls for cls in (Conv1D, Conv2D)}
-# every other layer keyword -> (its class, the type of each argument)
-_LAYERS = {cls.kind: (cls, types) for cls, types in (
-    (Dense, (int,)), (BatchNorm, ()), (ReLU, ()), (Flatten, ()))}
+# every other layer keyword -> (its class, its number of size arguments)
+_LAYERS = {cls.kind: (cls, count) for cls, count in (
+    (Dense, 1), (BatchNorm, 0), (ReLU, 0), (Flatten, 0))}
 _TEMPLATE_KEYS = ("input", "walsh_rank", "planes", "filters")
 _COMPUTE_NAMES = tuple(dtype.name for dtype in COMPUTE_DTYPES)
 
 
-def _read(text, handle):
-    """Calls handle(lineno, keyword, args) for every non-blank line; any other
-    ValueError it raises becomes a ParseError naming the line."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+def _read(text, handle, path=None):
+    """Calls handle(keyword, args) for every non-blank line; a ValueError it
+    raises becomes the ParseError naming the file, the line and the reason."""
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
         tokens = raw.split("#", 1)[0].split()
         if not tokens:
             continue
         kind = tokens[0].lower()
         try:
-            handle(lineno, kind, tokens[1:])
-        except ParseError:
-            raise
+            handle(kind, tokens[1:])
         except ValueError as exc:
-            raise ParseError(f"line {lineno}: malformed {kind!r} line: {raw.strip()!r}") from exc
+            where = f"line {lineno}" if path is None else f"{path}:{lineno}"
+            raise ParseError(f"{where}: malformed {kind!r} line: {exc}") from exc
 
 
-def _dims(token, lineno):
-    try:
-        dims = tuple(int(d) for d in token.lower().split("x"))
-    except ValueError as exc:
-        raise ParseError(f"line {lineno}: bad dimensions {token!r}") from exc
-    if any(d < 1 for d in dims):
-        raise ParseError(f"line {lineno}: dimensions must be positive")
+def _dims(token):
+    """The sizes of an ``N`` or ``AxB...`` token."""
+    dims = tuple(int(d) for d in token.lower().split("x"))
+    if min(dims) < 1:
+        raise ValueError(f"sizes must be positive, got {token!r}")
     return dims
 
 
-def _input_shape(token, lineno):
-    dims = _dims(token, lineno)
-    if len(dims) > 3:
-        raise ParseError(f"line {lineno}: input takes 1 to 3 dimensions")
-    return dims if len(dims) == 3 else (1,) + dims
+def _size(token):
+    (size,) = _dims(token)
+    return size
 
 
-def _header(values, lineno, kind, args):
-    """Reads an 'input', 'walsh_rank' or 'compute' line into values."""
+def _header(values, kind, args):
+    """Reads an 'input', 'walsh_rank' or 'compute' line into values; an input
+    of one or two sizes is a single plane."""
     if kind in values:
-        raise ParseError(f"line {lineno}: duplicate {kind!r} line")
+        raise ValueError(f"duplicate {kind!r} line")
     (token,) = args
     if kind == "input":
-        values[kind] = _input_shape(token, lineno)
+        dims = _dims(token)
+        if len(dims) > 3:
+            raise ValueError("input takes 1 to 3 dimensions")
+        values[kind] = dims if len(dims) == 3 else (1,) + dims
     elif kind == "walsh_rank":
         values[kind] = int(token)
     elif token in _COMPUTE_NAMES:
         values[kind] = token
     else:
-        raise ParseError(f"line {lineno}: compute takes {' or '.join(_COMPUTE_NAMES)}, "
-                         f"got {token!r}")
+        raise ValueError(f"compute takes {' or '.join(_COMPUTE_NAMES)}, got {token!r}")
 
 
 def _required(values, keys):
@@ -96,47 +99,36 @@ def _required(values, keys):
             raise ParseError(f"missing {key!r} line")
 
 
-def _padding(extra, lineno):
-    if not extra:
-        return "valid"
-    if extra == ["same"]:
-        return "same"
-    raise ParseError(f"line {lineno}: unexpected tokens {' '.join(extra)!r}")
-
-
-def parse_model_spec(text: str) -> FeatureExtractor:
+def parse_model_spec(text: str, path=None) -> FeatureExtractor:
+    """The model ``text`` describes; ``path`` names its file in error messages."""
     header = {}
     layers = []
 
-    def line(lineno, kind, args):
+    def line(kind, args):
         if kind in ("input", "walsh_rank", "compute"):
-            _header(header, lineno, kind, args)
+            _header(header, kind, args)
         elif kind in _CONVOLUTIONS:
             extent, planes, *extra = args
-            layers.append(_CONVOLUTIONS[kind](*map(int, extent.lower().split("x")), int(planes),
-                                              padding=_padding(extra, lineno)))
+            if extra not in ([], ["same"]):
+                raise ValueError(f"unexpected tokens {' '.join(extra)!r}")
+            layers.append(_CONVOLUTIONS[kind](*_dims(extent), _size(planes),
+                                              padding="same" if extra else "valid"))
         elif kind in _LAYERS:
-            cls, types = _LAYERS[kind]
-            layers.append(cls(*(cast(arg) for cast, arg in zip(types, args, strict=True))))
+            cls, count = _LAYERS[kind]
+            if len(args) != count:
+                raise ValueError(f"takes {count} argument(s), got {len(args)}")
+            layers.append(cls(*map(_size, args)))
         else:
-            raise ParseError(f"line {lineno}: unknown layer {kind!r}")
+            raise ValueError(f"unknown layer {kind!r}")
 
-    _read(text, line)
+    _read(text, line, path)
     _required(header, ("input", "walsh_rank"))
     return FeatureExtractor(layers, header["input"], header["walsh_rank"],
                             header.get("compute", "float64"))
 
 
 def format_model_spec(model: FeatureExtractor) -> str:
-    shape = model.input_shape
-    if len(shape) == 3:
-        dims = shape[1:] if shape[0] == 1 else shape
-    elif len(shape) == 2 and shape[0] == 1:
-        dims = shape[1:]
-    else:
-        raise ParseError(f"input shape {shape} has no spec form "
-                         "(a 1D input has a single plane)")
-    lines = ["input " + "x".join(str(d) for d in dims), f"walsh_rank {model.rank}"]
+    lines = ["input " + "x".join(str(d) for d in model.sample_shape), f"walsh_rank {model.rank}"]
     if model.compute.name != "float64":
         lines.append(f"compute {model.compute.name}")
     lines += model.spec_lines()
@@ -144,35 +136,33 @@ def format_model_spec(model: FeatureExtractor) -> str:
 
 
 def load_model_spec(path) -> FeatureExtractor:
-    return parse_model_spec(read_text(path)[1])
+    return parse_model_spec(read_text(path)[1], path)
 
 
-def parse_growth_template(text: str):
-    """Returns (GrowthTemplate, walsh_rank)."""
+def parse_growth_template(text: str, path=None):
+    """Returns (GrowthTemplate, walsh_rank); ``path`` names the file in error messages."""
     values = {}
 
-    def line(lineno, kind, args):
+    def line(kind, args):
         if kind not in _TEMPLATE_KEYS:
-            raise ParseError(f"line {lineno}: unknown growth template key {kind!r}")
-        if kind in ("input", "walsh_rank"):
-            _header(values, lineno, kind, args)
-            return
+            raise ValueError(f"unknown growth template key {kind!r}")
         if kind in values:
-            raise ParseError(f"line {lineno}: duplicate {kind!r} line")
+            raise ValueError(f"duplicate {kind!r} line")
         if kind == "filters":
-            values[kind] = (lineno, [_dims(token, lineno) for token in args])
-        else:   # planes
-            (token,) = args
-            (values[kind],) = _dims(token, lineno)
+            values[kind] = [_dims(token) for token in args]
+        elif kind == "planes":
+            (values[kind],) = map(_size, args)
+        else:
+            _header(values, kind, args)
+        # filters against the input, on whichever of the two lines comes second
+        ndim = len(values.get("input", ())) - 1
+        if ndim > 0 and any(len(f) != ndim for f in values.get("filters", ())):
+            raise ValueError(f"a {ndim}D input takes {ndim}D filters")
 
-    _read(text, line)
+    _read(text, line, path)
     _required(values, ("input", "walsh_rank", "planes"))
-    input_shape = values["input"]
-    lineno, filters = values.get("filters", (0, []))
-    if any(len(f) != len(input_shape) - 1 for f in filters):
-        raise ParseError(f"line {lineno}: a {len(input_shape) - 1}D input takes "
-                         f"{len(input_shape) - 1}D filters")
-    template = GrowthTemplate(input_shape=input_shape,
-                              filters=tuple(f[0] if len(f) == 1 else f for f in filters),
+    template = GrowthTemplate(input_shape=values["input"],
+                              filters=tuple(f[0] if len(f) == 1 else f
+                                            for f in values.get("filters", ())),
                               planes=values["planes"])
     return template, values["walsh_rank"]

@@ -81,8 +81,9 @@ def _check_datasets(codebook, *datasets):
     for dataset in datasets:
         if len(dataset) == 0:
             raise ContractError("cannot train on or evaluate an empty dataset")
-        if (dataset.labels >= codebook.class_count).any():
-            raise ContractError("dataset contains labels without an assigned Walsh row")
+        if (top := dataset.labels.max()) >= codebook.class_count:
+            raise ContractError(f"dataset contains label {top} without an assigned Walsh row "
+                                f"(the codebook has {codebook.class_count} classes)")
 
 
 def evaluate(model: FeatureExtractor, dataset: LabeledDataset,

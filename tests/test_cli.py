@@ -275,6 +275,23 @@ def test_malformed_model_spec_is_parse_error(tmp_path, signal_csv, capsys):
     assert "error=parse-error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, text, reason", [
+    ("train", "input 8\nwalsh_rank 4\nconv1d 3 0\nflatten\n",
+     "malformed 'conv1d' line: sizes must be positive, got '0'"),
+    ("grow", "input 8\nwalsh_rank 4\nplanes 0\n",
+     "malformed 'planes' line: sizes must be positive, got '0'"),
+], ids=["model", "template"])
+def test_refused_line_names_its_file_line_and_reason(tmp_path, signal_csv, capsys, command,
+                                                     text, reason):
+    path = tmp_path / "refused.txt"
+    path.write_text(text)
+    args = (["train", "--model", str(path), "--out", str(tmp_path / "o.divf")]
+            if command == "train" else ["grow", "--template", str(path)])
+    code = main(args + ["--data", str(signal_csv), "--format", "csv"])
+    assert code == 4
+    assert capsys.readouterr().err == f"error=parse-error: {path}:3: {reason}\n"
+
+
 @pytest.mark.parametrize("line", ["compute float16", "compute", "compute float32\ncompute float32"],
                          ids=["float16", "bare", "repeated"])
 def test_bad_compute_line_is_parse_error(tmp_path, signal_csv, capsys, line):

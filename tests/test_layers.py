@@ -809,15 +809,22 @@ def test_model_weight_count_excludes_biases():
     assert model.weight_count() == 12 + 256
 
 
-def test_model_accepts_channelless_input():
+@pytest.mark.parametrize("make, sample_shape", [
+    (_small_model, (10,)),
+    (lambda: FeatureExtractor([Conv2D(3, 3, 2), Flatten(), Dense(8)], (1, 5, 6), 8), (5, 6)),
+    (lambda: FeatureExtractor([Conv2D(3, 3, 2), Flatten(), Dense(8)], (3, 5, 6), 8), (3, 5, 6)),
+], ids=["1xL", "1xHxW", "CxHxW"])
+def test_model_accepts_channelless_input(make, sample_shape):
+    # a batch of samples shaped as the data holds them: no plane axis on one plane
     rng = np.random.default_rng(23)
-    model = _small_model().initialize(rng)
-    with_channel = model.forward(rng.normal(size=(2, 1, 10)))
+    model = make().initialize(rng)
+    assert model.sample_shape == sample_shape
+    x = rng.normal(size=(2,) + model.input_shape)
+    with_channel = model.forward(x)
     assert with_channel.shape == (2, 8)
-    flat = model.forward(np.zeros((2, 10)))
-    assert flat.shape == (2, 8)
+    np.testing.assert_array_equal(model.forward(x.reshape((2,) + sample_shape)), with_channel)
     with pytest.raises(ShapeError):
-        model.forward(np.zeros((2, 3, 10)))
+        model.forward(np.zeros((2, 2) + model.input_shape[1:]))
 
 
 def test_he_initialization_statistics():

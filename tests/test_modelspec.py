@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divfe import layers, modelspec
@@ -15,7 +15,7 @@ from divfe.layers import (BatchNorm, Conv1D, Conv2D, Dense, FeatureExtractor, Fl
                           Layer, ReLU, mse_loss)
 from divfe.modelspec import (format_model_spec, load_model_spec, parse_growth_template,
                              parse_model_spec)
-from divfe.numerics import GradientTape, ShapeError, backward
+from divfe.numerics import ContractError, GradientTape, ShapeError, backward
 from divfe.walsh import make_codebook
 
 from _gradcheck import (STEP, TOL, input_gradients, input_tape, relative_error, train_forward,
@@ -73,6 +73,15 @@ def test_round_trip_through_formatter():
     again = parse_model_spec(text)
     assert format_model_spec(again) == text
     assert [type(l) for l in again.layers] == [type(l) for l in model.layers]
+
+
+def test_lines_end_where_open_ends_them():
+    # a form feed inside a line is whitespace, as it is to open(); str.splitlines
+    # would end the line there
+    plain = parse_model_spec(SPEC_1D)
+    fed = parse_model_spec(SPEC_1D.replace("conv1d 2 10 same", "conv1d 2\x0c10 same", 1))
+    assert fed.input_shape == plain.input_shape and fed.rank == plain.rank
+    assert fed.spec_lines() == plain.spec_lines()
 
 
 def test_comments_and_blank_lines_ignored():
@@ -176,10 +185,15 @@ def test_every_layer_kind_is_traceable_by_its_spec_keyword():
     assert all(cls.__bases__ == (Layer,) for cls in buildable)
 
 
-def test_multi_plane_1d_input_has_no_spec_form():
+def test_multi_plane_1d_input_has_no_spec_form(tmp_path):
+    # no text was parsed: the model's input breaks the sample-shape contract
     model = FeatureExtractor([Conv1D(3, 2), Flatten(), Dense(4)], (2, 8), 4)
-    with pytest.raises(ParseError):
+    with pytest.raises(ContractError, match="no sample form"):
         format_model_spec(model)
+    path = tmp_path / "model.divf"
+    with pytest.raises(ContractError, match="no sample form"):
+        save_checkpoint(model.initialize(0), make_codebook(2, 4), path)
+    assert not path.exists()
 
 
 def test_extra_tokens_and_duplicate_headers_rejected():
@@ -288,6 +302,11 @@ def _check_spec_chain(text, seed):
 
 @settings(max_examples=200, deadline=None)
 @given(text=_spec_texts(), seed=st.integers(0, 2**32 - 1), dense_max=_dense_maxes)
+# the second convolution's first weight draws -5.2e-4, so its plane's batch variance
+# (1.7e-7) is far below BN_EPSILON: a central difference there is off by 7.4e-4
+@example(text="input 16\nwalsh_rank 16\nconv1d 1 1\nbatchnorm\nconv1d 1 2\nbatchnorm\n"
+              "batchnorm\nconv1d 2 2 same\nconv1d 2 2 same\nflatten\ndense 16\n",
+         seed=7373, dense_max=layers._DENSE_MAX)
 def test_random_spec_chain_gradients(text, seed, dense_max):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(layers, "_DENSE_MAX", dense_max)
@@ -296,8 +315,8 @@ def test_random_spec_chain_gradients(text, seed, dense_max):
 
 def _check_spec_chain_gradient(text, seed):
     # one backward over the whole model's tape gives the gradient of mse_loss
-    # for the input and every parameter array; central differences check a
-    # seeded sample of at most 20 coordinates of each
+    # for the input and every parameter array; fourth-order central differences
+    # check a seeded sample of at most 20 coordinates of each
     try:
         model = parse_model_spec(text)
     except ShapeError:
@@ -323,12 +342,14 @@ def _check_spec_chain_gradient(text, seed):
         for k in rng.choice(array.size, size=min(array.size, 20), replace=False):
             at = np.unravel_index(k, array.shape)
             orig = array[at]
-            array[at] = orig + STEP
-            plus = loss_at(x)
-            array[at] = orig - STEP
-            minus = loss_at(x)
+            losses = []
+            for step in (STEP, -STEP, 2 * STEP, -2 * STEP):
+                array[at] = orig + step
+                losses.append(loss_at(x))
             array[at] = orig
-            assert relative_error(grad[at], (plus - minus) / (2 * STEP)) < TOL, (text, at)
+            plus, minus, plus2, minus2 = losses
+            numeric = (8 * (plus - minus) - (plus2 - minus2)) / (12 * STEP)
+            assert relative_error(grad[at], numeric) < TOL, (text, at)
 
 
 def _step_gradients(model, x, target, tape):

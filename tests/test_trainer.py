@@ -150,7 +150,8 @@ def test_evaluate_checks_labels_before_the_first_batch(monkeypatch):
     model = _linear_model().initialize(np.random.default_rng(8))
     batches, forward = [], model.forward
     monkeypatch.setattr(model, "forward", lambda *a, **k: batches.append(1) or forward(*a, **k))
-    with pytest.raises(ContractError, match="without an assigned Walsh row"):
+    with pytest.raises(ContractError, match=r"^dataset contains label 2 without an assigned "
+                                            r"Walsh row \(the codebook has 2 classes\)$"):
         evaluate(model, _with_label_2(_blobs()), make_codebook(2, 4))
     assert batches == []
 
