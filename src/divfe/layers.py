@@ -37,7 +37,14 @@ correlation of ``dy`` with the flipped filter, walks row windows too, on any
 number of input planes: ``dy`` padded by fw-1 columns each side has Wp
 windows per row, a ``(Ho·Wp, fw·P)`` matrix per sample, and filter row u,
 reversed, adds one GEMM into padded input rows u..u+Ho, which are
-contiguous. Either kernel's result is a ``(N, P, H, W)`` view
+contiguous. The walk shares a pass's blocks over the cores the process may
+run on, as Cho & Brand partition the lowered matrix: block j runs on worker
+j % k, k = min(cores, ceil(blocks / 2)), each worker with a window buffer
+and GEMM scratch that the calling thread allocates. A block writes only its
+own samples of the output and of ``dx`` and its own partial ``dW``, and the
+partials are summed in block order, so every result is the same, bit for
+bit, on any number of cores. With k = 1 (two blocks or fewer, or one core)
+the walk runs inline on the calling thread. Either kernel's result is a ``(N, P, H, W)`` view
 of a channels-last array. BatchNorm, which works on that memory as an
 ``(M, C)`` matrix, and ReLU keep its order both ways, so a following
 convolution reads its input without a copy.
@@ -69,6 +76,7 @@ SGD step is three whole-vector operations.
 
 import functools
 import math
+import os
 
 import numpy as np
 
@@ -83,6 +91,10 @@ COMPUTE_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
 # per-core L2 cache (4 MiB blocks ran the mnist.spec convolutions about 1.4x
 # slower at batch 256).
 _IM2COL_BLOCK_BYTES = 1 << 20
+# The cores this process may run on, over which the row-window kernel shares
+# its blocks (``taskset`` restricts them).
+_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_POOL = None   # the worker threads, built by the first shared walk
 # The largest dense matrix a non-spanning convolution runs on. On 1D and 2D
 # convolutions of 2-8 planes (forward and backward, batch 8 and 32, one BLAS
 # thread, 2-core Xeon) the dense kernel took 0.5-0.8 of the row-window one's
@@ -165,19 +177,72 @@ def _windows(xp, fh, fw):
                       strides=(s0, s1, s2, s1, s2, s3))
 
 
-def _window_blocks(windows, width):
-    """Copy the ``windows (N, ...)`` of whole samples, in blocks of at most
-    ``_IM2COL_BLOCK_BYTES`` (one sample if larger), into one reused buffer, and
-    yield ``(start, rows)``: the block's first sample and its windows as an
-    ``(m, -1, width)`` array, valid until the next block."""
+def _block_starts(windows):
+    """The first sample of each block of the ``windows (N, ...)``: as many
+    whole samples as fit ``_IM2COL_BLOCK_BYTES``, one if a sample is larger."""
     n = len(windows)
     sample_bytes = windows.itemsize * math.prod(windows.shape[1:])
-    step = max(1, min(n, _IM2COL_BLOCK_BYTES // sample_bytes))
-    buf = np.empty((step,) + windows.shape[1:], windows.dtype)
-    for s in range(0, n, step):
-        m = min(step, n - s)
-        np.copyto(buf[:m], windows[s:s + m])
-        yield s, buf[:m].reshape(m, -1, width)
+    return range(0, n, max(1, min(n, _IM2COL_BLOCK_BYTES // sample_bytes)))
+
+
+def _window_blocks(windows, width, work, scratch=None):
+    """Copy the ``windows (N, ...)`` in the blocks of :func:`_block_starts` and
+    call ``work(j, s, rows, product)`` on block j: its first sample s, its
+    windows as an ``(m, -1, width)`` array and, given a ``scratch`` shape, an
+    ``(m, *scratch)`` buffer (else ``None``), both reused by the worker's next
+    block.
+
+    The one place where the kernel's work is shared over the cores: block j
+    runs on worker j % k, k = min(_CORES, ceil(blocks / 2)), so that a worker
+    has two blocks on average to repay its hand-off (a walk of two blocks
+    split over two cores ran slower than inline). The calling thread
+    allocates every worker's buffers, one array of k parts for each, and runs
+    worker 0 itself, the pool the others, so ``work`` writes only into arrays
+    allocated before the walk, each block into its own part. With k = 1 it
+    all runs inline, without the pool.
+    """
+    starts, n = _block_starts(windows), len(windows)
+    step, k = starts.step, min(_CORES, -(-len(starts) // 2))
+    buf = np.empty((k * step, *windows.shape[1:]), windows.dtype)
+    product = None if scratch is None else np.empty((k * step, *scratch), windows.dtype)
+
+    def share(i):
+        lo = i * step
+        for j in range(i, len(starts), k):
+            s = starts[j]
+            m = min(step, n - s)
+            rows = buf[lo:lo + m]
+            np.copyto(rows, windows[s:s + m])
+            work(j, s, rows.reshape(m, -1, width), None if product is None else product[lo:lo + m])
+
+    if k == 1:
+        return share(0)
+    futures = [_pool().submit(share, i) for i in range(1, k)]
+    try:
+        share(0)
+    finally:
+        for future in futures:
+            future.result()
+
+
+def _pool():
+    """The threads that run a walk's workers 1..k-1, built by the first
+    shared walk: ``concurrent.futures`` imports ``logging``, which
+    ``import divfe`` would otherwise pay for."""
+    global _POOL
+    if _POOL is None:
+        from concurrent.futures import ThreadPoolExecutor
+        _POOL = ThreadPoolExecutor(max(1, _CORES - 1), thread_name_prefix="divfe-conv")
+    return _POOL
+
+
+def _forget_pool():
+    global _POOL
+    _POOL = None   # a forked child has none of its parent's threads
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _conv2d(x, weights, bias, padding, input_grad=True):
@@ -190,9 +255,11 @@ def _conv2d(x, weights, bias, padding, input_grad=True):
     :func:`_window_blocks` walk each over the padded input's windows: row
     windows on several input planes, whole filter windows on one. ``dx``
     (``None`` without ``input_grad``) walks the row windows of ``dy`` padded
-    by fw-1 columns each side, on any number of input planes. It computes in
-    ``x``'s dtype: the weights and bias are cast to it, and every buffer, the
-    gradients included, is allocated in it.
+    by fw-1 columns each side, on any number of input planes. Each block
+    writes its own samples of ``y`` and ``dx`` and its own partial ``dW``,
+    summed in block order. It computes in ``x``'s dtype: the weights and bias
+    are cast to it, and every buffer, the gradients included, is allocated in
+    it.
     """
     signal, shapes = x.ndim == 3, (x.shape, weights.shape)
     if signal:
@@ -219,27 +286,42 @@ def _conv2d(x, weights, bias, padding, input_grad=True):
     slabs = np.ascontiguousarray(weights.transpose(2, 3, 1, 0), dtype).reshape(-1, width, planes)
     bias = bias.astype(dtype, copy=False)
     y_nhwc = np.empty((n, ho, wo, planes), dtype)
-    whole = None
-    for s, rows in _window_blocks(windows, width):
+    whole = None    # the forward's windows, when one block held the batch
+
+    def forward(j, s, rows, product):
+        nonlocal whole
         yb = y_nhwc[s:s + len(rows)].reshape(-1, ho * wo, planes)
         np.matmul(rows[:, :ho * wo], slabs[0], out=yb)
         for u in range(1, len(slabs)):
-            yb += rows[:, u * wo:(u + ho) * wo] @ slabs[u]
+            yb += np.matmul(rows[:, u * wo:(u + ho) * wo], slabs[u], out=product)
         yb += bias
-        # when one block holds the batch, the weight gradient reuses its windows
-        whole = [(0, rows)] if len(rows) == n else None
+        if len(rows) == n:
+            whole = rows
+
+    # several filter rows add their GEMMs through one product buffer
+    _window_blocks(windows, width, forward, (ho * wo, planes) if len(slabs) > 1 else None)
 
     def bwd(dy):
         dy_n = np.ascontiguousarray(dy.reshape(n, planes, ho, wo).transpose(0, 2, 3, 1), dtype)
         dy_m = dy_n.reshape(-1, planes)
         db = np.ones(len(dy_m), dtype) @ dy_m
-        dw = None
-        for s, rows in whole or _window_blocks(windows, width):
+        taps = len(slabs) * width                                    # fh*fw*C
+        blocks = 1 if whole is not None else len(_block_starts(windows))
+        parts = np.empty((blocks, planes, taps), dtype)
+
+        def weight_grad(j, s, rows, g):
             dyb = dy_n[s:s + len(rows)].reshape(-1, ho * wo, planes).swapaxes(-1, -2)
-            # stacked per sample: summed over the block's samples
-            g = np.concatenate([dyb @ rows[:, u * wo:(u + ho) * wo] for u in range(len(slabs))],
-                               axis=-1).sum(axis=0)
-            dw = g if dw is None else dw + g                    # (P, fh*fw*C)
+            for u in range(len(slabs)):
+                np.matmul(dyb, rows[:, u * wo:(u + ho) * wo], out=g[..., u * width:(u + 1) * width])
+            g.sum(axis=0, out=parts[j])              # stacked per sample: summed over the block
+
+        if whole is None:
+            _window_blocks(windows, width, weight_grad, (planes, taps))
+        else:
+            weight_grad(0, 0, whole, np.empty((n, planes, taps), dtype))
+        dw = parts[0]
+        for part in parts[1:]:
+            dw += part                                   # in block order, on any number of cores
         dw = dw.reshape(planes, fh, fw, c).transpose(0, 3, 1, 2).reshape(shapes[1])
         if not input_grad:
             return None, dw, db
@@ -249,10 +331,13 @@ def _conv2d(x, weights, bias, padding, input_grad=True):
         dyp[:, :, fw - 1:fw - 1 + wo] = dy_n
         flipped = weights[:, :, :, ::-1].transpose(2, 3, 0, 1)    # (fh, fw, P, C)
         back = np.ascontiguousarray(flipped, dtype).reshape(fh, fw * planes, c)
-        for s, rows in _window_blocks(_windows(dyp, 1, fw), fw * planes):
+
+        def input_grad_block(j, s, rows, product):
             dxb = dxp[s:s + len(rows)].reshape(len(rows), hp * wp, c)
             for u in range(fh):
-                dxb[:, u * wp:(u + ho) * wp] += rows @ back[u]
+                dxb[:, u * wp:(u + ho) * wp] += np.matmul(rows, back[u], out=product)
+
+        _window_blocks(_windows(dyp, 1, fw), fw * planes, input_grad_block, (ho * wp, c))
         return dxp[:, top:top + h, left:left + w].transpose(0, 3, 1, 2).reshape(shapes[0]), dw, db
 
     y = y_nhwc.transpose(0, 3, 1, 2)

@@ -26,7 +26,9 @@ Blank lines and '#' comments are ignored. Every size is a positive integer,
 every keyword takes exactly its arguments and a header or template key appears
 at most once. A line that breaks these rules is a
 :class:`~divfe.data_io.ParseError` of one form, ``<path>:<n>: malformed
-'<keyword>' line: <reason>`` (``line <n>:`` for text read from no file). The
+'<keyword>' line: <reason>`` (``line <n>:`` for text read from no file), the
+reason saying what the keyword takes and what it got; a required line that is
+absent is ``<path>: missing '<keyword>' line`` (no prefix without a file). The
 parsed stack must wire to a flat output of length walsh_rank.
 """
 
@@ -70,8 +72,17 @@ def _dims(token):
 
 
 def _size(token):
-    (size,) = _dims(token)
-    return size
+    dims = _dims(token)
+    if len(dims) != 1:
+        raise ValueError(f"takes one size, got {token!r}")
+    return dims[0]
+
+
+def _arguments(args, count):
+    """``args`` if there are ``count`` of them."""
+    if len(args) != count:
+        raise ValueError(f"takes {count} argument(s), got {len(args)}")
+    return args
 
 
 def _header(values, kind, args):
@@ -79,7 +90,7 @@ def _header(values, kind, args):
     of one or two sizes is a single plane."""
     if kind in values:
         raise ValueError(f"duplicate {kind!r} line")
-    (token,) = args
+    (token,) = _arguments(args, 1)
     if kind == "input":
         dims = _dims(token)
         if len(dims) > 3:
@@ -93,10 +104,10 @@ def _header(values, kind, args):
         raise ValueError(f"compute takes {' or '.join(_COMPUTE_NAMES)}, got {token!r}")
 
 
-def _required(values, keys):
+def _required(values, keys, path):
     for key in keys:
         if key not in values:
-            raise ParseError(f"missing {key!r} line")
+            raise ParseError(("" if path is None else f"{path}: ") + f"missing {key!r} line")
 
 
 def parse_model_spec(text: str, path=None) -> FeatureExtractor:
@@ -108,6 +119,8 @@ def parse_model_spec(text: str, path=None) -> FeatureExtractor:
         if kind in ("input", "walsh_rank", "compute"):
             _header(header, kind, args)
         elif kind in _CONVOLUTIONS:
+            if len(args) not in (2, 3):
+                raise ValueError(f"takes 2 argument(s) and an optional 'same', got {len(args)}")
             extent, planes, *extra = args
             if extra not in ([], ["same"]):
                 raise ValueError(f"unexpected tokens {' '.join(extra)!r}")
@@ -115,14 +128,12 @@ def parse_model_spec(text: str, path=None) -> FeatureExtractor:
                                               padding="same" if extra else "valid"))
         elif kind in _LAYERS:
             cls, count = _LAYERS[kind]
-            if len(args) != count:
-                raise ValueError(f"takes {count} argument(s), got {len(args)}")
-            layers.append(cls(*map(_size, args)))
+            layers.append(cls(*map(_size, _arguments(args, count))))
         else:
             raise ValueError(f"unknown layer {kind!r}")
 
     _read(text, line, path)
-    _required(header, ("input", "walsh_rank"))
+    _required(header, ("input", "walsh_rank"), path)
     return FeatureExtractor(layers, header["input"], header["walsh_rank"],
                             header.get("compute", "float64"))
 
@@ -151,7 +162,7 @@ def parse_growth_template(text: str, path=None):
         if kind == "filters":
             values[kind] = [_dims(token) for token in args]
         elif kind == "planes":
-            (values[kind],) = map(_size, args)
+            (values[kind],) = map(_size, _arguments(args, 1))
         else:
             _header(values, kind, args)
         # filters against the input, on whichever of the two lines comes second
@@ -160,7 +171,7 @@ def parse_growth_template(text: str, path=None):
             raise ValueError(f"a {ndim}D input takes {ndim}D filters")
 
     _read(text, line, path)
-    _required(values, ("input", "walsh_rank", "planes"))
+    _required(values, ("input", "walsh_rank", "planes"), path)
     template = GrowthTemplate(input_shape=values["input"],
                               filters=tuple(f[0] if len(f) == 1 else f
                                             for f in values.get("filters", ())),

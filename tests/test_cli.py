@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from divfe import layers
 from divfe.cli import main
 from divfe.checkpoint import load_checkpoint, save_checkpoint
 from divfe.data_io import LabeledDataset, Standardizer, save_signals_csv
@@ -16,6 +17,7 @@ from divfe.modelspec import parse_model_spec
 from divfe.walsh import make_codebook
 
 IRIS_CSV = Path(__file__).resolve().parent.parent / "data" / "iris.csv"
+MNIST_SPEC = Path(__file__).resolve().parent.parent / "specs" / "mnist.spec"
 
 MODEL_SPEC = """input 8
 walsh_rank 4
@@ -504,6 +506,25 @@ def test_mnist_labels_path_is_derived_from_the_images_file_name_only(tmp_path, c
                  "--format", "mnist", "--config", str(config_path), "--out", str(out)]) == code
     err = capsys.readouterr().err
     assert out.exists() if code == 0 else "error=parse-error: mnist format needs --labels" in err
+
+
+def test_mnist_checkpoint_is_the_same_bytes_on_any_number_of_cores(tmp_path, monkeypatch):
+    # at batch 32 mnist.spec's 5x5 layer walks 8 blocks, which several cores share
+    rng = np.random.default_rng(0)
+    images, labels = tmp_path / "images-idx3-ubyte", tmp_path / "labels-idx1-ubyte"
+    images.write_bytes(struct.pack(">IIII", 0x00000803, 64, 28, 28)
+                       + rng.integers(0, 256, 64 * 28 * 28, dtype=np.uint8).tobytes())
+    labels.write_bytes(struct.pack(">II", 0x00000801, 64) + bytes(i % 10 for i in range(64)))
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text("epochs = 1\n")
+    checkpoints = []
+    for cores in (1, 2, 5):
+        monkeypatch.setattr(layers, "_CORES", cores)
+        out = tmp_path / f"{cores}.divf"
+        assert main(["train", "--model", str(MNIST_SPEC), "--data", str(images), "--format",
+                     "mnist", "--config", str(config_path), "--out", str(out)]) == 0
+        checkpoints.append(out.read_bytes())
+    assert checkpoints[1] == checkpoints[0] and checkpoints[2] == checkpoints[0]
 
 
 @pytest.fixture

@@ -1,6 +1,10 @@
 """Layer forward passes and gradient checks against finite differences."""
 
 import inspect
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -204,26 +208,152 @@ def _row_window_conv(layer, x):
     return layers._conv2d(x, layer.weights, layer.bias, layer.padding)
 
 
-def _copied_blocks(run):
-    """Every block of windows ``np.copyto`` fills while ``run()`` runs."""
-    blocks = []
+def _copies(run):
+    """``(dst, on_caller)`` for every block of windows ``np.copyto`` fills
+    while ``run()`` runs, in the order of the windows it copies (a walk's
+    workers copy theirs at once), ``on_caller`` true if the calling thread
+    copied it."""
+    copies = []
     copyto = np.copyto
+    caller = threading.get_ident()
 
     def spy(dst, src, *args, **kwargs):
-        blocks.append(dst)
+        copies.append((src.__array_interface__["data"][0], dst, threading.get_ident() == caller))
         return copyto(dst, src, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np, "copyto", spy)
         run()
-    return blocks
+    return [(dst, on_caller) for _, dst, on_caller in sorted(copies, key=lambda copy: copy[0])]
+
+
+def _copied_blocks(run):
+    """Every block of windows ``np.copyto`` fills while ``run()`` runs, in the
+    order of the windows it copies."""
+    return [dst for dst, _ in _copies(run)]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("config", [
+    (7, 1, 9, 8, 3, 3, 4, "valid"),     # 2D, one plane: whole filter windows
+    (7, 3, 9, 8, 3, 2, 4, "same"),      # 2D, several planes: row windows
+    (7, 1, 1, 20, 1, 5, 3, "same"),     # signal, one plane
+    (7, 4, 1, 20, 1, 5, 3, "valid"),    # signal, several planes
+])
+def test_row_window_kernel_is_bit_identical_on_any_number_of_workers(monkeypatch, config, dtype):
+    """``y``, ``dx``, ``dW`` and ``db`` are the same bytes on 1, 2 and 5
+    workers (5: more than any pass takes), each pass walking at least 3
+    blocks, and block j is copied on the calling thread exactly when j % k
+    is 0, k = min(workers, ceil(blocks / 2))."""
+    n, c, h, w, fh, fw, planes, padding = config
+    signal = h == fh == 1
+    rng = np.random.default_rng(sum(config[:-1]))
+    x = rng.normal(size=(n, c, w) if signal else (n, c, h, w)).astype(dtype)
+    weights = rng.normal(size=(planes, c, fw) if signal else (planes, c, fh, fw))
+    bias = rng.normal(size=planes)
+    hp, wp = (h + fh - 1, w + fw - 1) if padding == "same" else (h, w)
+    height = fh if c == 1 else 1
+    samples = ((hp - height + 1) * (wp - fw + 1) * height * c, (hp - fh + 1) * wp * planes)
+    # two samples of the smaller windows: 4 to 7 blocks of the 7 samples each pass
+    monkeypatch.setattr(layers, "_IM2COL_BLOCK_BYTES", 2 * fw * min(samples) * x.itemsize)
+    dy = rng.normal(size=layers._conv2d(x, weights, bias, padding)[0].shape).astype(dtype)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)     # the threads of a walk interleave as finely as they can
+    try:
+        results = {workers: _walked(monkeypatch, workers, x, weights, bias, padding, dy)
+                   for workers in (1, 2, 5)}
+    finally:
+        sys.setswitchinterval(switch)
+    for workers in (2, 5):
+        for name, array in results[1].items():
+            assert array.dtype == results[workers][name].dtype == dtype, name
+            np.testing.assert_array_equal(results[workers][name], array, err_msg=name)
+
+
+def _walked(monkeypatch, workers, x, weights, bias, padding, dy):
+    """The kernel's ``y``, ``dx``, ``dW`` and ``db`` on ``workers`` workers,
+    after checking that each of its three walks spans at least 3 blocks and
+    copies block j on the calling thread exactly when j % k is 0."""
+    monkeypatch.setattr(layers, "_CORES", workers)
+    out = {}
+
+    def forward():
+        out["y"], out["bwd"] = layers._conv2d(x, weights, bias, padding)
+
+    def backward():
+        out["dx"], out["dw"], out["db"] = out.pop("bwd")(dy)
+
+    # the forward's walk, then the weight gradient's and the input gradient's
+    walks = [[caller for _, caller in _copies(forward)], {}]
+    for dst, caller in _copies(backward):
+        walks[1].setdefault(dst.shape[1:], []).append(caller)
+    walks = [walks[0], *walks[1].values()]
+    assert len(walks) == 3
+    for on in walks:
+        k = min(workers, -(-len(on) // 2))
+        assert len(on) >= 3 and on == [j % k == 0 for j in range(len(on))]
+    return out
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_weight_gradient_sums_its_blocks_in_block_order(monkeypatch, workers):
+    # bit-identical to the sum of each block's own weight gradient, first block first
+    rng = np.random.default_rng(30)
+    x, dy = rng.normal(size=(7, 3, 9, 8)), rng.normal(size=(7, 4, 9, 8))
+    weights, bias = rng.normal(size=(4, 3, 3, 2)), rng.normal(size=4)
+    monkeypatch.setattr(layers, "_CORES", workers)
+    monkeypatch.setattr(layers, "_IM2COL_BLOCK_BYTES", 2 * 8 * 11 * 8 * 2 * 3)   # 2 samples
+    dw = layers._conv2d(x, weights, bias, "same")[1](dy)[1]
+    expected = None
+    for s in range(0, 7, 2):
+        block = layers._conv2d(x[s:s + 2], weights, bias, "same")[1](dy[s:s + 2])[1]
+        expected = block if expected is None else expected + block
+    assert dw.tobytes() == expected.tobytes()
+
+
+def test_a_walk_of_two_blocks_runs_inline(monkeypatch):
+    # handing one of two blocks to another core costs more than it saves
+    x, weights, bias = np.ones((4, 2, 5, 5)), np.ones((3, 2, 3, 3)), np.zeros(3)
+    monkeypatch.setattr(layers, "_CORES", 2)
+    monkeypatch.setattr(layers, "_IM2COL_BLOCK_BYTES", 2 * 8 * 5 * 3 * 3 * 2)   # 2 samples
+    assert [caller for _, caller in _copies(lambda: layers._conv2d(x, weights, bias, "valid"))] \
+        == [True, True]
+
+
+def _run_python(code):
+    """Exit status of ``code`` run by a fresh interpreter that imports this divfe."""
+    env = {**os.environ, "PYTHONPATH": str(Path(layers.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode
+
+
+def test_import_leaves_the_thread_pool_module_unloaded():
+    # concurrent.futures imports logging: only a walk of several blocks pays for it
+    assert _run_python("import sys, divfe; sys.exit('concurrent.futures' in sys.modules)") == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_a_forked_child_walks_several_blocks_on_its_own_pool():
+    # the parent's walk builds the pool; the child inherits none of its threads
+    assert _run_python("""if True:
+        import os, signal, numpy as np
+        from divfe import layers
+        layers._CORES, layers._IM2COL_BLOCK_BYTES = 2, 1
+        x, w, b = np.ones((4, 2, 5, 5)), np.ones((3, 2, 3, 3)), np.zeros(3)
+        y = layers._conv2d(x, w, b, "valid")[0]
+        pid = os.fork()
+        if pid == 0:
+            signal.alarm(50)   # a child stuck on its parent's threads ends with the test
+            os._exit(0 if np.array_equal(layers._conv2d(x, w, b, "valid")[0], y) else 1)
+        raise SystemExit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    """) == 0
 
 
 @pytest.mark.parametrize("c", [1, 4])
 def test_conv2d_frees_its_window_blocks_after_a_forward_of_several(monkeypatch, c):
     """While ``bwd`` lives, a forward over several blocks leaves only ``y``,
     the padded input and less than one sample's windows allocated: the weight
-    gradient walks the windows again, so no block buffer is kept for it."""
+    gradient walks the windows again, so no worker's block buffer is kept
+    for it."""
     n, h, w, fh, fw, planes = 8, 16, 16, 3, 3, 4
     rng = np.random.default_rng(c)
     x = rng.normal(size=(n, c, h, w))
@@ -232,6 +362,7 @@ def test_conv2d_frees_its_window_blocks_after_a_forward_of_several(monkeypatch, 
     height = fh if c == 1 else 1     # whole filter windows on one plane, row windows on several
     sample_windows = 8 * (hp - height + 1) * w * height * fw * c
     monkeypatch.setattr(layers, "_IM2COL_BLOCK_BYTES", 3 * sample_windows)
+    layers._conv2d(x, weights, bias, "same")   # builds the worker pool, which outlives any pass
     tracemalloc.start()
     try:
         y, bwd = layers._conv2d(x, weights, bias, "same")

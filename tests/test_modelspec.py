@@ -123,6 +123,49 @@ def test_bad_sizes_name_their_line(text, lineno):
         parse_model_spec(text)
 
 
+@pytest.mark.parametrize("line, reason", [
+    ("input 4 4", "takes 1 argument(s), got 2"),
+    ("walsh_rank", "takes 1 argument(s), got 0"),
+    ("compute float32 float64", "takes 1 argument(s), got 2"),
+    ("conv2d 3x3", "takes 2 argument(s) and an optional 'same', got 1"),
+    ("conv1d 3 4 same same", "takes 2 argument(s) and an optional 'same', got 4"),
+    ("conv2d 3x3 4x4", "takes one size, got '4x4'"),
+    ("dense 4 4", "takes 1 argument(s), got 2"),
+    ("dense 2x2", "takes one size, got '2x2'"),
+], ids=["input", "walsh_rank", "compute", "conv2d", "conv1d", "planes-size", "dense", "dense-size"])
+def test_a_malformed_line_says_what_its_keyword_takes(line, reason):
+    keyword = line.split()[0]
+    headers = [header for header in ("input 6x6", "walsh_rank 4") if header.split()[0] != keyword]
+    with pytest.raises(ParseError) as raised:
+        parse_model_spec("\n".join(headers + [line]) + "\n")
+    assert str(raised.value).endswith(f": malformed {keyword!r} line: {reason}")
+
+
+@pytest.mark.parametrize("line, reason", [
+    ("planes 2 3", "takes 1 argument(s), got 2"),
+    ("planes", "takes 1 argument(s), got 0"),
+    ("planes 3x3", "takes one size, got '3x3'"),
+])
+def test_a_malformed_planes_line_says_what_it_takes(line, reason):
+    with pytest.raises(ParseError, match=r"^line 3: malformed 'planes' line: (.*)$") as raised:
+        parse_growth_template(f"input 8\nwalsh_rank 4\n{line}\n")
+    assert str(raised.value).endswith(reason)
+
+
+def test_a_missing_line_names_its_file(tmp_path):
+    path = tmp_path / "model.spec"
+    path.write_text("walsh_rank 4\nflatten\n")
+    with pytest.raises(ParseError) as raised:
+        load_model_spec(path)
+    assert str(raised.value) == f"{path}: missing 'input' line"
+    with pytest.raises(ParseError) as raised:
+        parse_growth_template("input 8\nwalsh_rank 4\n", path)
+    assert str(raised.value) == f"{path}: missing 'planes' line"
+    with pytest.raises(ParseError) as raised:   # text read from no file
+        parse_model_spec("input 4\nflatten\n")
+    assert str(raised.value) == "missing 'walsh_rank' line"
+
+
 def test_wiring_error_surfaces():
     with pytest.raises(ShapeError):
         parse_model_spec("input 4\nwalsh_rank 8\nflatten\n")   # 4 != rank 8
