@@ -31,7 +31,7 @@ from .numerics import ContractError, ShapeError
 from .walsh import WalshCodebook, make_codebook
 
 MAGIC = b"DIVF"
-VERSION = 2
+VERSION = 3   # 3: no bias for a convolution that a BatchNorm follows
 
 
 def _pack_array(arr: np.ndarray) -> bytes:
@@ -67,12 +67,14 @@ class _Reader:
 
 def _state_size(model: FeatureExtractor) -> int:
     """The values ``model.state_arrays`` will hold, from its wired layers:
-    weights, a bias per convolution plane or Dense unit, and BatchNorm's
-    scale, shift and running statistics per plane."""
+    weights, a bias per Dense unit and per plane of a convolution that no
+    BatchNorm follows, and BatchNorm's scale, shift and running statistics per
+    plane."""
     return model.weight_count() + sum(
         4 * layer.planes if isinstance(layer, BatchNorm)
         else layer.out_dim if isinstance(layer, Dense)
-        else getattr(layer, "planes", 0)          # a convolution's; ReLU and Flatten have none
+        else layer.planes if "bias" in layer.param_names   # a convolution's
+        else 0                                   # ReLU, Flatten, a linked convolution
         for layer in model.layers)
 
 

@@ -38,24 +38,33 @@ number of input planes: ``dy`` padded by fw-1 columns each side has Wp
 windows per row, a ``(Ho·Wp, fw·P)`` matrix per sample, and filter row u,
 reversed, adds one GEMM into padded input rows u..u+Ho, which are
 contiguous. The walk shares a pass's blocks over the cores the process may
-run on, as Cho & Brand partition the lowered matrix: block j runs on worker
-j % k, k = min(cores, ceil(blocks / 2)), each worker with a window buffer
-and GEMM scratch that the calling thread allocates. A block writes only its
-own samples of the output and of ``dx`` and its own partial ``dW``, and the
-partials are summed in block order, so every result is the same, bit for
-bit, on any number of cores. With k = 1 (two blocks or fewer, or one core)
-the walk runs inline on the calling thread. Either kernel's result is a ``(N, P, H, W)`` view
-of a channels-last array. BatchNorm, which works on that memory as an
-``(M, C)`` matrix, and ReLU keep its order both ways, so a following
-convolution reads its input without a copy.
+run on, as Cho & Brand partition the lowered matrix, through
+:func:`_share`, which BatchNorm's training passes call too: block j runs on
+worker j % k, k = min(cores, ceil(blocks / 2)), each worker with a window
+buffer and GEMM scratch that the calling thread allocates. A block writes
+only its own samples of the output and of ``dx`` and its own partial ``dW``,
+and the partials are summed in block order, so every result is the same,
+bit for bit, on any number of cores. With k = 1 (two blocks or fewer, or one
+core) the walk runs inline on the calling thread. Either kernel's result is
+a ``(N, P, H, W)`` view of a channels-last array. BatchNorm, which works on
+that memory as one row per sample, and ReLU keep its order both ways, so a
+following convolution reads its input without a copy.
+
+:class:`FeatureExtractor` links a BatchNorm right after a convolution, which
+then has no bias (the mean subtraction cancels it; Ioffe & Szegedy 2015,
+§3.2), and a ReLU right after a BatchNorm, which the BatchNorm applies. A
+ReLU after a bare convolution stays a layer of its own: fused there, it ran
+faster, but it moved the allocator's thresholds under the benchmark's
+calibration kernel, whose scaling then read it 22% slower.
 
 A pass trains exactly when it is taped: :meth:`Layer.forward` takes mode
 "train" with a tape and "infer" without one, and refuses any other pairing.
-An inference folds a BatchNorm that :class:`FeatureExtractor` wires right
-after a convolution into it (Jacob et al. 2018): the kernel runs with weights
-``W·a`` and bias ``(b - running_mean)·a + shift``, where
-``a = scale/sqrt(running_var + eps)``, from the current arrays on every
-call, and the BatchNorm returns its input. No backward runs in inference.
+An inference folds a BatchNorm linked to the convolution before it into
+that convolution (Jacob et al. 2018): the kernel runs with weights ``W·a``
+and bias ``shift - running_mean·a``, where ``a = scale/sqrt(running_var +
+eps)``, from the current arrays on every call, then the linked ReLU in place
+on each block's rows of ``y`` while they are in cache; the BatchNorm and the
+ReLU return their input. No backward runs in inference.
 
 A model computes in the dtype its spec's ``compute`` line names, float64 by
 default or float32, to which :class:`FeatureExtractor` casts each batch once;
@@ -91,6 +100,11 @@ COMPUTE_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
 # per-core L2 cache (4 MiB blocks ran the mnist.spec convolutions about 1.4x
 # slower at batch 256).
 _IM2COL_BLOCK_BYTES = 1 << 20
+# BatchNorm's training passes walk blocks of whole samples of at most this many
+# bytes, so that each block and its worker's scratch stay in cache across a
+# pass's few operations (at the row-window budget every mnist.spec BatchNorm at
+# batch 32 made at most two blocks, ran inline, and read 6% slower).
+_NORM_BLOCK_BYTES = 1 << 18
 # The cores this process may run on, over which the row-window kernel shares
 # its blocks (``taskset`` restricts them).
 _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -110,6 +124,8 @@ class Layer:
     param_names = ()   # attributes holding the trainable arrays, in order
     norm = None        # a convolution's BatchNorm, applied by its kernel in inference
     folded = False     # a BatchNorm that its convolution applies there
+    relu = False       # a BatchNorm that applies the ReLU after it, in either mode
+    linked = False     # a ReLU that the layer before it applies
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -177,52 +193,76 @@ def _windows(xp, fh, fw):
                       strides=(s0, s1, s2, s1, s2, s3))
 
 
-def _block_starts(windows):
-    """The first sample of each block of the ``windows (N, ...)``: as many
-    whole samples as fit ``_IM2COL_BLOCK_BYTES``, one if a sample is larger."""
-    n = len(windows)
-    sample_bytes = windows.itemsize * math.prod(windows.shape[1:])
-    return range(0, n, max(1, min(n, _IM2COL_BLOCK_BYTES // sample_bytes)))
+def _block_starts(array, budget):
+    """The first sample of each block of the ``array (N, ...)``: as many whole
+    samples as fit ``budget`` bytes, one if a sample is larger."""
+    n = len(array)
+    sample_bytes = array.itemsize * math.prod(array.shape[1:])
+    return range(0, n, max(1, min(n, budget // sample_bytes)))
 
 
-def _window_blocks(windows, width, work, scratch=None):
-    """Copy the ``windows (N, ...)`` in the blocks of :func:`_block_starts` and
-    call ``work(j, s, rows, product)`` on block j: its first sample s, its
-    windows as an ``(m, -1, width)`` array and, given a ``scratch`` shape, an
-    ``(m, *scratch)`` buffer (else ``None``), both reused by the worker's next
-    block.
+def _workers(blocks):
+    """k = min(_CORES, ceil(blocks / 2)) workers for a walk of ``blocks``: a
+    worker has two blocks on average to repay its hand-off (a walk of two
+    blocks split over two cores ran slower than inline)."""
+    return min(_CORES, -(-blocks // 2))
 
-    The one place where the kernel's work is shared over the cores: block j
-    runs on worker j % k, k = min(_CORES, ceil(blocks / 2)), so that a worker
-    has two blocks on average to repay its hand-off (a walk of two blocks
-    split over two cores ran slower than inline). The calling thread
-    allocates every worker's buffers, one array of k parts for each, and runs
-    worker 0 itself, the pool the others, so ``work`` writes only into arrays
-    allocated before the walk, each block into its own part. With k = 1 it
-    all runs inline, without the pool.
+
+def _share(blocks, work):
+    """Call ``work(i, j)`` for each block j on worker i = j % k, k =
+    :func:`_workers`: the one place where work is shared over the cores.
+
+    The calling thread runs worker 0 and the pool the others. ``work`` writes
+    only into arrays its caller allocated, with k parts for any scratch
+    (buffers the workers allocated themselves were trimmed and re-faulted by
+    glibc on every walk). With k = 1 it all runs inline, without the pool.
     """
-    starts, n = _block_starts(windows), len(windows)
-    step, k = starts.step, min(_CORES, -(-len(starts) // 2))
-    buf = np.empty((k * step, *windows.shape[1:]), windows.dtype)
-    product = None if scratch is None else np.empty((k * step, *scratch), windows.dtype)
+    k = _workers(blocks)
 
-    def share(i):
-        lo = i * step
-        for j in range(i, len(starts), k):
-            s = starts[j]
-            m = min(step, n - s)
-            rows = buf[lo:lo + m]
-            np.copyto(rows, windows[s:s + m])
-            work(j, s, rows.reshape(m, -1, width), None if product is None else product[lo:lo + m])
+    def run(i):
+        for j in range(i, blocks, k):
+            work(i, j)
 
     if k == 1:
-        return share(0)
-    futures = [_pool().submit(share, i) for i in range(1, k)]
+        return run(0)
+    futures = [_pool().submit(run, i) for i in range(1, k)]
     try:
-        share(0)
+        run(0)
     finally:
         for future in futures:
             future.result()
+
+
+def _sum_in_order(parts):
+    """The sum of ``parts`` over its first axis, accumulated into ``parts[0]``
+    first block first, so that it is the same bits on any number of cores."""
+    total = parts[0]
+    for part in parts[1:]:
+        total += part
+    return total
+
+
+def _window_blocks(windows, width, work, scratch=None):
+    """Copy the ``windows (N, ...)`` in the blocks of :func:`_block_starts`
+    (``_IM2COL_BLOCK_BYTES`` each), shared over the cores by :func:`_share`,
+    and call ``work(j, s, rows, product)`` on block j: its first sample s, its
+    windows as an ``(m, -1, width)`` array and, given a ``scratch`` shape, an
+    ``(m, *scratch)`` buffer (else ``None``), both parts of arrays of k parts
+    that the calling thread allocates, reused by the worker's next block.
+    """
+    starts, n = _block_starts(windows, _IM2COL_BLOCK_BYTES), len(windows)
+    step, k = starts.step, _workers(len(starts))
+    buf = np.empty((k * step, *windows.shape[1:]), windows.dtype)
+    product = None if scratch is None else np.empty((k * step, *scratch), windows.dtype)
+
+    def copy(i, j):
+        s, lo = starts[j], i * step
+        m = min(step, n - s)
+        rows = buf[lo:lo + m]
+        np.copyto(rows, windows[s:s + m])
+        work(j, s, rows.reshape(m, -1, width), None if product is None else product[lo:lo + m])
+
+    _share(len(starts), copy)
 
 
 def _pool():
@@ -245,15 +285,18 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _conv2d(x, weights, bias, padding, input_grad=True):
+def _conv2d(x, weights, bias, padding, input_grad=True, relu=False):
     """Stride-1 cross-correlation of ``x (N, C, H, W)`` with ``weights
     (P, C, fh, fw)``, or of a signal ``x (N, C, L)`` with ``weights (P, C, f)``
-    as a 1×L image, plus ``bias (P,)`` under ``valid`` or ``same`` padding.
+    as a 1×L image, plus ``bias (P,)`` (none if ``None``) under ``valid`` or
+    ``same`` padding, then, given ``relu``, max(0, ·) in place on each block's
+    rows while they are in cache (an inference's).
 
     Returns ``(y, bwd)``: ``y (N, P, Ho, Wo)`` and ``bwd(dy) -> (dx, dW, db)``,
-    each in its argument's rank. ``y`` and ``dW`` come from one
-    :func:`_window_blocks` walk each over the padded input's windows: row
-    windows on several input planes, whole filter windows on one. ``dx``
+    without ``db`` if there is no bias, each in its argument's rank. ``y`` and
+    ``dW`` come from one :func:`_window_blocks` walk each over the padded
+    input's windows: row windows on several input planes, whole filter windows
+    on one. ``dx``
     (``None`` without ``input_grad``) walks the row windows of ``dy`` padded
     by fw-1 columns each side, on any number of input planes. Each block
     writes its own samples of ``y`` and ``dx`` and its own partial ``dW``,
@@ -284,7 +327,7 @@ def _conv2d(x, weights, bias, padding, input_grad=True):
     width = height * fw * c
     windows = _windows(xp, height, fw)          # (N, Hp - height + 1, Wo, height, fw, C)
     slabs = np.ascontiguousarray(weights.transpose(2, 3, 1, 0), dtype).reshape(-1, width, planes)
-    bias = bias.astype(dtype, copy=False)
+    bias = None if bias is None else bias.astype(dtype, copy=False)
     y_nhwc = np.empty((n, ho, wo, planes), dtype)
     whole = None    # the forward's windows, when one block held the batch
 
@@ -294,7 +337,10 @@ def _conv2d(x, weights, bias, padding, input_grad=True):
         np.matmul(rows[:, :ho * wo], slabs[0], out=yb)
         for u in range(1, len(slabs)):
             yb += np.matmul(rows[:, u * wo:(u + ho) * wo], slabs[u], out=product)
-        yb += bias
+        if bias is not None:
+            yb += bias
+        if relu:
+            np.maximum(yb, 0, out=yb)
         if len(rows) == n:
             whole = rows
 
@@ -304,9 +350,9 @@ def _conv2d(x, weights, bias, padding, input_grad=True):
     def bwd(dy):
         dy_n = np.ascontiguousarray(dy.reshape(n, planes, ho, wo).transpose(0, 2, 3, 1), dtype)
         dy_m = dy_n.reshape(-1, planes)
-        db = np.ones(len(dy_m), dtype) @ dy_m
+        db = () if bias is None else (np.ones(len(dy_m), dtype) @ dy_m,)
         taps = len(slabs) * width                                    # fh*fw*C
-        blocks = 1 if whole is not None else len(_block_starts(windows))
+        blocks = 1 if whole is not None else len(_block_starts(windows, _IM2COL_BLOCK_BYTES))
         parts = np.empty((blocks, planes, taps), dtype)
 
         def weight_grad(j, s, rows, g):
@@ -319,12 +365,9 @@ def _conv2d(x, weights, bias, padding, input_grad=True):
             _window_blocks(windows, width, weight_grad, (planes, taps))
         else:
             weight_grad(0, 0, whole, np.empty((n, planes, taps), dtype))
-        dw = parts[0]
-        for part in parts[1:]:
-            dw += part                                   # in block order, on any number of cores
-        dw = dw.reshape(planes, fh, fw, c).transpose(0, 3, 1, 2).reshape(shapes[1])
+        dw = _sum_in_order(parts).reshape(planes, fh, fw, c).transpose(0, 3, 1, 2).reshape(shapes[1])
         if not input_grad:
-            return None, dw, db
+            return None, dw, *db
         # filter row u, reversed, meets the windows in padded input rows u..u+Ho
         dxp = np.zeros(xp.shape, dtype)
         dyp = np.zeros((n, ho, wp + fw - 1, planes), dtype)
@@ -338,7 +381,7 @@ def _conv2d(x, weights, bias, padding, input_grad=True):
                 dxb[:, u * wp:(u + ho) * wp] += np.matmul(rows, back[u], out=product)
 
         _window_blocks(_windows(dyp, 1, fw), fw * planes, input_grad_block, (ho * wp, c))
-        return dxp[:, top:top + h, left:left + w].transpose(0, 3, 1, 2).reshape(shapes[0]), dw, db
+        return dxp[:, top:top + h, left:left + w].transpose(0, 3, 1, 2).reshape(shapes[0]), dw, *db
 
     y = y_nhwc.transpose(0, 3, 1, 2)
     return (y[:, :, 0] if signal else y), bwd
@@ -362,12 +405,12 @@ def _dense_index(c, size, planes, extents, padding):
     return idx, (ho, wo)[-len(size):]
 
 
-def _dense_conv(x, weights, bias, padding, input_grad=True):
+def _dense_conv(x, weights, bias, padding, input_grad=True, relu=False):
     """:func:`_conv2d`'s ``(y, bwd)`` by GEMMs against the dense matrix ``T``:
-    ``x @ T.T + bias``, ``dy @ T`` (if ``input_grad``), and ``dy.T @ x`` binned
-    into ``dW``. It computes in float64 whatever ``x``'s dtype, since ``T`` is
-    float64 (a plain GEMM's float32 rows would depend on the batch); ``dx``
-    takes ``x``'s dtype."""
+    ``x @ T.T + bias``, then max(0, ·) in place given ``relu``, ``dy @ T`` (if
+    ``input_grad``), and ``dy.T @ x`` binned into ``dW``. It computes in
+    float64 whatever ``x``'s dtype, since ``T`` is float64 (a plain GEMM's
+    float32 rows would depend on the batch); ``dx`` takes ``x``'s dtype."""
     n, c, *size = x.shape
     planes = len(weights)
     idx, out = _dense_index(c, tuple(size), planes, weights.shape[2:], padding)
@@ -375,7 +418,10 @@ def _dense_conv(x, weights, bias, padding, input_grad=True):
     x_m = x.transpose(to_last).reshape(n, -1)
     t = np.concatenate((weights.ravel(), _ZERO))[idx]
     y = (x_m @ t.T).reshape(n, -1, planes)
-    y += bias
+    if bias is not None:
+        y += bias
+    if relu:
+        np.maximum(y, 0, out=y)
 
     def bwd(dy):
         dy_m = dy.transpose(to_last).reshape(n, -1)
@@ -383,7 +429,8 @@ def _dense_conv(x, weights, bias, padding, input_grad=True):
               if input_grad else None)
         dw = np.bincount(idx.ravel(), (dy_m.T @ x_m).ravel(), weights.size + 1)[:-1]
         dy_p = dy_m.reshape(-1, planes)
-        return dx, dw.reshape(weights.shape), np.ones(len(dy_p)) @ dy_p
+        db = () if bias is None else (np.ones(len(dy_p)) @ dy_p,)
+        return dx, dw.reshape(weights.shape), *db
 
     return y.reshape(n, *out, planes).transpose(to_first), bwd
 
@@ -391,10 +438,14 @@ def _dense_conv(x, weights, bias, padding, input_grad=True):
 class Conv2D(Layer):
     """Cross-correlation over ``ndim`` spatial axes, stride 1, summed over input
     planes, plus bias: ``Conv2D(fh, fw, planes)`` has ``(planes, C, fh, fw)``
-    weights."""
+    weights. A convolution linked to the BatchNorm after it has no bias: the
+    BatchNorm's mean subtraction cancels it (Ioffe & Szegedy 2015, §3.2)."""
 
-    param_names = ("weights", "bias")
     ndim = 2
+
+    @property
+    def param_names(self):
+        return ("weights",) if self.norm else ("weights", "bias")
 
     def __init__(self, *sizes: int, padding: str = "valid"):
         *extents, planes = sizes
@@ -428,7 +479,7 @@ class Conv2D(Layer):
     def init_params(self, rng):
         shape = (self.planes, self.in_planes, *self.extents)
         self.weights = _he_init(rng, shape, math.prod(shape[1:]))
-        self.bias = np.zeros(self.planes)
+        self.bias = None if self.norm else np.zeros(self.planes)
 
     def weight_count(self):
         return self.planes * self.in_planes * math.prod(self.extents)
@@ -442,9 +493,9 @@ class Conv2D(Layer):
         norm = self.norm
         if norm is None or train:
             return kernel(x, self.weights, self.bias, self.padding, input_grad)
-        a = norm.scale / np.sqrt(norm.running_var + BN_EPSILON)   # W*a, (b - mean)*a + shift
+        a = norm.scale / np.sqrt(norm.running_var + BN_EPSILON)   # W*a, shift - mean*a
         return kernel(x, self.weights * a.reshape(-1, *(1,) * (self.weights.ndim - 1)),
-                      (self.bias - norm.running_mean) * a + norm.shift, self.padding)
+                      norm.shift - norm.running_mean * a, self.padding, relu=norm.relu)
 
 
 class Conv1D(Layer):
@@ -464,11 +515,22 @@ class BatchNorm(Layer):
     Training normalizes by batch statistics, which also update the running
     statistics by an exponential moving average; inference uses the running
     ones. Either way forward is one affine map ``y = x*a + b`` on the ``(M, C)``
-    channels-last matrix, ``a = scale/sqrt(var + eps)``, ``b = shift - mean*a``;
-    backward, in training only, returns ``dy*a`` plus per-plane ``x*c + d``.
-    Both compute in ``x``'s dtype, to which ``a`` and ``b`` are cast (so ``c``
-    and ``d``, from training's batch statistics, are in it too); the running
-    statistics stay float64.
+    channels-last matrix, ``a = scale/sqrt(var + eps)``, ``b = shift - mean*a``,
+    then max(0, y) if it is linked to the ReLU after it (``relu``); backward,
+    in training only, returns ``dy*a`` plus per-plane ``x*c - d``, ``dy`` first
+    gated by ``y > 0`` if linked. Both compute in ``x``'s dtype, to which ``a``
+    and ``b`` are cast (so ``c`` and ``d``, from training's batch statistics,
+    are in it too); the running statistics stay float64.
+
+    Training walks blocks of whole samples of at most ``_NORM_BLOCK_BYTES``
+    over the cores (:func:`_share`). The forward makes three passes: per-block
+    sums give the mean, centred squares the variance (two-pass), then the map
+    and the ReLU fill ``y``. The backward makes two: the gated ``dy`` into
+    ``dx`` with per-block sums of it and of ``dy*x`` (``dbeta``, ``dgamma``),
+    then ``dx*a + x*c - d`` in place. Partial sums are summed in block order,
+    so results are the same bits on any number of cores. A per-plane map runs
+    against its coefficients tiled over a sample's positions: numpy
+    broadcasts a ``(C,)`` vector over ``(M, C)`` rows about 3x slower.
     """
 
     param_names = ("scale", "shift")
@@ -500,52 +562,138 @@ class BatchNorm(Layer):
         to_last = (0, *range(2, x.ndim), 1)
         to_first = (0, x.ndim - 1, *range(1, x.ndim - 1))
         xt = x.transpose(to_last)
-        # (M, C): a view of a convolution's output, a copy otherwise
-        xm = xt.reshape(-1, self.planes)
-        m, dtype = len(xm), x.dtype
-        if train:
-            if x.shape[0] < 2:
-                raise ContractError("batch normalization needs batch size >= 2 in training")
-            ones = np.ones(m, dtype)
-            mean = (ones @ xm) / m
-            sq = xm - mean
-            sq *= sq
-            var = (ones @ sq) / m
-            self.running_mean *= BN_MOMENTUM
-            self.running_mean += (1.0 - BN_MOMENTUM) * mean
-            self.running_var *= BN_MOMENTUM
-            self.running_var += (1.0 - BN_MOMENTUM) * var
-        else:
-            mean, var = self.running_mean, self.running_var
+        # one row per sample, channels-last: a view of a convolution's output,
+        # a copy otherwise
+        xs = np.ascontiguousarray(xt).reshape(len(x), -1)
+        if not train:
+            a, b, _ = self._affine(self.running_mean, self.running_var, x.dtype)
+            ym = xs.reshape(-1, self.planes) * a
+            ym += b
+            if self.relu:
+                np.maximum(ym, 0, out=ym)
+            return ym.reshape(xt.shape).transpose(to_first), None
+        if len(x) < 2:
+            raise ContractError("batch normalization needs batch size >= 2 in training")
+        ys, bwd = self._train(xs)
+
+        def unflatten(dy):
+            dx, dgamma, dbeta = bwd(dy.transpose(to_last).reshape(xs.shape))
+            return dx.reshape(xt.shape).transpose(to_first), dgamma, dbeta
+
+        return ys.reshape(xt.shape).transpose(to_first), unflatten
+
+    def _affine(self, mean, var, dtype):
+        """``(a, b, inv_std)`` of the map ``x*a + b``, ``a`` and ``b`` in ``dtype``."""
         inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
         a = (self.scale * inv_std).astype(dtype, copy=False)
-        ym = xm * a
-        ym += (self.shift - mean * a).astype(dtype, copy=False)
+        return a, (self.shift - mean * a).astype(dtype, copy=False), inv_std
 
-        def bwd(dy):
-            dym = dy.transpose(to_last).reshape(xm.shape)
-            ones = np.ones(m, dtype)
-            dbeta = ones @ dym
-            prod = dym * xm
-            dgamma = (ones @ prod - mean * dbeta) * inv_std
-            dxm = dym * a
-            # the batch statistics' share: dx += x*c + d, per plane
+    def _train(self, xs):
+        """``(ys, bwd)``: a training pass on ``xs``, one channels-last sample
+        per row, and ``bwd(dyt) -> (dxs, dgamma, dbeta)`` for the output
+        gradient ``dyt`` in ``xs``'s shape."""
+        planes, dtype = self.planes, xs.dtype
+        m, positions = xs.size // planes, xs.shape[1] // planes
+        starts = _block_starts(xs, _NORM_BLOCK_BYTES)
+        step, blocks = starts.step, len(starts)
+        ones = np.ones(step * positions, dtype)
+        sums = np.empty((2, blocks, planes), dtype)     # each block's, summed in block order
+
+        def block(array, j):
+            return array[starts[j]:starts[j] + step]
+
+        def plane_sums(array, out):
+            """A block's per-plane sums of ``array``, into ``out``."""
+            rows = array.reshape(-1, planes)
+            np.matmul(ones[:len(rows)], rows, out=out)
+
+        def tiled(*per_plane):
+            """Each per-plane vector repeated over a sample's positions."""
+            out = np.empty((len(per_plane), positions, planes), dtype)
+            out[...] = np.reshape(per_plane, (len(per_plane), 1, planes))
+            return out.reshape(len(per_plane), -1)
+
+        def scratch():
+            return np.empty((_workers(blocks), step, xs.shape[1]), dtype)
+
+        _share(blocks, lambda i, j: plane_sums(block(xs, j), sums[0, j]))
+        mean = _sum_in_order(sums[0]) / m
+        (centre,), squares = tiled(mean), scratch()
+
+        def centred_squares(i, j):
+            xb = block(xs, j)
+            sq = squares[i, :len(xb)]
+            np.subtract(xb, centre, out=sq)
+            sq *= sq
+            plane_sums(sq, sums[1, j])
+
+        _share(blocks, centred_squares)
+        var = _sum_in_order(sums[1]) / m
+        self.running_mean *= BN_MOMENTUM
+        self.running_mean += (1.0 - BN_MOMENTUM) * mean
+        self.running_var *= BN_MOMENTUM
+        self.running_var += (1.0 - BN_MOMENTUM) * var
+        a, b, inv_std = self._affine(mean, var, dtype)
+        a_t, b_t = tiled(a, b)
+        ys, relu = np.empty_like(xs), self.relu
+
+        def normalize(i, j):
+            yb = block(ys, j)
+            np.multiply(block(xs, j), a_t, out=yb)
+            yb += b_t
+            if relu:
+                np.maximum(yb, 0, out=yb)
+
+        _share(blocks, normalize)
+
+        def bwd(dyt):
+            dxs, products, parts = np.empty_like(xs), scratch(), np.empty_like(sums)
+
+            def gate(i, j):
+                g = block(dxs, j)
+                dyb = block(dyt, j)
+                if relu:   # a float gate: a bool*float multiply costs about 4x as much
+                    np.greater(block(ys, j), 0, out=g, casting="unsafe")
+                    g *= dyb
+                else:
+                    np.copyto(g, dyb)
+                plane_sums(g, parts[0, j])
+                p = products[i, :len(g)]
+                np.multiply(g, block(xs, j), out=p)
+                plane_sums(p, parts[1, j])
+
+            _share(blocks, gate)
+            dbeta = _sum_in_order(parts[0])
+            dgamma = (_sum_in_order(parts[1]) - mean * dbeta) * inv_std
+            # dx = dy*a + x*c - d, per plane: c and d are the batch statistics' share
             c = a * inv_std * dgamma / -m
-            np.multiply(xm, c, out=prod)
-            prod -= a * dbeta / m + c * mean
-            dxm += prod
-            return dxm.reshape(xt.shape).transpose(to_first), dgamma, dbeta
+            c_t, d_t = tiled(c, a * dbeta / m + c * mean)
 
-        return ym.reshape(xt.shape).transpose(to_first), bwd if train else None
+            def input_grad(i, j):
+                g = block(dxs, j)
+                p = products[i, :len(g)]
+                np.multiply(block(xs, j), c_t, out=p)
+                p -= d_t
+                g *= a_t
+                g += p
+
+            _share(blocks, input_grad)
+            return dxs, dgamma, dbeta
+
+        return ys, bwd
 
 
 class ReLU(Layer):
-    """Elementwise max(0, x); gradient is 1 where x > 0, else 0."""
+    """Elementwise max(0, x); gradient is 1 where x > 0, else 0. A linked ReLU
+    returns its input, already rectified, and passes its gradient through to
+    the BatchNorm's backward, which gates it; it still records its tape entry."""
 
     def wire(self, in_shape):
         return tuple(in_shape)
 
     def _apply(self, x, train, input_grad=True):
+        if self.linked:
+            return x, lambda g: (g,)
         # a float gate: a bool*float multiply costs about 4x as much
         return np.maximum(x, 0.0), lambda g: (g * (x > 0).astype(x.dtype),)
 
@@ -643,10 +791,14 @@ class FeatureExtractor:
         shape = self.input_shape
         for before, layer in zip([None, *self.layers], self.layers):
             shape = layer.wire(shape)
-            layer.norm = None   # the next iteration links a BatchNorm after a convolution
+            layer.norm, layer.relu = None, False   # the next iteration's links
+            # a BatchNorm after a convolution, and a ReLU after a BatchNorm
             layer.folded = isinstance(layer, BatchNorm) and isinstance(before, (Conv1D, Conv2D))
+            layer.linked = isinstance(layer, ReLU) and isinstance(before, BatchNorm)
             if layer.folded:
                 before.norm = layer
+            if layer.linked:
+                before.relu = True
         if shape != (self.rank,):
             raise ShapeError(
                 f"model output shape {shape} must be ({self.rank},) to match the codebook rank"

@@ -97,7 +97,7 @@ def _header(values, kind, args):
             raise ValueError("input takes 1 to 3 dimensions")
         values[kind] = dims if len(dims) == 3 else (1,) + dims
     elif kind == "walsh_rank":
-        values[kind] = int(token)
+        values[kind] = _size(token)
     elif token in _COMPUTE_NAMES:
         values[kind] = token
     else:

@@ -1,6 +1,8 @@
 """Shared finite-difference gradient-check harness for layer tests, and an
 unfolded reference inference for the folded one."""
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from divfe.numerics import GradientTape, backward
@@ -61,19 +63,32 @@ def train_forward(layer, x):
 def unfolded_inference(model, x):
     """``model``'s inference on ``x``, cast to its compute dtype as
     :meth:`~divfe.layers.FeatureExtractor.forward` casts it, run layer by layer
-    with every fold link cleared, so that each convolution runs unfolded and
-    each BatchNorm applies its running-statistics map; the links are restored
-    after."""
+    with every link cleared, so that each convolution runs unfolded, each
+    BatchNorm applies its running-statistics map and each ReLU its own
+    maximum; the links are restored after."""
     x = np.asarray(x, dtype=model.compute)
-    links = [(layer.norm, layer.folded) for layer in model.layers]
-    try:
+    with unlinked(model.layers, "norm", "folded", "relu", "linked"):
         for layer in model.layers:
-            layer.norm, layer.folded = None, False
             x = layer.forward(x)
-    finally:
-        for layer, (norm, folded) in zip(model.layers, links):
-            layer.norm, layer.folded = norm, folded
     return x
+
+
+@contextmanager
+def unlinked(layers, *links):
+    """The ``links`` attributes of every layer cleared (``None`` or ``False``),
+    then restored. A convolution's ``bias`` is read while ``norm`` is cleared,
+    so clearing ``norm`` on a model whose convolutions have no bias runs them
+    without one."""
+    saved = [[getattr(layer, name) for name in links] for layer in layers]
+    try:
+        for layer in layers:
+            for name in links:
+                setattr(layer, name, None if name == "norm" else False)
+        yield
+    finally:
+        for layer, values in zip(layers, saved):
+            for name, value in zip(links, values):
+                setattr(layer, name, value)
 
 
 def analytic_grads(layer, x, proj):

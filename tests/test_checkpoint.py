@@ -82,13 +82,15 @@ def test_round_trip_with_normalizer(tmp_path):
 
 def test_float64_checkpoint_keeps_its_bytes(tmp_path):
     # a float64 model writes no `compute` line, so its checkpoint has the
-    # bytes it had before that header existed: this digest was taken then
+    # bytes it had before that header existed: this digest was taken then, and
+    # retaken when VERSION went from 2 to 3, which changed only that field and
+    # the CRC (this model has no BatchNorm)
     model = _model_1d()
     model.params[:] = np.linspace(-1, 1, model.params.size)
     path = tmp_path / "m.divf"
     save_checkpoint(model, make_codebook(3, 8), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "c563bf7f120445cd65d09313814297e0341f1ed28ce4570b825085d2e3f7ee29")
+        "96da656e822c4c3897e4a6f5521ff89d8b6a159380bef7c6af195e91d54c9659")
 
 
 def test_float32_checkpoint_round_trips_and_reloads_as_float32(tmp_path):
@@ -204,6 +206,22 @@ def test_hand_built_state_and_standardizer_load(tmp_path):
     np.testing.assert_array_equal(normalizer.std, 1e-300)
 
 
+LINKED_SPEC = b"input 4\nwalsh_rank 4\nconv1d 4 4\nbatchnorm\nrelu\nflatten\n"
+BATCHNORM_STATE = _array(np.ones(4)) + _array(np.zeros(4)) + _array(np.zeros(4)) + _array(np.ones(4))
+
+
+def test_a_convolution_that_a_batchnorm_follows_stores_no_bias(tmp_path):
+    # its weights, then the BatchNorm's four arrays: no bias between them
+    path = tmp_path / "m.divf"
+    _write(path, _payload(spec=LINKED_SPEC, arrays=_array(np.arange(16.0)) + BATCHNORM_STATE))
+    model, _, _ = load_checkpoint(path)
+    conv = model.layers[0]
+    assert conv.param_names == ("weights",) and conv.bias is None
+    np.testing.assert_array_equal(conv.weights.ravel(), np.arange(16.0))
+    save_checkpoint(model, make_codebook(2, 4), tmp_path / "again.divf")
+    assert (tmp_path / "again.divf").read_bytes() == path.read_bytes()
+
+
 MALFORMED = {
     "class-count-zero": _payload(class_count=0),
     "class-count-beyond-rank": _payload(class_count=4),            # rank 4 holds 3
@@ -212,8 +230,13 @@ MALFORMED = {
     "spec-len-past-end": _payload(spec_len=1000),
     "arrays-do-not-match-spec": _payload(spec=b"input 4\nwalsh_rank 4\nflatten\ndense 4\n",
                                          arrays=_array(np.zeros(12)) + _array(np.zeros(4))),
+    # the bias a version-2 file stored for that convolution
+    "bias-before-a-batchnorm": _payload(spec=LINKED_SPEC, arrays=_array(np.arange(16.0))
+                                       + _array(np.zeros(4)) + BATCHNORM_STATE),
     "trailing-bytes": _payload(tail=struct.pack("<I", 0) + b"\0"),
     "version-1": _payload(version=1),
+    # version 2 stored a bias for a convolution that a BatchNorm follows
+    "version-2": _payload(version=2),
     "normalizer-flag-2": _payload(tail=struct.pack("<I", 2) + _array(np.zeros(4))
                                   + _array(np.ones(4))),
     "malformed-spec": _payload(spec=b"input 4\nwalsh_rank 4\nsoftmax\n"),

@@ -152,6 +152,21 @@ def test_a_malformed_planes_line_says_what_it_takes(line, reason):
     assert str(raised.value).endswith(reason)
 
 
+@pytest.mark.parametrize("rank, reason", [("0", "sizes must be positive, got '0'"),
+                                          ("-4", "sizes must be positive, got '-4'")])
+def test_a_walsh_rank_below_one_is_a_parse_error_naming_its_line(tmp_path, rank, reason):
+    # once read as a bare int, a rank of 0 failed later as a wiring ShapeError
+    # naming no line; spec and template read it as every other size
+    path = tmp_path / "model.spec"
+    path.write_text(f"input 4\nwalsh_rank {rank}\nflatten\n")
+    with pytest.raises(ParseError) as raised:
+        load_model_spec(path)
+    assert str(raised.value) == f"{path}:2: malformed 'walsh_rank' line: {reason}"
+    with pytest.raises(ParseError) as raised:
+        parse_growth_template(f"input 4\nplanes 2\nwalsh_rank {rank}\n", path)
+    assert str(raised.value) == f"{path}:3: malformed 'walsh_rank' line: {reason}"
+
+
 def test_a_missing_line_names_its_file(tmp_path):
     path = tmp_path / "model.spec"
     path.write_text("walsh_rank 4\nflatten\n")
