@@ -37,14 +37,20 @@ correlation of ``dy`` with the flipped filter, walks row windows too, on any
 number of input planes: ``dy`` padded by fw-1 columns each side has Wp
 windows per row, a ``(Ho·Wp, fw·P)`` matrix per sample, and filter row u,
 reversed, adds one GEMM into padded input rows u..u+Ho, which are
-contiguous. The walk shares a pass's blocks over the cores the process may
-run on, as Cho & Brand partition the lowered matrix, through
-:func:`_share`, which BatchNorm's training passes call too: block j runs on
-worker j % k, k = min(cores, ceil(blocks / 2)), each worker with a window
-buffer and GEMM scratch that the calling thread allocates. A block writes
-only its own samples of the output and of ``dx`` and its own partial ``dW``,
-and the partials are summed in block order, so every result is the same,
-bit for bit, on any number of cores. With k = 1 (two blocks or fewer, or one
+contiguous. Each block pads only its own samples of ``dy``, so no padded
+copy of the whole batch is made. The walk shares a pass's blocks over the
+cores the process may run on, as Cho & Brand partition the lowered matrix,
+through :func:`_share`, which BatchNorm's training passes call too: block j
+runs on worker j % k, k = min(cores, ceil(blocks / 2)), each worker with
+its part of the calling thread's buffers. The calling thread takes the
+window blocks of a walk of several blocks and the padded ``dy`` from its
+workspace, which it keeps between calls (buffers whose lifetimes do not
+overlap share memory, as in Chen et al. 2016, §3), so a training step does
+not fault the same pages in again; nothing it returns comes from there. A
+one-block forward allocates its windows, which the backward reuses. A block
+writes only its own samples of the output and of ``dx`` and its own partial
+``dW``, and the partials are summed in block order, so every result is the
+same, bit for bit, on any number of cores. With k = 1 (two blocks or fewer, or one
 core) the walk runs inline on the calling thread. Either kernel's result is
 a ``(N, P, H, W)`` view of a channels-last array. BatchNorm, which works on
 that memory as one row per sample, and ReLU keep its order both ways, so a
@@ -86,6 +92,7 @@ SGD step is three whole-vector operations.
 import functools
 import math
 import os
+import threading
 
 import numpy as np
 
@@ -109,6 +116,7 @@ _NORM_BLOCK_BYTES = 1 << 18
 # its blocks (``taskset`` restricts them).
 _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _POOL = None   # the worker threads, built by the first shared walk
+_WORKSPACE = threading.local()   # each calling thread's walk scratch (see _scratch)
 # The largest dense matrix a non-spanning convolution runs on. On 1D and 2D
 # convolutions of 2-8 planes (forward and backward, batch 8 and 32, one BLAS
 # thread, 2-core Xeon) the dense kernel took 0.5-0.8 of the row-window one's
@@ -193,11 +201,9 @@ def _windows(xp, fh, fw):
                       strides=(s0, s1, s2, s1, s2, s3))
 
 
-def _block_starts(array, budget):
-    """The first sample of each block of the ``array (N, ...)``: as many whole
-    samples as fit ``budget`` bytes, one if a sample is larger."""
-    n = len(array)
-    sample_bytes = array.itemsize * math.prod(array.shape[1:])
+def _block_starts(n, sample_bytes, budget):
+    """The first sample of each block of n samples of ``sample_bytes`` each: as
+    many whole samples as fit ``budget`` bytes, one if a sample is larger."""
     return range(0, n, max(1, min(n, budget // sample_bytes)))
 
 
@@ -213,9 +219,11 @@ def _share(blocks, work):
     :func:`_workers`: the one place where work is shared over the cores.
 
     The calling thread runs worker 0 and the pool the others. ``work`` writes
-    only into arrays its caller allocated, with k parts for any scratch
-    (buffers the workers allocated themselves were trimmed and re-faulted by
-    glibc on every walk). With k = 1 it all runs inline, without the pool.
+    only into arrays its caller holds, with k parts for any scratch (buffers
+    the workers allocated themselves were trimmed and re-faulted by glibc on
+    every walk): the caller takes the window blocks and padded ``dy`` from its
+    workspace (:func:`_scratch`); nothing it returns comes from there. With
+    k = 1 it all runs inline, without the pool.
     """
     k = _workers(blocks)
 
@@ -242,24 +250,61 @@ def _sum_in_order(parts):
     return total
 
 
-def _window_blocks(windows, width, work, scratch=None):
-    """Copy the ``windows (N, ...)`` in the blocks of :func:`_block_starts`
+def _scratch(slot, shape, dtype):
+    """An uninitialized ``shape`` array of ``dtype`` in ``slot`` of the calling
+    thread's workspace, which keeps it between calls: a slot grows to its
+    largest request and never shrinks, so a training step does not fault the
+    same pages in again. The thread's next walk overwrites it, so nothing
+    returned or kept past a call may come from there."""
+    size = math.prod(shape) * dtype.itemsize
+    held = getattr(_WORKSPACE, slot, None)
+    if held is None or held.nbytes < size:
+        held = np.empty(size, np.uint8)
+        setattr(_WORKSPACE, slot, held)
+    return held[:size].view(dtype).reshape(shape)
+
+
+def _window_blocks(source, width, work, scratch=None, fw=None):
+    """Copy the windows of ``source`` in the blocks of :func:`_block_starts`
     (``_IM2COL_BLOCK_BYTES`` each), shared over the cores by :func:`_share`,
     and call ``work(j, s, rows, product)`` on block j: its first sample s, its
     windows as an ``(m, -1, width)`` array and, given a ``scratch`` shape, an
     ``(m, *scratch)`` buffer (else ``None``), both parts of arrays of k parts
-    that the calling thread allocates, reused by the worker's next block.
+    that the calling thread holds, reused by the worker's next block.
+
+    The windows are ``source (N, ...)`` itself or, given ``fw``, the fw-wide
+    row windows of ``source (N, H, W, C)`` padded by fw-1 zero columns each
+    side: block j's worker pads only its own samples, into its part of the
+    workspace's ``padded`` slot, then copies their windows. A walk of several
+    blocks takes its window buffer from the workspace's ``blocks`` slot
+    (:func:`_scratch`), so ``rows`` must not outlive it; a walk of one block
+    allocates its own, which its caller may keep.
     """
-    starts, n = _block_starts(windows, _IM2COL_BLOCK_BYTES), len(windows)
+    n, dtype = len(source), source.dtype
+    if fw is None:
+        sample = source.shape[1:]
+    else:
+        _, h, w, c = source.shape
+        pad, sample = fw - 1, (h, w + fw - 1, 1, fw, c)
+    starts = _block_starts(n, math.prod(sample) * dtype.itemsize, _IM2COL_BLOCK_BYTES)
     step, k = starts.step, _workers(len(starts))
-    buf = np.empty((k * step, *windows.shape[1:]), windows.dtype)
-    product = None if scratch is None else np.empty((k * step, *scratch), windows.dtype)
+    shape = (k * step, *sample)
+    buf = np.empty(shape, dtype) if len(starts) == 1 else _scratch("blocks", shape, dtype)
+    product = None if scratch is None else np.empty((k * step, *scratch), dtype)
+    padded = None if fw is None else _scratch("padded", (k * step, h, w + 2 * pad, c), dtype)
 
     def copy(i, j):
         s, lo = starts[j], i * step
         m = min(step, n - s)
         rows = buf[lo:lo + m]
-        np.copyto(rows, windows[s:s + m])
+        if padded is None:
+            np.copyto(rows, source[s:s + m])
+        else:   # the slot may hold another walk's data: zero the pad columns every time
+            part = padded[lo:lo + m]
+            part[:, :, :pad] = 0
+            part[:, :, pad + w:] = 0
+            part[:, :, pad:pad + w] = source[s:s + m]
+            np.copyto(rows, _windows(part, 1, fw))
         work(j, s, rows.reshape(m, -1, width), None if product is None else product[lo:lo + m])
 
     _share(len(starts), copy)
@@ -298,7 +343,8 @@ def _conv2d(x, weights, bias, padding, input_grad=True, relu=False):
     input's windows: row windows on several input planes, whole filter windows
     on one. ``dx``
     (``None`` without ``input_grad``) walks the row windows of ``dy`` padded
-    by fw-1 columns each side, on any number of input planes. Each block
+    by fw-1 columns each side, on any number of input planes, each block
+    padding its own samples. Each block
     writes its own samples of ``y`` and ``dx`` and its own partial ``dW``,
     summed in block order. It computes in ``x``'s dtype: the weights and bias
     are cast to it, and every buffer, the gradients included, is allocated in
@@ -352,7 +398,8 @@ def _conv2d(x, weights, bias, padding, input_grad=True, relu=False):
         dy_m = dy_n.reshape(-1, planes)
         db = () if bias is None else (np.ones(len(dy_m), dtype) @ dy_m,)
         taps = len(slabs) * width                                    # fh*fw*C
-        blocks = 1 if whole is not None else len(_block_starts(windows, _IM2COL_BLOCK_BYTES))
+        sample_bytes = windows.itemsize * math.prod(windows.shape[1:])
+        blocks = len(_block_starts(n, sample_bytes, _IM2COL_BLOCK_BYTES)) if whole is None else 1
         parts = np.empty((blocks, planes, taps), dtype)
 
         def weight_grad(j, s, rows, g):
@@ -370,8 +417,6 @@ def _conv2d(x, weights, bias, padding, input_grad=True, relu=False):
             return None, dw, *db
         # filter row u, reversed, meets the windows in padded input rows u..u+Ho
         dxp = np.zeros(xp.shape, dtype)
-        dyp = np.zeros((n, ho, wp + fw - 1, planes), dtype)
-        dyp[:, :, fw - 1:fw - 1 + wo] = dy_n
         flipped = weights[:, :, :, ::-1].transpose(2, 3, 0, 1)    # (fh, fw, P, C)
         back = np.ascontiguousarray(flipped, dtype).reshape(fh, fw * planes, c)
 
@@ -380,7 +425,7 @@ def _conv2d(x, weights, bias, padding, input_grad=True, relu=False):
             for u in range(fh):
                 dxb[:, u * wp:(u + ho) * wp] += np.matmul(rows, back[u], out=product)
 
-        _window_blocks(_windows(dyp, 1, fw), fw * planes, input_grad_block, (ho * wp, c))
+        _window_blocks(dy_n, fw * planes, input_grad_block, (ho * wp, c), fw)
         return dxp[:, top:top + h, left:left + w].transpose(0, 3, 1, 2).reshape(shapes[0]), dw, *db
 
     y = y_nhwc.transpose(0, 3, 1, 2)
@@ -594,7 +639,7 @@ class BatchNorm(Layer):
         gradient ``dyt`` in ``xs``'s shape."""
         planes, dtype = self.planes, xs.dtype
         m, positions = xs.size // planes, xs.shape[1] // planes
-        starts = _block_starts(xs, _NORM_BLOCK_BYTES)
+        starts = _block_starts(len(xs), xs.itemsize * xs.shape[1], _NORM_BLOCK_BYTES)
         step, blocks = starts.step, len(starts)
         ones = np.ones(step * positions, dtype)
         sums = np.empty((2, blocks, planes), dtype)     # each block's, summed in block order

@@ -1,6 +1,7 @@
 """Layer forward passes and gradient checks against finite differences."""
 
 import inspect
+import itertools
 import os
 import subprocess
 import sys
@@ -210,28 +211,43 @@ def _row_window_conv(layer, x):
 
 
 def _copies(run):
-    """``(dst, on_caller)`` for every block of windows ``np.copyto`` fills
-    while ``run()`` runs, in the order of the windows it copies (a walk's
-    workers copy theirs at once), ``on_caller`` true if the calling thread
-    copied it."""
-    copies = []
-    copyto = np.copyto
-    caller = threading.get_ident()
+    """``(walk, dst, on_caller)`` for every block of windows ``np.copyto``
+    fills in a walk while ``run()`` runs: walks numbered in the order they
+    start, and each walk's blocks in block order j, as :func:`layers._share`
+    hands them out (a walk's workers copy theirs at once), ``on_caller`` true
+    if the calling thread copied it. Block order is read from ``_share``, not
+    from the source address: the input gradient's blocks copy their windows
+    from their worker's padded part of the workspace, the same memory for
+    every block of a worker."""
+    copies, current = [], threading.local()
+    copyto, share = np.copyto, layers._share
+    caller, walks = threading.get_ident(), itertools.count()
+
+    def spy_share(blocks, work):
+        walk = next(walks)
+
+        def tagged(i, j):
+            current.block = walk, j
+            work(i, j)
+
+        return share(blocks, tagged)
 
     def spy(dst, src, *args, **kwargs):
-        copies.append((src.__array_interface__["data"][0], dst, threading.get_ident() == caller))
+        copies.append((current.block, dst, threading.get_ident() == caller))
         return copyto(dst, src, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(layers, "_share", spy_share)
         mp.setattr(np, "copyto", spy)
         run()
-    return [(dst, on_caller) for _, dst, on_caller in sorted(copies, key=lambda copy: copy[0])]
+    copies.sort(key=lambda copy: copy[0])
+    return [(walk, dst, on_caller) for (walk, _), dst, on_caller in copies]
 
 
 def _copied_blocks(run):
-    """Every block of windows ``np.copyto`` fills while ``run()`` runs, in the
-    order of the windows it copies."""
-    return [dst for dst, _ in _copies(run)]
+    """Every block of windows ``np.copyto`` fills while ``run()`` runs, walk by
+    walk, each in block order."""
+    return [dst for _, dst, _ in _copies(run)]
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -285,10 +301,11 @@ def _walked(monkeypatch, workers, x, weights, bias, padding, dy):
         out["dx"], out["dw"], out["db"] = out.pop("bwd")(dy)
 
     # the forward's walk, then the weight gradient's and the input gradient's
-    walks = [[caller for _, caller in _copies(forward)], {}]
-    for dst, caller in _copies(backward):
-        walks[1].setdefault(dst.shape[1:], []).append(caller)
-    walks = [walks[0], *walks[1].values()]
+    walks = {}
+    for run in (forward, backward):
+        for walk, _, caller in _copies(run):
+            walks.setdefault((run, walk), []).append(caller)
+    walks = list(walks.values())
     assert len(walks) == 3
     for on in walks:
         k = min(workers, -(-len(on) // 2))
@@ -324,14 +341,109 @@ def _mnist_step_and_inference(monkeypatch, workers, x, target):
     taken, share = [], layers._share
     monkeypatch.setattr(layers, "_share", lambda blocks, work:
                         taken.append(layers._workers(blocks)) or share(blocks, work))
-    model = load_model_spec(SPECS / "mnist.spec").initialize(0)
+    model, out = _mnist_step(x, target)
+    out["inference"] = model.forward(x)
+    return out, max(taken)
+
+
+def _mnist_step(x, target, seed=0):
+    """``(model, arrays)``: a new mnist.spec model and the loss, every gradient
+    and the state after one training step of it on ``x``."""
+    model = load_model_spec(SPECS / "mnist.spec").initialize(seed)
     tape = GradientTape()
     loss = mse_loss(model.forward(x, mode="train", tape=tape), target, tape=tape)
     out = {"loss": loss}
     out.update((f"gradient {i}", g) for i, (_, g) in enumerate(backward(tape, loss)[1]))
     out.update((f"state {i}", array) for i, array in enumerate(model.state_arrays))
-    out["inference"] = model.forward(x)
-    return out, max(taken)
+    return model, out
+
+
+def _address(array):
+    return array.__array_interface__["data"][0]
+
+
+def test_backwards_of_one_geometry_copy_their_windows_into_the_same_memory(monkeypatch):
+    """Every walk of several blocks copies into the calling thread's
+    workspace, kept between calls: the second backward's blocks land where
+    the first's did, though the first's are still referenced."""
+    rng = np.random.default_rng(33)
+    x, dy = rng.normal(size=(7, 3, 9, 8)), rng.normal(size=(7, 4, 9, 8))
+    weights, bias = rng.normal(size=(4, 3, 3, 2)), rng.normal(size=4)
+    monkeypatch.setattr(layers, "_IM2COL_BLOCK_BYTES", 2 * 8 * 11 * 8 * 2 * 3)   # 2 samples
+    walks = []    # the first backward's blocks stay referenced through the second
+    for _ in range(2):
+        bwd = layers._conv2d(x, weights, bias, "same")[1]
+        walks.append([dst for _, dst, _ in _copies(lambda: bwd(dy))])
+    first, second = walks
+    assert len(first) == len(second) >= 8     # the weight gradient's and the input gradient's
+    assert [_address(dst) for dst in first] == [_address(dst) for dst in second]
+    assert all(np.shares_memory(dst, layers._WORKSPACE.blocks) for dst in first)
+
+
+def test_interleaved_convolutions_keep_their_results_out_of_the_workspace():
+    """A mnist.spec 5x5 layer, then a grown signal model's ``conv1d 9 16``,
+    each walking several blocks: the second call leaves the first's ``y``,
+    ``dx`` and ``dW`` as they were, and no result shares memory with the
+    workspace."""
+    rng = np.random.default_rng(34)
+
+    def call(x, weights):
+        y, bwd = layers._conv2d(x, weights, rng.normal(size=len(weights)), "valid")
+        return (y, *bwd(rng.normal(size=y.shape).astype(x.dtype)))
+
+    first = call(rng.normal(size=(32, 20, 26, 26)).astype(np.float32),
+                 rng.normal(size=(20, 20, 5, 5)))
+    before = [array.copy() for array in first]
+    second = call(rng.normal(size=(16, 16, 128)), rng.normal(size=(16, 16, 9)))
+    for array, copy in zip(first, before, strict=True):
+        np.testing.assert_array_equal(array, copy)
+    slots = [layers._WORKSPACE.blocks, layers._WORKSPACE.padded]
+    assert not any(np.shares_memory(array, slot) for array in first + second for slot in slots)
+
+
+def test_mnist_step_is_the_same_with_fresh_scratch(monkeypatch):
+    """One mnist.spec training step (loss, every gradient and the state after
+    it) is the same bytes with every workspace request a new buffer: layer
+    0's single-block forward keeps its windows for the backward, past the
+    walks of the layers after it, so they may not come from the workspace
+    (which the first step grows to the largest walk's)."""
+    rng = np.random.default_rng(35)
+    x, target = rng.random((32, 28, 28)), rng.normal(size=(32, 16))
+    kept = [_mnist_step(x, target)[1] for _ in range(2)][1]
+    monkeypatch.setattr(layers, "_scratch", lambda slot, shape, dtype: np.empty(shape, dtype))
+    fresh = _mnist_step(x, target)[1]
+    for name, array in fresh.items():
+        np.testing.assert_array_equal(kept[name], array, err_msg=name)
+
+
+def test_models_trained_in_two_threads_at_once_match_the_same_steps_in_turn(monkeypatch):
+    """Each calling thread walks with its own workspace: two mnist.spec steps
+    on different batches, run at once in two threads on 3 workers each,
+    give the bytes they give one after the other."""
+    monkeypatch.setattr(layers, "_CORES", 3)
+    rng = np.random.default_rng(36)
+    batches = [(rng.random((32, 28, 28)), rng.normal(size=(32, 16)), seed) for seed in (1, 2)]
+    in_turn = [_mnist_step(*batch)[1] for batch in batches]
+    at_once, start = [None, None], threading.Barrier(2)
+
+    def step(i):
+        start.wait(timeout=60)
+        at_once[i] = _mnist_step(*batches[i])[1]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)     # the two steps interleave as finely as they can
+    try:
+        threads = [threading.Thread(target=step, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    for expected, result in zip(in_turn, at_once, strict=True):
+        for name, array in expected.items():
+            np.testing.assert_array_equal(result[name], array, err_msg=name)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -395,8 +507,8 @@ def test_a_walk_of_two_blocks_runs_inline(monkeypatch):
     x, weights, bias = np.ones((4, 2, 5, 5)), np.ones((3, 2, 3, 3)), np.zeros(3)
     monkeypatch.setattr(layers, "_CORES", 2)
     monkeypatch.setattr(layers, "_IM2COL_BLOCK_BYTES", 2 * 8 * 5 * 3 * 3 * 2)   # 2 samples
-    assert [caller for _, caller in _copies(lambda: layers._conv2d(x, weights, bias, "valid"))] \
-        == [True, True]
+    copies = _copies(lambda: layers._conv2d(x, weights, bias, "valid"))
+    assert [caller for _, _, caller in copies] == [True, True]
 
 
 def _run_python(code):
@@ -431,8 +543,8 @@ def test_a_forked_child_walks_several_blocks_on_its_own_pool():
 def test_conv2d_frees_its_window_blocks_after_a_forward_of_several(monkeypatch, c):
     """While ``bwd`` lives, a forward over several blocks leaves only ``y``,
     the padded input and less than one sample's windows allocated: the weight
-    gradient walks the windows again, so no worker's block buffer is kept
-    for it."""
+    gradient walks the windows again, so the forward keeps no block buffer
+    for it (its walks copy into the workspace the warm-up call grew)."""
     n, h, w, fh, fw, planes = 8, 16, 16, 3, 3, 4
     rng = np.random.default_rng(c)
     x = rng.normal(size=(n, c, h, w))
