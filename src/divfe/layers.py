@@ -30,7 +30,9 @@ matrices. Filter row u meets the window rows from ``u·Wo`` on (with one
 filter row, every Conv1D, all of them), and the output is the sum over u of
 their stacked GEMMs with its ``(fw·C, P)`` weight slab. On one input plane,
 where those GEMMs would have K = fw, it copies whole fh×fw windows, a
-``(Ho·Wo, fh·fw)`` matrix per sample, for one GEMM per block. The backward
+``(Ho·Wo, fh·fw)`` matrix per sample, for one GEMM per block; it copies them
+plane-major, ``(fh, fw, 1, Ho, Wo)``, so that the copy runs along output rows
+rather than in runs of fw values, and the GEMMs read the transpose. The backward
 walks the same windows again for the weight gradient, or reuses the
 forward's when one block held the batch. Its input gradient, a full
 correlation of ``dy`` with the flipped filter, walks row windows too, on any
@@ -40,9 +42,10 @@ reversed, adds one GEMM into padded input rows u..u+Ho, which are
 contiguous. Each block pads only its own samples of ``dy``, so no padded
 copy of the whole batch is made. The walk shares a pass's blocks over the
 cores the process may run on, as Cho & Brand partition the lowered matrix,
-through :func:`_share`, which BatchNorm's training passes call too: block j
-runs on worker j % k, k = min(cores, ceil(blocks / 2)), each worker with
-its part of the calling thread's buffers. The calling thread takes the
+through :func:`_share`, which BatchNorm's training passes call too: each of
+k = min(cores, ceil(blocks / 2)) workers claims the next unclaimed block as
+it frees up (self-scheduling, Polychronopoulos & Kuck 1987), and works in
+its own part of the calling thread's buffers. The calling thread takes the
 window blocks of a walk of several blocks and the padded ``dy`` from its
 workspace, which it keeps between calls (buffers whose lifetimes do not
 overlap share memory, as in Chen et al. 2016, §3), so a training step does
@@ -50,8 +53,9 @@ not fault the same pages in again; nothing it returns comes from there. A
 one-block forward allocates its windows, which the backward reuses. A block
 writes only its own samples of the output and of ``dx`` and its own partial
 ``dW``, and the partials are summed in block order, so every result is the
-same, bit for bit, on any number of cores. With k = 1 (two blocks or fewer, or one
-core) the walk runs inline on the calling thread. Either kernel's result is
+same, bit for bit, on any number of cores, whichever worker ran which block.
+With k = 1 (two blocks or fewer, or one core) the walk runs inline on the
+calling thread. Either kernel's result is
 a ``(N, P, H, W)`` view of a channels-last array. BatchNorm, which works on
 that memory as one row per sample, and ReLU keep its order both ways, so a
 following convolution reads its input without a copy.
@@ -90,6 +94,7 @@ SGD step is three whole-vector operations.
 """
 
 import functools
+import itertools
 import math
 import os
 import threading
@@ -215,9 +220,14 @@ def _workers(blocks):
 
 
 def _share(blocks, work):
-    """Call ``work(i, j)`` for each block j on worker i = j % k, k =
-    :func:`_workers`: the one place where work is shared over the cores.
+    """Call ``work(i, j)`` once for each block j < ``blocks``, on the worker i
+    < k = :func:`_workers` that claims it: the one place where work is shared
+    over the cores.
 
+    Each worker claims the next unclaimed block from a counter the walk
+    shares until none is left, so a worker that runs faster or wakes earlier
+    runs more blocks; which worker runs which block varies from run to run,
+    so ``work`` may use i only to pick its part of a scratch buffer.
     The calling thread runs worker 0 and the pool the others. ``work`` writes
     only into arrays its caller holds, with k parts for any scratch (buffers
     the workers allocated themselves were trimmed and re-faulted by glibc on
@@ -225,10 +235,12 @@ def _share(blocks, work):
     workspace (:func:`_scratch`); nothing it returns comes from there. With
     k = 1 it all runs inline, without the pool.
     """
-    k = _workers(blocks)
+    k, claim = _workers(blocks), itertools.count().__next__   # atomic under the GIL
 
     def run(i):
-        for j in range(i, blocks, k):
+        for j in iter(claim, None):
+            if j >= blocks:
+                return
             work(i, j)
 
     if k == 1:
@@ -264,15 +276,18 @@ def _scratch(slot, shape, dtype):
     return held[:size].view(dtype).reshape(shape)
 
 
-def _window_blocks(source, width, work, scratch=None, fw=None):
+def _window_blocks(source, work, scratch=None, fw=None):
     """Copy the windows of ``source`` in the blocks of :func:`_block_starts`
     (``_IM2COL_BLOCK_BYTES`` each), shared over the cores by :func:`_share`,
     and call ``work(j, s, rows, product)`` on block j: its first sample s, its
-    windows as an ``(m, -1, width)`` array and, given a ``scratch`` shape, an
-    ``(m, *scratch)`` buffer (else ``None``), both parts of arrays of k parts
-    that the calling thread holds, reused by the worker's next block.
+    m samples' windows as a C-contiguous ``(m, *sample)`` array and, given a
+    ``scratch`` shape, an ``(m, *scratch)`` buffer (else ``None``), both parts
+    of arrays of k parts that the calling thread holds, reused by the
+    worker's next block.
 
-    The windows are ``source (N, ...)`` itself or, given ``fw``, the fw-wide
+    The windows are ``source (N, *sample)`` itself, any view of them (the
+    forward's on one input plane are plane-major, ``(N, fh, fw, 1, Ho, Wo)``,
+    so that the copy runs along each output row), or, given ``fw``, the fw-wide
     row windows of ``source (N, H, W, C)`` padded by fw-1 zero columns each
     side: block j's worker pads only its own samples, into its part of the
     workspace's ``padded`` slot, then copies their windows. A walk of several
@@ -305,7 +320,7 @@ def _window_blocks(source, width, work, scratch=None, fw=None):
             part[:, :, pad + w:] = 0
             part[:, :, pad:pad + w] = source[s:s + m]
             np.copyto(rows, _windows(part, 1, fw))
-        work(j, s, rows.reshape(m, -1, width), None if product is None else product[lo:lo + m])
+        work(j, s, rows, None if product is None else product[lo:lo + m])
 
     _share(len(starts), copy)
 
@@ -341,7 +356,7 @@ def _conv2d(x, weights, bias, padding, input_grad=True, relu=False):
     without ``db`` if there is no bias, each in its argument's rank. ``y`` and
     ``dW`` come from one :func:`_window_blocks` walk each over the padded
     input's windows: row windows on several input planes, whole filter windows
-    on one. ``dx``
+    on one, copied plane-major. ``dx``
     (``None`` without ``input_grad``) walks the row windows of ``dy`` padded
     by fw-1 columns each side, on any number of input planes, each block
     padding its own samples. Each block
@@ -372,13 +387,25 @@ def _conv2d(x, weights, bias, padding, input_grad=True, relu=False):
     height = fh if c == 1 else 1
     width = height * fw * c
     windows = _windows(xp, height, fw)          # (N, Hp - height + 1, Wo, height, fw, C)
+    if c == 1:   # plane-major (N, fh, fw, 1, Ho, Wo): the copy runs along Wo, not in runs of fw
+        windows = windows.transpose(0, 3, 4, 5, 1, 2)
+
+    def lowered(block):
+        """A block's windows as ``(m, -1, width)`` matrices, one per sample: on
+        one plane the transpose of its plane-major copy, which BLAS reads as
+        transA (or transB)."""
+        if c == 1:
+            return block.reshape(len(block), width, -1).swapaxes(1, 2)
+        return block.reshape(len(block), -1, width)
+
     slabs = np.ascontiguousarray(weights.transpose(2, 3, 1, 0), dtype).reshape(-1, width, planes)
     bias = None if bias is None else bias.astype(dtype, copy=False)
     y_nhwc = np.empty((n, ho, wo, planes), dtype)
     whole = None    # the forward's windows, when one block held the batch
 
-    def forward(j, s, rows, product):
+    def forward(j, s, block, product):
         nonlocal whole
+        rows = lowered(block)
         yb = y_nhwc[s:s + len(rows)].reshape(-1, ho * wo, planes)
         np.matmul(rows[:, :ho * wo], slabs[0], out=yb)
         for u in range(1, len(slabs)):
@@ -388,10 +415,10 @@ def _conv2d(x, weights, bias, padding, input_grad=True, relu=False):
         if relu:
             np.maximum(yb, 0, out=yb)
         if len(rows) == n:
-            whole = rows
+            whole = block
 
     # several filter rows add their GEMMs through one product buffer
-    _window_blocks(windows, width, forward, (ho * wo, planes) if len(slabs) > 1 else None)
+    _window_blocks(windows, forward, (ho * wo, planes) if len(slabs) > 1 else None)
 
     def bwd(dy):
         dy_n = np.ascontiguousarray(dy.reshape(n, planes, ho, wo).transpose(0, 2, 3, 1), dtype)
@@ -402,14 +429,15 @@ def _conv2d(x, weights, bias, padding, input_grad=True, relu=False):
         blocks = len(_block_starts(n, sample_bytes, _IM2COL_BLOCK_BYTES)) if whole is None else 1
         parts = np.empty((blocks, planes, taps), dtype)
 
-        def weight_grad(j, s, rows, g):
+        def weight_grad(j, s, block, g):
+            rows = lowered(block)
             dyb = dy_n[s:s + len(rows)].reshape(-1, ho * wo, planes).swapaxes(-1, -2)
             for u in range(len(slabs)):
                 np.matmul(dyb, rows[:, u * wo:(u + ho) * wo], out=g[..., u * width:(u + 1) * width])
             g.sum(axis=0, out=parts[j])              # stacked per sample: summed over the block
 
         if whole is None:
-            _window_blocks(windows, width, weight_grad, (planes, taps))
+            _window_blocks(windows, weight_grad, (planes, taps))
         else:
             weight_grad(0, 0, whole, np.empty((n, planes, taps), dtype))
         dw = _sum_in_order(parts).reshape(planes, fh, fw, c).transpose(0, 3, 1, 2).reshape(shapes[1])
@@ -420,12 +448,13 @@ def _conv2d(x, weights, bias, padding, input_grad=True, relu=False):
         flipped = weights[:, :, :, ::-1].transpose(2, 3, 0, 1)    # (fh, fw, P, C)
         back = np.ascontiguousarray(flipped, dtype).reshape(fh, fw * planes, c)
 
-        def input_grad_block(j, s, rows, product):
+        def input_grad_block(j, s, block, product):
+            rows = block.reshape(len(block), -1, fw * planes)
             dxb = dxp[s:s + len(rows)].reshape(len(rows), hp * wp, c)
             for u in range(fh):
                 dxb[:, u * wp:(u + ho) * wp] += np.matmul(rows, back[u], out=product)
 
-        _window_blocks(dy_n, fw * planes, input_grad_block, (ho * wp, c), fw)
+        _window_blocks(dy_n, input_grad_block, (ho * wp, c), fw)
         return dxp[:, top:top + h, left:left + w].transpose(0, 3, 1, 2).reshape(shapes[0]), dw, *db
 
     y = y_nhwc.transpose(0, 3, 1, 2)
@@ -910,6 +939,8 @@ class FeatureExtractor:
 
     def forward(self, x, mode: str = "infer", tape: GradientTape | None = None):
         out = self._with_channel(x)
+        if not len(out):
+            raise ContractError("a forward pass needs at least one sample, got an empty batch")
         for layer in self.layers:
             out = layer.forward(out, mode=mode, tape=tape)
         return out

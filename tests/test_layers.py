@@ -1,5 +1,6 @@
 """Layer forward passes and gradient checks against finite differences."""
 
+import collections
 import inspect
 import itertools
 import os
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -159,8 +161,9 @@ def _blocked_conv(monkeypatch, config, samples_per_block):
     for the backward's row windows of the padded ``dy`` and then for the
     forward's: each pass copies its windows in several blocks of at most the
     budget, the last one partial when a block holds several samples. On one
-    input plane the forward copies whole fh×fw windows instead of row windows;
-    ``dy``'s are row windows on any number. The weight gradient
+    input plane the forward copies whole fh×fw windows instead of row windows,
+    plane-major ``(fh, fw, 1, Ho, Wo)`` per sample; ``dy``'s are row windows
+    on any number. The weight gradient
     copies the forward's windows again in the forward's blocks, and none when
     one block held the batch."""
     n, c, h, w, fh, fw, planes, padding = config
@@ -194,8 +197,7 @@ def _blocked_conv(monkeypatch, config, samples_per_block):
 
     y, bwd = _row_window_conv(layer, x)     # under the default budget: one block
     dy = rng.normal(size=y.shape)
-    height = fh if c == 1 else 1
-    forward = (hp - height + 1, wo, height, fw, c)
+    forward = (fh, fw, 1, ho, wo) if c == 1 else (hp, wo, 1, fw, c)
     assert forward not in [b.shape[1:] for b in _copied_blocks(lambda: bwd(dy))]
     assert block_sizes((ho, wp, 1, fw, planes), lambda: bwd(dy)) == blocks
     assert block_sizes(forward, lambda: _row_window_conv(layer, x)) == blocks
@@ -210,15 +212,19 @@ def _row_window_conv(layer, x):
     return layers._conv2d(x, layer.weights, layer.bias, layer.padding)
 
 
+# one block of windows copied in a walk: the walk's number and block count,
+# the block's index j, the worker i that claimed it, where it was copied to, and
+# whether the calling thread copied it
+Copy = collections.namedtuple("Copy", "walk blocks block worker dst on_caller")
+
+
 def _copies(run):
-    """``(walk, dst, on_caller)`` for every block of windows ``np.copyto``
-    fills in a walk while ``run()`` runs: walks numbered in the order they
-    start, and each walk's blocks in block order j, as :func:`layers._share`
-    hands them out (a walk's workers copy theirs at once), ``on_caller`` true
-    if the calling thread copied it. Block order is read from ``_share``, not
-    from the source address: the input gradient's blocks copy their windows
-    from their worker's padded part of the workspace, the same memory for
-    every block of a worker."""
+    """A :class:`Copy` for every block of windows ``np.copyto`` fills while
+    ``run()`` runs: walks numbered in the order they start, and each walk's
+    copies in block order j. Block order is read from :func:`layers._share`,
+    not from the source address: the input gradient's blocks copy their
+    windows from their worker's padded part of the workspace, the same memory
+    for every block of a worker."""
     copies, current = [], threading.local()
     copyto, share = np.copyto, layers._share
     caller, walks = threading.get_ident(), itertools.count()
@@ -227,27 +233,43 @@ def _copies(run):
         walk = next(walks)
 
         def tagged(i, j):
-            current.block = walk, j
+            current.block = walk, blocks, j, i
             work(i, j)
 
         return share(blocks, tagged)
 
     def spy(dst, src, *args, **kwargs):
-        copies.append((current.block, dst, threading.get_ident() == caller))
+        copies.append(Copy(*current.block, dst, threading.get_ident() == caller))
         return copyto(dst, src, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(layers, "_share", spy_share)
         mp.setattr(np, "copyto", spy)
         run()
-    copies.sort(key=lambda copy: copy[0])
-    return [(walk, dst, on_caller) for (walk, _), dst, on_caller in copies]
+    return sorted(copies, key=lambda copy: (copy.walk, copy.block))
 
 
 def _copied_blocks(run):
     """Every block of windows ``np.copyto`` fills while ``run()`` runs, walk by
     walk, each in block order."""
-    return [dst for _, dst, _ in _copies(run)]
+    return [copy.dst for copy in _copies(run)]
+
+
+def _check_claims(copies, workers):
+    """Each walk in ``copies`` spans at least 3 blocks and copies every block
+    exactly once, each into part i of the walk's buffer, i the worker that
+    claimed it, i < k = min(workers, ceil(blocks / 2)); worker 0 is the
+    calling thread. Returns the walks' block counts."""
+    walks = [list(walk) for _, walk in itertools.groupby(copies, lambda copy: copy.walk)]
+    for walk in walks:
+        blocks = walk[0].blocks
+        k = min(workers, -(-blocks // 2))
+        part = walk[0].dst.nbytes        # block 0 is a full block: one worker's part
+        assert blocks >= 3 and [copy.block for copy in walk] == list(range(blocks))
+        for copy in walk:
+            assert copy.worker < k and copy.on_caller == (copy.worker == 0)
+            assert _address(copy.dst) - _address(copy.dst.base) == copy.worker * part
+    return [walk[0].blocks for walk in walks]
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -260,8 +282,8 @@ def _copied_blocks(run):
 def test_row_window_kernel_is_bit_identical_on_any_number_of_workers(monkeypatch, config, dtype):
     """``y``, ``dx``, ``dW`` and ``db`` are the same bytes on 1, 2 and 5
     workers (5: more than any pass takes), each pass walking at least 3
-    blocks, and block j is copied on the calling thread exactly when j % k
-    is 0, k = min(workers, ceil(blocks / 2))."""
+    blocks, each block copied exactly once by the worker that claimed it,
+    into that worker's part of the buffer (:func:`_check_claims`)."""
     n, c, h, w, fh, fw, planes, padding = config
     signal = h == fh == 1
     rng = np.random.default_rng(sum(config[:-1]))
@@ -289,8 +311,7 @@ def test_row_window_kernel_is_bit_identical_on_any_number_of_workers(monkeypatch
 
 def _walked(monkeypatch, workers, x, weights, bias, padding, dy):
     """The kernel's ``y``, ``dx``, ``dW`` and ``db`` on ``workers`` workers,
-    after checking that each of its three walks spans at least 3 blocks and
-    copies block j on the calling thread exactly when j % k is 0."""
+    after checking the claims of its three walks (:func:`_check_claims`)."""
     monkeypatch.setattr(layers, "_CORES", workers)
     out = {}
 
@@ -301,16 +322,59 @@ def _walked(monkeypatch, workers, x, weights, bias, padding, dy):
         out["dx"], out["dw"], out["db"] = out.pop("bwd")(dy)
 
     # the forward's walk, then the weight gradient's and the input gradient's
-    walks = {}
-    for run in (forward, backward):
-        for walk, _, caller in _copies(run):
-            walks.setdefault((run, walk), []).append(caller)
-    walks = list(walks.values())
-    assert len(walks) == 3
-    for on in walks:
-        k = min(workers, -(-len(on) // 2))
-        assert len(on) >= 3 and on == [j % k == 0 for j in range(len(on))]
+    assert len(_check_claims(_copies(forward), workers)) == 1
+    assert len(_check_claims(_copies(backward), workers)) == 2
     return out
+
+
+class _DeferredPool:
+    """A pool whose task runs only when its result is awaited, on the
+    awaiting thread: a worker that wakes after the caller's last block."""
+
+    def submit(self, fn, *args):
+        return types.SimpleNamespace(result=lambda: fn(*args))
+
+
+def test_the_calling_thread_claims_every_block_a_late_worker_leaves(monkeypatch):
+    """With the pool's workers deferred until the caller awaits them, the
+    calling thread, worker 0, claims and copies every block of all three
+    walks, and ``y``, ``dx``, ``dW`` and ``db`` are the inline result's bytes."""
+    rng = np.random.default_rng(37)
+    x, dy = rng.normal(size=(7, 3, 9, 8)), rng.normal(size=(7, 4, 9, 8))
+    weights, bias = rng.normal(size=(4, 3, 3, 2)), rng.normal(size=4)
+    monkeypatch.setattr(layers, "_IM2COL_BLOCK_BYTES", 2 * 8 * 11 * 8 * 2 * 3)   # 2 samples
+    inline = _walked(monkeypatch, 1, x, weights, bias, "same", dy)
+    monkeypatch.setattr(layers, "_CORES", 2)
+    monkeypatch.setattr(layers, "_pool", _DeferredPool)
+    late = {}
+
+    def run():
+        late["y"], bwd = layers._conv2d(x, weights, bias, "same")
+        late["dx"], late["dw"], late["db"] = bwd(dy)
+
+    copies = _copies(run)
+    assert _check_claims(copies, 2) == [4, 4, 7]     # dy's padded windows: 1 sample a block
+    assert all(copy.worker == 0 for copy in copies)
+    for name, array in inline.items():
+        np.testing.assert_array_equal(late[name], array, err_msg=name)
+
+
+@pytest.mark.parametrize("workers", [2, 5])
+def test_every_claimed_block_runs_exactly_once(monkeypatch, workers):
+    """Over 200 walks of 0 to 12 blocks, with the threads switching as often
+    as they can, ``_share`` runs each block's work exactly once, on a worker
+    i < k."""
+    monkeypatch.setattr(layers, "_CORES", workers)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for walk in range(200):
+            blocks, ran = walk % 13, []
+            layers._share(blocks, lambda i, j: ran.append((j, i)))
+            assert sorted(j for j, _ in ran) == list(range(blocks))
+            assert all(i < layers._workers(blocks) for _, i in ran)
+    finally:
+        sys.setswitchinterval(switch)
 
 
 def test_mnist_step_and_inference_are_bit_identical_on_any_number_of_workers(monkeypatch):
@@ -373,11 +437,10 @@ def test_backwards_of_one_geometry_copy_their_windows_into_the_same_memory(monke
     walks = []    # the first backward's blocks stay referenced through the second
     for _ in range(2):
         bwd = layers._conv2d(x, weights, bias, "same")[1]
-        walks.append([dst for _, dst, _ in _copies(lambda: bwd(dy))])
+        walks.append(_copied_blocks(lambda: bwd(dy)))
     first, second = walks
     assert len(first) == len(second) >= 8     # the weight gradient's and the input gradient's
-    assert [_address(dst) for dst in first] == [_address(dst) for dst in second]
-    assert all(np.shares_memory(dst, layers._WORKSPACE.blocks) for dst in first)
+    assert all(dst.base is layers._WORKSPACE.blocks for dst in first + second)
 
 
 def test_interleaved_convolutions_keep_their_results_out_of_the_workspace():
@@ -508,7 +571,7 @@ def test_a_walk_of_two_blocks_runs_inline(monkeypatch):
     monkeypatch.setattr(layers, "_CORES", 2)
     monkeypatch.setattr(layers, "_IM2COL_BLOCK_BYTES", 2 * 8 * 5 * 3 * 3 * 2)   # 2 samples
     copies = _copies(lambda: layers._conv2d(x, weights, bias, "valid"))
-    assert [caller for _, _, caller in copies] == [True, True]
+    assert [copy.on_caller for copy in copies] == [True, True]
 
 
 def _run_python(code):
@@ -1148,6 +1211,16 @@ def test_model_accepts_channelless_input(make, sample_shape):
     np.testing.assert_array_equal(model.forward(x.reshape((2,) + sample_shape)), with_channel)
     with pytest.raises(ShapeError):
         model.forward(np.zeros((2, 2) + model.input_shape[1:]))
+
+
+@pytest.mark.parametrize("spec, sample_shape", [("mnist.spec", (28, 28)), ("iris.spec", (4,))])
+@pytest.mark.parametrize("mode", ["infer", "train"])
+def test_model_refuses_an_empty_batch(spec, sample_shape, mode):
+    # as evaluate and fit refuse an empty dataset
+    model = load_model_spec(SPECS / spec).initialize(0)
+    tape = GradientTape() if mode == "train" else None
+    with pytest.raises(ContractError, match="empty batch"):
+        model.forward(np.zeros((0, *sample_shape)), mode=mode, tape=tape)
 
 
 def test_he_initialization_statistics():
