@@ -42,10 +42,10 @@ reversed, adds one GEMM into padded input rows u..u+Ho, which are
 contiguous. Each block pads only its own samples of ``dy``, so no padded
 copy of the whole batch is made. The walk shares a pass's blocks over the
 cores the process may run on, as Cho & Brand partition the lowered matrix,
-through :func:`_share`, which BatchNorm's training passes call too: each of
-k = min(cores, ceil(blocks / 2)) workers claims the next unclaimed block as
-it frees up (self-scheduling, Polychronopoulos & Kuck 1987), and works in
-its own part of the calling thread's buffers. The calling thread takes the
+through :func:`_share`: each of k = min(cores, ceil(blocks / 2)) workers
+claims the next unclaimed block as it frees up (self-scheduling,
+Polychronopoulos & Kuck 1987), and works in its own part of the calling
+thread's buffers. The calling thread takes the
 window blocks of a walk of several blocks and the padded ``dy`` from its
 workspace, which it keeps between calls (buffers whose lifetimes do not
 overlap share memory, as in Chen et al. 2016, §3), so a training step does
@@ -55,10 +55,10 @@ writes only its own samples of the output and of ``dx`` and its own partial
 ``dW``, and the partials are summed in block order, so every result is the
 same, bit for bit, on any number of cores, whichever worker ran which block.
 With k = 1 (two blocks or fewer, or one core) the walk runs inline on the
-calling thread. Either kernel's result is
-a ``(N, P, H, W)`` view of a channels-last array. BatchNorm, which works on
-that memory as one row per sample, and ReLU keep its order both ways, so a
-following convolution reads its input without a copy.
+calling thread. Either kernel's result is a ``(N, P, H, W)`` view of a
+channels-last array. BatchNorm, which works on that memory as one row per
+sample, in blocks on the calling thread, and ReLU keep its order both ways,
+so a following convolution reads its input without a copy.
 
 :class:`FeatureExtractor` links a BatchNorm right after a convolution, which
 then has no bias (the mean subtraction cancels it; Ioffe & Szegedy 2015,
@@ -112,10 +112,9 @@ COMPUTE_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
 # per-core L2 cache (4 MiB blocks ran the mnist.spec convolutions about 1.4x
 # slower at batch 256).
 _IM2COL_BLOCK_BYTES = 1 << 20
-# BatchNorm's training passes walk blocks of whole samples of at most this many
-# bytes, so that each block and its worker's scratch stay in cache across a
-# pass's few operations (at the row-window budget every mnist.spec BatchNorm at
-# batch 32 made at most two blocks, ran inline, and read 6% slower).
+# BatchNorm's passes walk blocks of whole samples of at most this many bytes,
+# so that each block and its scratch stay in cache across a pass's few
+# operations (whole-batch passes read mnist-train about 6% slower).
 _NORM_BLOCK_BYTES = 1 << 18
 # The cores this process may run on, over which the row-window kernel shares
 # its blocks (``taskset`` restricts them).
@@ -222,7 +221,7 @@ def _workers(blocks):
 def _share(blocks, work):
     """Call ``work(i, j)`` once for each block j < ``blocks``, on the worker i
     < k = :func:`_workers` that claims it: the one place where work is shared
-    over the cores.
+    over the cores, for :func:`_window_blocks` alone.
 
     Each worker claims the next unclaimed block from a counter the walk
     shares until none is left, so a worker that runs faster or wakes earlier
@@ -583,6 +582,22 @@ class Conv1D(Layer):
     weight_count, spec_line, _apply = Conv2D.weight_count, Conv2D.spec_line, Conv2D._apply
 
 
+def _norm_blocks(xs):
+    """The row slices of BatchNorm's blocks of ``xs``, one sample per row: as
+    many whole samples as fit ``_NORM_BLOCK_BYTES``."""
+    starts = _block_starts(len(xs), xs.itemsize * xs.shape[1], _NORM_BLOCK_BYTES)
+    return [slice(s, s + starts.step) for s in starts]
+
+
+def _tiled(xs, *per_plane):
+    """Each per-plane vector repeated over a sample's positions, in ``xs``'s
+    dtype: a row of ``xs``, one sample, is its positions' planes in turn."""
+    planes = len(per_plane[0])
+    out = np.empty((len(per_plane), xs.shape[1] // planes, planes), xs.dtype)
+    out[...] = np.reshape(per_plane, (len(per_plane), 1, planes))
+    return out.reshape(len(per_plane), -1)
+
+
 class BatchNorm(Layer):
     """Per-plane batch normalization with learnable scale and shift.
 
@@ -596,15 +611,15 @@ class BatchNorm(Layer):
     and ``b`` are cast (so ``c`` and ``d``, from training's batch statistics,
     are in it too); the running statistics stay float64.
 
-    Training walks blocks of whole samples of at most ``_NORM_BLOCK_BYTES``
-    over the cores (:func:`_share`). The forward makes three passes: per-block
-    sums give the mean, centred squares the variance (two-pass), then the map
-    and the ReLU fill ``y``. The backward makes two: the gated ``dy`` into
-    ``dx`` with per-block sums of it and of ``dy*x`` (``dbeta``, ``dgamma``),
-    then ``dx*a + x*c - d`` in place. Partial sums are summed in block order,
-    so results are the same bits on any number of cores. A per-plane map runs
-    against its coefficients tiled over a sample's positions: numpy
-    broadcasts a ``(C,)`` vector over ``(M, C)`` rows about 3x slower.
+    Every pass walks blocks of whole samples (:func:`_norm_blocks`) on the
+    calling thread. The map and the ReLU fill ``y`` in one pass, in either
+    mode; training's forward first makes two more: per-block sums give the
+    mean, centred squares the variance (two-pass). The backward makes two: the
+    gated ``dy`` into ``dx`` with per-block sums of it and of ``dy*x``
+    (``dbeta``, ``dgamma``), then ``dx*a + x*c - d`` in place. Partial sums
+    are added in block order. A per-plane map runs against its coefficients
+    tiled over a sample's positions: numpy broadcasts a ``(C,)`` vector over
+    ``(M, C)`` rows about 3x slower.
     """
 
     param_names = ("scale", "shift")
@@ -641,11 +656,7 @@ class BatchNorm(Layer):
         xs = np.ascontiguousarray(xt).reshape(len(x), -1)
         if not train:
             a, b, _ = self._affine(self.running_mean, self.running_var, x.dtype)
-            ym = xs.reshape(-1, self.planes) * a
-            ym += b
-            if self.relu:
-                np.maximum(ym, 0, out=ym)
-            return ym.reshape(xt.shape).transpose(to_first), None
+            return self._map(xs, *_tiled(xs, a, b)).reshape(xt.shape).transpose(to_first), None
         if len(x) < 2:
             raise ContractError("batch normalization needs batch size >= 2 in training")
         ys, bwd = self._train(xs)
@@ -662,96 +673,79 @@ class BatchNorm(Layer):
         a = (self.scale * inv_std).astype(dtype, copy=False)
         return a, (self.shift - mean * a).astype(dtype, copy=False), inv_std
 
+    def _map(self, xs, a_t, b_t):
+        """``xs*a_t + b_t``, then max(0, ·) if linked, into a new array, one
+        block of :func:`_norm_blocks` at a time."""
+        ys = np.empty_like(xs)
+        for rows in _norm_blocks(xs):
+            yb = ys[rows]
+            np.multiply(xs[rows], a_t, out=yb)
+            yb += b_t
+            if self.relu:
+                np.maximum(yb, 0, out=yb)
+        return ys
+
     def _train(self, xs):
         """``(ys, bwd)``: a training pass on ``xs``, one channels-last sample
         per row, and ``bwd(dyt) -> (dxs, dgamma, dbeta)`` for the output
         gradient ``dyt`` in ``xs``'s shape."""
         planes, dtype = self.planes, xs.dtype
         m, positions = xs.size // planes, xs.shape[1] // planes
-        starts = _block_starts(len(xs), xs.itemsize * xs.shape[1], _NORM_BLOCK_BYTES)
-        step, blocks = starts.step, len(starts)
+        blocks = _norm_blocks(xs)
+        step = blocks[0].stop                                # samples per block
         ones = np.ones(step * positions, dtype)
-        sums = np.empty((2, blocks, planes), dtype)     # each block's, summed in block order
-
-        def block(array, j):
-            return array[starts[j]:starts[j] + step]
+        sums = np.empty((2, len(blocks), planes), dtype)    # each block's, summed in block order
 
         def plane_sums(array, out):
             """A block's per-plane sums of ``array``, into ``out``."""
             rows = array.reshape(-1, planes)
             np.matmul(ones[:len(rows)], rows, out=out)
 
-        def tiled(*per_plane):
-            """Each per-plane vector repeated over a sample's positions."""
-            out = np.empty((len(per_plane), positions, planes), dtype)
-            out[...] = np.reshape(per_plane, (len(per_plane), 1, planes))
-            return out.reshape(len(per_plane), -1)
-
-        def scratch():
-            return np.empty((_workers(blocks), step, xs.shape[1]), dtype)
-
-        _share(blocks, lambda i, j: plane_sums(block(xs, j), sums[0, j]))
+        for j, rows in enumerate(blocks):
+            plane_sums(xs[rows], sums[0, j])
         mean = _sum_in_order(sums[0]) / m
-        (centre,), squares = tiled(mean), scratch()
-
-        def centred_squares(i, j):
-            xb = block(xs, j)
-            sq = squares[i, :len(xb)]
+        (centre,), squares = _tiled(xs, mean), np.empty((step, xs.shape[1]), dtype)
+        for j, rows in enumerate(blocks):
+            xb = xs[rows]
+            sq = squares[:len(xb)]
             np.subtract(xb, centre, out=sq)
             sq *= sq
             plane_sums(sq, sums[1, j])
-
-        _share(blocks, centred_squares)
         var = _sum_in_order(sums[1]) / m
         self.running_mean *= BN_MOMENTUM
         self.running_mean += (1.0 - BN_MOMENTUM) * mean
         self.running_var *= BN_MOMENTUM
         self.running_var += (1.0 - BN_MOMENTUM) * var
         a, b, inv_std = self._affine(mean, var, dtype)
-        a_t, b_t = tiled(a, b)
-        ys, relu = np.empty_like(xs), self.relu
-
-        def normalize(i, j):
-            yb = block(ys, j)
-            np.multiply(block(xs, j), a_t, out=yb)
-            yb += b_t
-            if relu:
-                np.maximum(yb, 0, out=yb)
-
-        _share(blocks, normalize)
+        a_t, b_t = _tiled(xs, a, b)
+        ys, relu = self._map(xs, a_t, b_t), self.relu
 
         def bwd(dyt):
-            dxs, products, parts = np.empty_like(xs), scratch(), np.empty_like(sums)
-
-            def gate(i, j):
-                g = block(dxs, j)
-                dyb = block(dyt, j)
+            dxs = np.empty_like(xs)
+            products, parts = np.empty((step, xs.shape[1]), dtype), np.empty_like(sums)
+            for j, rows in enumerate(blocks):
+                g, dyb = dxs[rows], dyt[rows]
                 if relu:   # a float gate: a bool*float multiply costs about 4x as much
-                    np.greater(block(ys, j), 0, out=g, casting="unsafe")
+                    np.greater(ys[rows], 0, out=g, casting="unsafe")
                     g *= dyb
                 else:
                     np.copyto(g, dyb)
                 plane_sums(g, parts[0, j])
-                p = products[i, :len(g)]
-                np.multiply(g, block(xs, j), out=p)
+                p = products[:len(g)]
+                np.multiply(g, xs[rows], out=p)
                 plane_sums(p, parts[1, j])
-
-            _share(blocks, gate)
             dbeta = _sum_in_order(parts[0])
             dgamma = (_sum_in_order(parts[1]) - mean * dbeta) * inv_std
             # dx = dy*a + x*c - d, per plane: c and d are the batch statistics' share
             c = a * inv_std * dgamma / -m
-            c_t, d_t = tiled(c, a * dbeta / m + c * mean)
-
-            def input_grad(i, j):
-                g = block(dxs, j)
-                p = products[i, :len(g)]
-                np.multiply(block(xs, j), c_t, out=p)
+            c_t, d_t = _tiled(xs, c, a * dbeta / m + c * mean)
+            for rows in blocks:
+                g = dxs[rows]
+                p = products[:len(g)]
+                np.multiply(xs[rows], c_t, out=p)
                 p -= d_t
                 g *= a_t
                 g += p
-
-            _share(blocks, input_grad)
             return dxs, dgamma, dbeta
 
         return ys, bwd

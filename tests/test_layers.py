@@ -381,8 +381,7 @@ def test_mnist_step_and_inference_are_bit_identical_on_any_number_of_workers(mon
     """One mnist.spec training step at fit's batch of 32 (loss, every gradient
     and the state after it), then an inference with the ReLUs in the folded
     kernels, are the same bytes on 1, 2 and 5 workers: the 5x5 convolution's
-    walks and the first BatchNorm's passes span 8 blocks, which 2 and 4
-    workers share."""
+    walks span 8 blocks, which 2 and 4 workers share."""
     rng = np.random.default_rng(31)
     x, target = rng.random((32, 28, 28)), rng.normal(size=(32, 16))
     switch = sys.getswitchinterval()
@@ -509,8 +508,7 @@ def test_models_trained_in_two_threads_at_once_match_the_same_steps_in_turn(monk
             np.testing.assert_array_equal(result[name], array, err_msg=name)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_batchnorm_sums_its_blocks_in_block_order(monkeypatch, workers):
+def test_batchnorm_sums_its_blocks_in_block_order(monkeypatch):
     # the batch mean and variance, through the running statistics, and dbeta
     # are bit-identical to the sums of each block's own per-plane sums, first
     # block first
@@ -518,7 +516,6 @@ def test_batchnorm_sums_its_blocks_in_block_order(monkeypatch, workers):
     n, c, h, w = 7, 3, 4, 5
     x = (3.0 + 10.0 * rng.normal(size=(n, c, h, w))).astype(np.float32)
     dy = rng.normal(size=x.shape).astype(np.float32)
-    monkeypatch.setattr(layers, "_CORES", workers)
     monkeypatch.setattr(layers, "_NORM_BLOCK_BYTES", 2 * c * h * w * 4)    # 2 samples
     layer = BatchNorm()
     layer.wire((c, h, w))
@@ -547,6 +544,33 @@ def test_batchnorm_sums_its_blocks_in_block_order(monkeypatch, workers):
     assert layer.running_mean.tobytes() == expected_mean.tobytes()
     assert layer.running_var.tobytes() == expected_var.tobytes()
     assert dbeta.tobytes() == in_block_order(dy.transpose(0, 2, 3, 1)).tobytes()
+
+
+def test_batchnorm_runs_its_blocks_on_the_calling_thread(monkeypatch):
+    # a block is a few small numpy calls: handing blocks to another core cost
+    # what that core added
+    rng = np.random.default_rng(34)
+    n, c, h, w = 16, 3, 4, 5
+    monkeypatch.setattr(layers, "_CORES", 2)
+    monkeypatch.setattr(layers, "_NORM_BLOCK_BYTES", 2 * c * h * w * 8)    # 2 samples
+
+    def no_pool():
+        raise AssertionError("a BatchNorm pass asked for the thread pool")
+
+    shared, share = [], layers._share
+    monkeypatch.setattr(layers, "_pool", no_pool)
+    monkeypatch.setattr(layers, "_share", lambda blocks, work:
+                        shared.append(blocks) or share(blocks, work))
+    layer = BatchNorm()
+    layer.wire((c, h, w))
+    layer.init_params(rng)
+    layer.relu = True
+    x = rng.normal(size=(n, c, h, w))
+    assert len(layers._norm_blocks(x.reshape(n, -1))) == 8
+    _, bwd = layer._apply(x, True)
+    bwd(rng.normal(size=x.shape))
+    layer._apply(x, False)
+    assert shared == []
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -1382,15 +1406,27 @@ def test_mnist_spec_trains_no_bias_ahead_of_its_batchnorms():
         == [1, 1, 1, 1, 2]
 
 
-def test_a_batchnorm_that_no_convolution_folds_rectifies_its_inference():
+@pytest.mark.parametrize("blocks", [1, 3])
+def test_a_batchnorm_that_no_convolution_folds_rectifies_its_inference(monkeypatch, blocks):
+    # its map walks the blocks of training's forward: 3 of 2, 2 and 1 samples
+    # when a block holds 2 of the batch of 5
+    if blocks > 1:
+        monkeypatch.setattr(layers, "_NORM_BLOCK_BYTES", 2 * 2 * 2 * 2 * 8)   # 2 samples
     rng = np.random.default_rng(44)
     model = FeatureExtractor([Conv2D(3, 3, 2), ReLU(), BatchNorm(), ReLU(), Flatten()],
                              (1, 4, 4), 8).initialize(rng)
     _randomize_batchnorms(model, rng)
     x = rng.normal(size=(5, 1, 4, 4))
+    assert len(layers._norm_blocks(np.empty((5, 2 * 2 * 2)))) == blocks
     out = model.forward(x)
     assert out.min() == 0.0
     np.testing.assert_array_equal(out, unfolded_inference(model, x))
+    conv, relu, norm = model.layers[:3]
+    before = relu.forward(conv.forward(x))
+    a = norm.scale * (1.0 / np.sqrt(norm.running_var + BN_EPSILON))
+    b = norm.shift - norm.running_mean * a
+    expected = np.maximum(before * a.reshape(-1, 1, 1) + b.reshape(-1, 1, 1), 0)
+    np.testing.assert_array_equal(norm.forward(before), expected)
 
 
 @pytest.mark.parametrize("make, fused", [
