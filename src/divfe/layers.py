@@ -41,24 +41,21 @@ windows per row, a ``(Ho·Wp, fw·P)`` matrix per sample, and filter row u,
 reversed, adds one GEMM into padded input rows u..u+Ho, which are
 contiguous. Each block pads only its own samples of ``dy``, so no padded
 copy of the whole batch is made. The walk shares a pass's blocks over the
-cores the process may run on, as Cho & Brand partition the lowered matrix,
-through :func:`_share`: each of k = min(cores, ceil(blocks / 2)) workers
-claims the next unclaimed block as it frees up (self-scheduling,
-Polychronopoulos & Kuck 1987), and works in its own part of the calling
-thread's buffers. The calling thread takes the
-window blocks of a walk of several blocks and the padded ``dy`` from its
-workspace, which it keeps between calls (buffers whose lifetimes do not
-overlap share memory, as in Chen et al. 2016, §3), so a training step does
-not fault the same pages in again; nothing it returns comes from there. A
-one-block forward allocates its windows, which the backward reuses. A block
-writes only its own samples of the output and of ``dx`` and its own partial
-``dW``, and the partials are summed in block order, so every result is the
-same, bit for bit, on any number of cores, whichever worker ran which block.
-With k = 1 (two blocks or fewer, or one core) the walk runs inline on the
-calling thread. Either kernel's result is a ``(N, P, H, W)`` view of a
-channels-last array. BatchNorm, which works on that memory as one row per
-sample, in blocks on the calling thread, and ReLU keep its order both ways,
-so a following convolution reads its input without a copy.
+cores the process may run on, as Cho & Brand partition the lowered matrix:
+its workers claim blocks as they free up (self-scheduling, Polychronopoulos
+& Kuck 1987), and it hands back each block's result in block order. A block
+writes only its own samples of the output and of ``dx`` and returns its own
+partial ``dW``, and the partials are summed first block first, so every
+result is the same, bit for bit, on any number of cores, whichever worker
+ran which block. The window blocks of a walk of several blocks and the
+padded ``dy`` are kept between calls in the calling thread's workspace
+(buffers whose lifetimes do not overlap share memory, as in Chen et al.
+2016, §3), so a training step does not fault the same pages in again. A
+one-block forward allocates its windows, which the backward reuses. Either
+kernel's result is a ``(N, P, H, W)`` view of a channels-last array.
+BatchNorm, which works on that memory as one row per sample, in blocks on
+the calling thread, and ReLU keep its order both ways, so a following
+convolution reads its input without a copy.
 
 :class:`FeatureExtractor` links a BatchNorm right after a convolution, which
 then has no bias (the mean subtraction cancels it; Ioffe & Szegedy 2015,
@@ -71,10 +68,10 @@ A pass trains exactly when it is taped: :meth:`Layer.forward` takes mode
 "train" with a tape and "infer" without one, and refuses any other pairing.
 An inference folds a BatchNorm linked to the convolution before it into
 that convolution (Jacob et al. 2018): the kernel runs with weights ``W·a``
-and bias ``shift - running_mean·a``, where ``a = scale/sqrt(running_var +
-eps)``, from the current arrays on every call, then the linked ReLU in place
-on each block's rows of ``y`` while they are in cache; the BatchNorm and the
-ReLU return their input. No backward runs in inference.
+and bias ``b``, where ``x·a + b`` is the BatchNorm's map on its running
+statistics, from the current arrays on every call, then the linked ReLU in
+place on each block's rows of ``y`` while they are in cache; the BatchNorm
+and the ReLU return their input. No backward runs in inference.
 
 A model computes in the dtype its spec's ``compute`` line names, float64 by
 default or float32, to which :class:`FeatureExtractor` casts each batch once;
@@ -211,50 +208,41 @@ def _block_starts(n, sample_bytes, budget):
     return range(0, n, max(1, min(n, budget // sample_bytes)))
 
 
-def _workers(blocks):
-    """k = min(_CORES, ceil(blocks / 2)) workers for a walk of ``blocks``: a
-    worker has two blocks on average to repay its hand-off (a walk of two
-    blocks split over two cores ran slower than inline)."""
-    return min(_CORES, -(-blocks // 2))
-
-
-def _share(blocks, work):
-    """Call ``work(i, j)`` once for each block j < ``blocks``, on the worker i
-    < k = :func:`_workers` that claims it: the one place where work is shared
-    over the cores, for :func:`_window_blocks` alone.
+def _share(blocks, k, work):
+    """``[work(i, j) for j < blocks]`` in block order, each called on the
+    worker i < k that claims block j: the one place where work is shared over
+    the cores, for :func:`_window_blocks` alone.
 
     Each worker claims the next unclaimed block from a counter the walk
     shares until none is left, so a worker that runs faster or wakes earlier
     runs more blocks; which worker runs which block varies from run to run,
     so ``work`` may use i only to pick its part of a scratch buffer.
-    The calling thread runs worker 0 and the pool the others. ``work`` writes
-    only into arrays its caller holds, with k parts for any scratch (buffers
-    the workers allocated themselves were trimmed and re-faulted by glibc on
-    every walk): the caller takes the window blocks and padded ``dy`` from its
-    workspace (:func:`_scratch`); nothing it returns comes from there. With
-    k = 1 it all runs inline, without the pool.
+    The calling thread runs worker 0 and the pool the others; with k = 1 it
+    runs every block, and no pool is built. ``work`` writes only into arrays
+    its caller holds, with k parts for any scratch (buffers the workers
+    allocated themselves were trimmed and re-faulted by glibc on every walk).
     """
-    k, claim = _workers(blocks), itertools.count().__next__   # atomic under the GIL
+    results, claim = [None] * blocks, itertools.count().__next__   # atomic under the GIL
 
     def run(i):
         for j in iter(claim, None):
             if j >= blocks:
                 return
-            work(i, j)
+            results[j] = work(i, j)
 
-    if k == 1:
-        return run(0)
     futures = [_pool().submit(run, i) for i in range(1, k)]
     try:
         run(0)
     finally:
         for future in futures:
             future.result()
+    return results
 
 
 def _sum_in_order(parts):
-    """The sum of ``parts`` over its first axis, accumulated into ``parts[0]``
-    first block first, so that it is the same bits on any number of cores."""
+    """The sum of ``parts``, a sequence of per-block partials, accumulated into
+    ``parts[0]`` first block first, so that it is the same bits on any number
+    of cores."""
     total = parts[0]
     for part in parts[1:]:
         total += part
@@ -276,19 +264,19 @@ def _scratch(slot, shape, dtype):
 
 
 def _window_blocks(source, work, scratch=None, fw=None):
-    """Copy the windows of ``source`` in the blocks of :func:`_block_starts`
-    (``_IM2COL_BLOCK_BYTES`` each), shared over the cores by :func:`_share`,
-    and call ``work(j, s, rows, product)`` on block j: its first sample s, its
-    m samples' windows as a C-contiguous ``(m, *sample)`` array and, given a
-    ``scratch`` shape, an ``(m, *scratch)`` buffer (else ``None``), both parts
-    of arrays of k parts that the calling thread holds, reused by the
-    worker's next block.
+    """``work(s, rows, product)`` on each block of :func:`_block_starts`
+    (``_IM2COL_BLOCK_BYTES`` each) of the windows of ``source``, shared over
+    the cores by :func:`_share`, and its results in block order: s is the
+    block's first sample, ``rows`` its m samples' windows as a C-contiguous
+    ``(m, *sample)`` array and ``product``, given a ``scratch`` shape, an
+    ``(m, *scratch)`` buffer (else ``None``), both parts of arrays of k parts
+    that the calling thread holds, reused by the worker's next block.
 
     The windows are ``source (N, *sample)`` itself, any view of them (the
     forward's on one input plane are plane-major, ``(N, fh, fw, 1, Ho, Wo)``,
     so that the copy runs along each output row), or, given ``fw``, the fw-wide
     row windows of ``source (N, H, W, C)`` padded by fw-1 zero columns each
-    side: block j's worker pads only its own samples, into its part of the
+    side: each block's worker pads only its own samples, into its part of the
     workspace's ``padded`` slot, then copies their windows. A walk of several
     blocks takes its window buffer from the workspace's ``blocks`` slot
     (:func:`_scratch`), so ``rows`` must not outlive it; a walk of one block
@@ -301,7 +289,9 @@ def _window_blocks(source, work, scratch=None, fw=None):
         _, h, w, c = source.shape
         pad, sample = fw - 1, (h, w + fw - 1, 1, fw, c)
     starts = _block_starts(n, math.prod(sample) * dtype.itemsize, _IM2COL_BLOCK_BYTES)
-    step, k = starts.step, _workers(len(starts))
+    # two blocks a worker on average repay its hand-off (a walk of two blocks
+    # split over two cores ran slower than inline)
+    step, k = starts.step, min(_CORES, -(-len(starts) // 2))
     shape = (k * step, *sample)
     buf = np.empty(shape, dtype) if len(starts) == 1 else _scratch("blocks", shape, dtype)
     product = None if scratch is None else np.empty((k * step, *scratch), dtype)
@@ -319,9 +309,9 @@ def _window_blocks(source, work, scratch=None, fw=None):
             part[:, :, pad + w:] = 0
             part[:, :, pad:pad + w] = source[s:s + m]
             np.copyto(rows, _windows(part, 1, fw))
-        work(j, s, rows, None if product is None else product[lo:lo + m])
+        return work(s, rows, None if product is None else product[lo:lo + m])
 
-    _share(len(starts), copy)
+    return _share(len(starts), k, copy)
 
 
 def _pool():
@@ -355,14 +345,13 @@ def _conv2d(x, weights, bias, padding, input_grad=True, relu=False):
     without ``db`` if there is no bias, each in its argument's rank. ``y`` and
     ``dW`` come from one :func:`_window_blocks` walk each over the padded
     input's windows: row windows on several input planes, whole filter windows
-    on one, copied plane-major. ``dx``
-    (``None`` without ``input_grad``) walks the row windows of ``dy`` padded
-    by fw-1 columns each side, on any number of input planes, each block
-    padding its own samples. Each block
-    writes its own samples of ``y`` and ``dx`` and its own partial ``dW``,
-    summed in block order. It computes in ``x``'s dtype: the weights and bias
-    are cast to it, and every buffer, the gradients included, is allocated in
-    it.
+    on one, copied plane-major. ``dx`` (``None`` without ``input_grad``)
+    walks the row windows of ``dy`` padded by fw-1 columns each side, on any
+    number of input planes, each block padding its own samples. Each block
+    writes its own samples of ``y`` and ``dx`` and returns its own partial
+    ``dW``, summed in block order. It computes in ``x``'s dtype: the weights
+    and bias are cast to it, and every buffer, the gradients included, is
+    allocated in it.
     """
     signal, shapes = x.ndim == 3, (x.shape, weights.shape)
     if signal:
@@ -400,10 +389,8 @@ def _conv2d(x, weights, bias, padding, input_grad=True, relu=False):
     slabs = np.ascontiguousarray(weights.transpose(2, 3, 1, 0), dtype).reshape(-1, width, planes)
     bias = None if bias is None else bias.astype(dtype, copy=False)
     y_nhwc = np.empty((n, ho, wo, planes), dtype)
-    whole = None    # the forward's windows, when one block held the batch
 
-    def forward(j, s, block, product):
-        nonlocal whole
+    def forward(s, block, product):
         rows = lowered(block)
         yb = y_nhwc[s:s + len(rows)].reshape(-1, ho * wo, planes)
         np.matmul(rows[:, :ho * wo], slabs[0], out=yb)
@@ -413,32 +400,29 @@ def _conv2d(x, weights, bias, padding, input_grad=True, relu=False):
             yb += bias
         if relu:
             np.maximum(yb, 0, out=yb)
-        if len(rows) == n:
-            whole = block
+        return block
 
     # several filter rows add their GEMMs through one product buffer
-    _window_blocks(windows, forward, (ho * wo, planes) if len(slabs) > 1 else None)
+    blocks = _window_blocks(windows, forward, (ho * wo, planes) if len(slabs) > 1 else None)
+    whole = blocks[0] if len(blocks) == 1 else None    # one block held the batch: kept for dW
 
     def bwd(dy):
         dy_n = np.ascontiguousarray(dy.reshape(n, planes, ho, wo).transpose(0, 2, 3, 1), dtype)
         dy_m = dy_n.reshape(-1, planes)
         db = () if bias is None else (np.ones(len(dy_m), dtype) @ dy_m,)
         taps = len(slabs) * width                                    # fh*fw*C
-        sample_bytes = windows.itemsize * math.prod(windows.shape[1:])
-        blocks = len(_block_starts(n, sample_bytes, _IM2COL_BLOCK_BYTES)) if whole is None else 1
-        parts = np.empty((blocks, planes, taps), dtype)
 
-        def weight_grad(j, s, block, g):
+        def weight_grad(s, block, g):
             rows = lowered(block)
             dyb = dy_n[s:s + len(rows)].reshape(-1, ho * wo, planes).swapaxes(-1, -2)
             for u in range(len(slabs)):
                 np.matmul(dyb, rows[:, u * wo:(u + ho) * wo], out=g[..., u * width:(u + 1) * width])
-            g.sum(axis=0, out=parts[j])              # stacked per sample: summed over the block
+            return g.sum(axis=0)                     # stacked per sample: summed over the block
 
         if whole is None:
-            _window_blocks(windows, weight_grad, (planes, taps))
+            parts = _window_blocks(windows, weight_grad, (planes, taps))
         else:
-            weight_grad(0, 0, whole, np.empty((n, planes, taps), dtype))
+            parts = [weight_grad(0, whole, np.empty((n, planes, taps), dtype))]
         dw = _sum_in_order(parts).reshape(planes, fh, fw, c).transpose(0, 3, 1, 2).reshape(shapes[1])
         if not input_grad:
             return None, dw, *db
@@ -447,7 +431,7 @@ def _conv2d(x, weights, bias, padding, input_grad=True, relu=False):
         flipped = weights[:, :, :, ::-1].transpose(2, 3, 0, 1)    # (fh, fw, P, C)
         back = np.ascontiguousarray(flipped, dtype).reshape(fh, fw * planes, c)
 
-        def input_grad_block(j, s, block, product):
+        def input_grad_block(s, block, product):
             rows = block.reshape(len(block), -1, fw * planes)
             dxb = dxp[s:s + len(rows)].reshape(len(rows), hp * wp, c)
             for u in range(fh):
@@ -566,9 +550,9 @@ class Conv2D(Layer):
         norm = self.norm
         if norm is None or train:
             return kernel(x, self.weights, self.bias, self.padding, input_grad)
-        a = norm.scale / np.sqrt(norm.running_var + BN_EPSILON)   # W*a, shift - mean*a
-        return kernel(x, self.weights * a.reshape(-1, *(1,) * (self.weights.ndim - 1)),
-                      norm.shift - norm.running_mean * a, self.padding, relu=norm.relu)
+        a, b, _ = norm._affine(norm.running_mean, norm.running_var, np.float64)
+        return kernel(x, self.weights * a.reshape(-1, *(1,) * (self.weights.ndim - 1)), b,
+                      self.padding, relu=norm.relu)
 
 
 class Conv1D(Layer):

@@ -229,14 +229,14 @@ def _copies(run):
     copyto, share = np.copyto, layers._share
     caller, walks = threading.get_ident(), itertools.count()
 
-    def spy_share(blocks, work):
+    def spy_share(blocks, k, work):
         walk = next(walks)
 
         def tagged(i, j):
             current.block = walk, blocks, j, i
-            work(i, j)
+            return work(i, j)
 
-        return share(blocks, tagged)
+        return share(blocks, k, tagged)
 
     def spy(dst, src, *args, **kwargs):
         copies.append(Copy(*current.block, dst, threading.get_ident() == caller))
@@ -360,21 +360,41 @@ def test_the_calling_thread_claims_every_block_a_late_worker_leaves(monkeypatch)
 
 
 @pytest.mark.parametrize("workers", [2, 5])
-def test_every_claimed_block_runs_exactly_once(monkeypatch, workers):
+def test_every_claimed_block_runs_exactly_once(workers):
     """Over 200 walks of 0 to 12 blocks, with the threads switching as often
     as they can, ``_share`` runs each block's work exactly once, on a worker
-    i < k."""
-    monkeypatch.setattr(layers, "_CORES", workers)
+    i < k = min(workers, ceil(blocks / 2)), and returns the results in block
+    order."""
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for walk in range(200):
             blocks, ran = walk % 13, []
-            layers._share(blocks, lambda i, j: ran.append((j, i)))
+            k = min(workers, -(-blocks // 2))
+            results = layers._share(blocks, k, lambda i, j: ran.append((j, i)) or j)
+            assert results == list(range(blocks))
             assert sorted(j for j, _ in ran) == list(range(blocks))
-            assert all(i < layers._workers(blocks) for _, i in ran)
+            assert all(i < k for _, i in ran)
     finally:
         sys.setswitchinterval(switch)
+
+
+def test_a_convolution_plans_each_walk_once(monkeypatch):
+    """One forward and backward, with ``dx``, of a layer whose walks span
+    several blocks computes one block plan per walk: the weight gradient's
+    partials come back from its walk, so the backward plans no blocks of its
+    own."""
+    rng = np.random.default_rng(38)
+    x, dy = rng.normal(size=(7, 3, 9, 8)), rng.normal(size=(7, 4, 9, 8))
+    weights, bias = rng.normal(size=(4, 3, 3, 2)), rng.normal(size=4)
+    monkeypatch.setattr(layers, "_IM2COL_BLOCK_BYTES", 2 * 8 * 11 * 8 * 2 * 3)   # 2 samples
+    plans, block_starts = [], layers._block_starts
+    monkeypatch.setattr(layers, "_block_starts",
+                        lambda *args: plans.append(block_starts(*args)) or plans[-1])
+    _, bwd = layers._conv2d(x, weights, bias, "same")
+    assert bwd(dy)[0].shape == x.shape
+    # the forward's walk, the weight gradient's and the input gradient's
+    assert [len(starts) for starts in plans] == [4, 4, 7]
 
 
 def test_mnist_step_and_inference_are_bit_identical_on_any_number_of_workers(monkeypatch):
@@ -402,8 +422,8 @@ def _mnist_step_and_inference(monkeypatch, workers, x, target):
     and the most workers any walk or pass took."""
     monkeypatch.setattr(layers, "_CORES", workers)
     taken, share = [], layers._share
-    monkeypatch.setattr(layers, "_share", lambda blocks, work:
-                        taken.append(layers._workers(blocks)) or share(blocks, work))
+    monkeypatch.setattr(layers, "_share", lambda blocks, k, work:
+                        taken.append(k) or share(blocks, k, work))
     model, out = _mnist_step(x, target)
     out["inference"] = model.forward(x)
     return out, max(taken)
@@ -559,8 +579,8 @@ def test_batchnorm_runs_its_blocks_on_the_calling_thread(monkeypatch):
 
     shared, share = [], layers._share
     monkeypatch.setattr(layers, "_pool", no_pool)
-    monkeypatch.setattr(layers, "_share", lambda blocks, work:
-                        shared.append(blocks) or share(blocks, work))
+    monkeypatch.setattr(layers, "_share", lambda blocks, k, work:
+                        shared.append(blocks) or share(blocks, k, work))
     layer = BatchNorm()
     layer.wire((c, h, w))
     layer.init_params(rng)
