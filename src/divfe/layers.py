@@ -18,13 +18,16 @@ for architectures whose filters would otherwise outgrow the map.
 Conv1D is Conv2D's code on one filter extent. Both run one of two
 channels-last kernels, each taking a length-L signal as a 1×L image. A layer
 whose dense (doubly Toeplitz) matrix ``T``, ``Ho·Wo·P`` by ``H·W·C``, has at
-most ``_DENSE_MAX`` entries, or that has one output position per sample
-(``T`` is then the weights), runs :func:`_dense_conv`: each pass is one GEMM
-against ``T``, gathered from the weights through an index built once per
-geometry. Every other one runs :func:`_conv2d`, so no spanning filter reaches
-it. It copies only the fw-wide windows of each padded row (MEC, Cho & Brand
-2017): a ``(Hp·Wo, fw·C)`` matrix per sample, so each input element is copied
-fw times, not fh·fw. One walk, :func:`_window_blocks`, copies them in blocks
+most ``_DENSE_MAX`` entries, or that has one output position per sample,
+runs :func:`_dense_conv`: each pass is one GEMM against ``T``, gathered from
+the weights through an index built once per geometry. On a spanning
+convolution, ``valid`` with a filter as large as its input, ``T`` is the
+weights in channels-last order: no index is built, and the weight gradient
+is one GEMM in that order, not binned. Every other layer runs
+:func:`_conv2d`, so no spanning filter reaches it. It copies only the
+fw-wide windows of each padded row (MEC, Cho & Brand 2017): a ``(Hp·Wo,
+fw·C)`` matrix per sample, so each input element is copied fw times, not
+fh·fw. One walk, :func:`_window_blocks`, copies them in blocks
 of whole samples of at most about 1 MiB, each a stack of these per-sample
 matrices. Filter row u meets the window rows from ``u·Wo`` on (with one
 filter row, every Conv1D, all of them), and the output is the sum over u of
@@ -159,7 +162,7 @@ class Layer:
         if mode != "train":
             raise ContractError(f"mode {mode!r} with a tape: a taped pass is 'train'")
         y, bwd = self._apply(x, True, bool(tape.entries))
-        tape.record(y, (x, *self.trainable_params), bwd, self.kind)
+        tape.record(y, (x, *[getattr(self, name) for name in self.param_names]), bwd, self.kind)
         return y
 
     def _apply(self, x, train, input_grad=True):
@@ -462,18 +465,39 @@ def _dense_index(c, size, planes, extents, padding):
     return idx, (ho, wo)[-len(size):]
 
 
+@functools.lru_cache(maxsize=64)
+def _ones(length):
+    """A read-only float64 vector of ``length`` ones: the left operand of a
+    bias gradient's GEMM, built once per length."""
+    ones = np.ones(length)
+    ones.flags.writeable = False
+    return ones
+
+
 def _dense_conv(x, weights, bias, padding, input_grad=True, relu=False):
     """:func:`_conv2d`'s ``(y, bwd)`` by GEMMs against the dense matrix ``T``:
     ``x @ T.T + bias``, then max(0, ·) in place given ``relu``, ``dy @ T`` (if
     ``input_grad``), and ``dy.T @ x`` binned into ``dW``. It computes in
     float64 whatever ``x``'s dtype, since ``T`` is float64 (a plain GEMM's
-    float32 rows would depend on the batch); ``dx`` takes ``x``'s dtype."""
+    float32 rows would depend on the batch); ``dx`` takes ``x``'s dtype.
+
+    A spanning convolution, ``valid`` with a filter as large as its input, has
+    one output position, and every tap meets one input element: ``T`` is the
+    weights in channels-last order, ``(P, positions·C)``, and ``dy.T @ x`` is
+    ``dW`` in that order, so neither is gathered or binned. ``dW`` is added
+    into zeros, as ``bincount`` adds into its bins, so that a -0.0 reads +0.0
+    on either path."""
     n, c, *size = x.shape
     planes = len(weights)
-    idx, out = _dense_index(c, tuple(size), planes, weights.shape[2:], padding)
     to_last, to_first = ((0, 2, 1), (0, 2, 1)) if x.ndim == 3 else ((0, 2, 3, 1), (0, 3, 1, 2))
+    spanning = padding == "valid" and tuple(size) == weights.shape[2:]
+    if spanning:
+        out = (1,) * len(size)
+        t = weights.transpose(to_last).reshape(planes, -1)
+    else:
+        idx, out = _dense_index(c, tuple(size), planes, weights.shape[2:], padding)
+        t = np.concatenate((weights.ravel(), _ZERO))[idx]
     x_m = x.transpose(to_last).reshape(n, -1)
-    t = np.concatenate((weights.ravel(), _ZERO))[idx]
     y = (x_m @ t.T).reshape(n, -1, planes)
     if bias is not None:
         y += bias
@@ -484,9 +508,13 @@ def _dense_conv(x, weights, bias, padding, input_grad=True, relu=False):
         dy_m = dy.transpose(to_last).reshape(n, -1)
         dx = ((dy_m @ t).reshape(n, *size, c).transpose(to_first).astype(x.dtype, copy=False)
               if input_grad else None)
-        dw = np.bincount(idx.ravel(), (dy_m.T @ x_m).ravel(), weights.size + 1)[:-1]
+        if spanning:
+            dw = np.zeros(weights.shape)
+            dw += (dy_m.T @ x_m).reshape(planes, *size, c).transpose(to_first)
+        else:
+            dw = np.bincount(idx.ravel(), (dy_m.T @ x_m).ravel(), weights.size + 1)[:-1]
         dy_p = dy_m.reshape(-1, planes)
-        db = () if bias is None else (np.ones(len(dy_p)) @ dy_p,)
+        db = () if bias is None else (_ones(len(dy_p)) @ dy_p,)
         return dx, dw.reshape(weights.shape), *db
 
     return y.reshape(n, *out, planes).transpose(to_first), bwd

@@ -67,8 +67,8 @@ def backward(tape: GradientTape, loss: np.ndarray):
     if not tape.entries:
         raise ContractError("the tape is empty")
 
-    upstream, consumed, per_entry = np.ones_like(loss, dtype=np.float64), loss, []
-    for output, inputs, backward_fn, name in reversed(tape.entries):
+    upstream, consumed, pairs = np.ones_like(loss, dtype=np.float64), loss, []
+    for walked, (output, inputs, backward_fn, name) in enumerate(reversed(tape.entries), 1):
         if output is not consumed:
             raise ContractError(f"the tape is not a chain: {name}'s output is neither the "
                                 "loss nor the input of the next entry")
@@ -76,14 +76,16 @@ def backward(tape: GradientTape, loss: np.ndarray):
         if len(grads) != len(inputs):
             raise ContractError(f"{name}: backward returned {len(grads)} grads "
                                 f"for {len(inputs)} inputs")
-        pairs = zip(inputs, grads)
-        if grads[0] is None:   # only the last entry walked, the first recorded
-            if len(per_entry) < len(tape.entries) - 1:
-                raise ContractError(f"{name}: backward returned no input gradient")
-            next(pairs)
-        for inp, g in pairs:
-            if g.shape != inp.shape:
-                raise ShapeError(f"{name}: gradient shape {g.shape} != input {inp.shape}")
-        per_entry.append(zip(inputs[1:], grads[1:]))
         upstream, consumed = grads[0], inputs[0]
-    return upstream, [pair for pairs in reversed(per_entry) for pair in pairs]
+        skipped = upstream is None   # only the last entry walked, the first recorded
+        if skipped and walked < len(tape.entries):
+            raise ContractError(f"{name}: backward returned no input gradient")
+        for i in range(skipped, len(inputs)):
+            if grads[i].shape != inputs[i].shape:
+                raise ShapeError(f"{name}: gradient shape {grads[i].shape} "
+                                 f"!= input {inputs[i].shape}")
+        # each entry's pairs go in reversed, so one reverse restores recording order
+        for i in range(len(inputs) - 1, 0, -1):
+            pairs.append((inputs[i], grads[i]))
+    pairs.reverse()
+    return upstream, pairs

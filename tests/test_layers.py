@@ -727,6 +727,95 @@ def test_kernels_without_input_gradient_keep_the_parameter_gradients(monkeypatch
         assert skip.shape == full.shape and skip.tobytes() == full.tobytes()
 
 
+# the valid rows whose filter covers the whole input, and the same rows on a
+# 1x1 map (a length-1 signal), which also have one output position
+SPANNING_CONFIGS = [config for config in BLOCKED_CONFIGS
+                    if config[-1] == "valid" and config[2:4] == config[4:6]]
+ONE_POSITION_SAME_CONFIGS = [config for config in BLOCKED_CONFIGS
+                             if config[-1] == "same" and config[2:4] == (1, 1)]
+
+
+def _kernel_inputs(config, dtype, with_bias):
+    """``x`` in ``dtype``, float64 weights and a bias (``None`` without one)
+    for a row of :data:`BLOCKED_CONFIGS`, 1D when it is one row high."""
+    n, c, h, w, fh, fw, planes, _ = config
+    rng = np.random.default_rng(sum(config[:-1]))
+    signal = h == fh == 1
+    x = rng.normal(size=(n, c, w) if signal else (n, c, h, w)).astype(dtype)
+    weights = rng.normal(size=(planes, c, fw) if signal else (planes, c, fh, fw))
+    return x, weights, rng.normal(size=planes) if with_bias else None
+
+
+def _spied_dense_index(monkeypatch):
+    """The arguments of every ``_dense_index`` call from here on."""
+    calls, real = [], layers._dense_index
+    monkeypatch.setattr(layers, "_dense_index", lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def _gathered_dense_conv(x, weights, bias, dy, input_grad):
+    """``(y, dx, dW[, db])`` of a spanning convolution by the dense kernel's
+    general formula: ``T`` gathered from the weights by each entry's flat
+    weight index, ``y = x @ T.T + bias``, ``dx = dy @ T`` and ``dy.T @ x``
+    binned by that index into ``dW`` with ``bincount``, whose bins start at
+    0.0."""
+    n, c, *size = x.shape
+    planes = len(weights)
+    to_last, to_first = (0, *range(2, x.ndim), 1), (0, x.ndim - 1, *range(1, x.ndim - 1))
+    idx = np.arange(weights.size).reshape(weights.shape).transpose(to_last).reshape(planes, -1)
+    t = weights.ravel()[idx]
+    x_m = x.transpose(to_last).reshape(n, -1)
+    y = x_m @ t.T
+    if bias is not None:
+        y += bias
+    dy_m = dy.reshape(n, planes)
+    dx = ((dy_m @ t).reshape(n, *size, c).transpose(to_first).astype(x.dtype, copy=False)
+          if input_grad else None)
+    dw = np.bincount(idx.ravel(), (dy_m.T @ x_m).ravel(), weights.size).reshape(weights.shape)
+    db = () if bias is None else (np.ones(n) @ dy_m,)
+    return y.reshape(n, planes, *(1,) * len(size)), dx, dw, *db
+
+
+@pytest.mark.parametrize("input_grad", [True, False])
+@pytest.mark.parametrize("with_bias", [True, False])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("config", SPANNING_CONFIGS)
+def test_a_spanning_convolution_multiplies_its_weights_directly(monkeypatch, config, dtype,
+                                                                with_bias, input_grad):
+    """A valid convolution whose filter covers its input builds no dense index
+    and returns the gathered and binned formula's ``y``, ``dx``, ``dW`` and
+    ``db`` byte for byte, in float64 and float32, with and without a bias and
+    an input gradient. ``dy`` takes ``x``'s dtype, and ``dW`` is float64 as
+    ``bincount`` makes it. One plane of ``dy`` is -0.0: its ``dW`` rows read
+    +0.0 on either path, as ``bincount``'s bins make them."""
+    x, weights, bias = _kernel_inputs(config, dtype, with_bias)
+    calls = _spied_dense_index(monkeypatch)
+    y, bwd = layers._dense_conv(x, weights, bias, config[-1], input_grad)
+    dy = np.random.default_rng(len(x)).normal(size=y.shape).astype(dtype)
+    dy[:, 0] = -0.0
+    got = (y, *bwd(dy))
+    assert calls == []
+    expected = _gathered_dense_conv(x, weights, bias, dy, input_grad)
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        if b is None:
+            assert a is None
+        else:
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("config", ONE_POSITION_SAME_CONFIGS)
+def test_a_same_convolution_on_one_position_keeps_the_gather(monkeypatch, config):
+    """A same filter larger than its 1×1 map (length-1 signal) also has one
+    output position, but only its centre taps meet the input: its ``T`` is
+    gathered through the dense index."""
+    x, weights, bias = _kernel_inputs(config, np.float64, True)
+    calls = _spied_dense_index(monkeypatch)
+    y, bwd = layers._dense_conv(x, weights, bias, config[-1])
+    bwd(np.ones(y.shape))
+    assert len(calls) == 1
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), c=st.integers(1, 3),
        h=st.integers(1, 5), w=st.integers(1, 5), fh=st.integers(1, 4), fw=st.integers(1, 4),

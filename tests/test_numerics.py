@@ -1,10 +1,13 @@
-"""The reverse walk down a tape's chain and the finite-difference reference."""
+"""The reverse walk down a tape's chain, the finite-difference reference, and
+the dense kernel's cached ones vector behind its bias gradients."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from divfe import layers
 from divfe.numerics import ContractError, GradientTape, ShapeError, allocate, backward
 
 from _gradcheck import numeric_gradient, relative_error
@@ -152,6 +155,63 @@ def test_a_missing_input_gradient_from_a_later_entry_is_rejected(first_dx):
     loss = _two_entry_chain(tape, x, w, first_dx, second_dx=False)
     with pytest.raises(ContractError, match="double: backward returned no input gradient"):
         backward(tape, loss)
+
+
+@pytest.mark.parametrize("first_dx", [True, False])
+def test_a_parameter_gradient_of_the_wrong_shape_is_rejected(first_dx):
+    x, w = np.ones(3), np.ones(3)
+    tape = GradientTape()
+    y = tape.record(x * w, (x, w), lambda g: (g * w if first_dx else None, np.ones((1, 3))),
+                    "bad-param")
+    with pytest.raises(ShapeError, match=r"bad-param: gradient shape \(1, 3\) != input \(3,\)"):
+        backward(tape, _scalarize(tape, y, np.ones(3)))
+
+
+def test_a_chain_returns_its_parameter_pairs_in_recording_order():
+    # three entries h -> h*a + b, two parameters each
+    rng = np.random.default_rng(11)
+    h, proj = rng.normal(size=3), rng.normal(size=3)
+    tape, entries = GradientTape(), []
+    for k in range(3):
+        a, b = rng.normal(size=3), rng.normal(size=3)
+        entries.append((h, a, b))
+        h = tape.record(h * a + b, (h, a, b), lambda g, h=h, a=a: (g * a, g * h, g), f"affine{k}")
+    dx, grads = backward(tape, _scalarize(tape, h, proj))
+    assert len(grads) == 6
+    upstream = proj
+    for k in reversed(range(3)):
+        h, a, b = entries[k]
+        (pa, ga), (pb, gb) = grads[2 * k:2 * k + 2]
+        assert pa is a and pb is b
+        np.testing.assert_array_equal(ga, upstream * h)
+        np.testing.assert_array_equal(gb, upstream)
+        upstream = upstream * a
+    np.testing.assert_array_equal(dx, upstream)
+
+
+def test_the_bias_gradients_ones_vector_is_cached_read_only():
+    ones = layers._ones(7)
+    assert ones is layers._ones(7) and ones.dtype == np.float64
+    np.testing.assert_array_equal(ones, np.ones(7))
+    assert not ones.flags.writeable
+    with pytest.raises(ValueError):
+        ones[0] = 2.0
+
+
+def test_two_backward_calls_never_return_the_same_bias_gradient():
+    rng = np.random.default_rng(12)
+    x, weights, bias = rng.normal(size=(4, 2, 5)), rng.normal(size=(3, 2, 2)), rng.normal(size=3)
+    dys, dbs = [], []
+    for _ in range(2):
+        y, bwd = layers._dense_conv(x, weights, bias, "valid")
+        dys.append(rng.normal(size=y.shape))
+        dbs += [bwd(dys[-1])[-1], bwd(dys[-1])[-1]]
+    for i, j in itertools.combinations(range(len(dbs)), 2):
+        assert not np.shares_memory(dbs[i], dbs[j])
+    kept = [db.copy() for db in dbs]
+    dbs[0][:] = 0.0     # its caller may write it
+    for db, copy in zip(dbs[1:], kept[1:]):
+        assert db.tobytes() == copy.tobytes()
 
 
 def test_numeric_gradient_on_quadratic():
